@@ -44,7 +44,7 @@ def _add_channel_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _header(args, seed) -> str:
-    return "ibquant " + " ".join(sys.argv[1:]) + f" | seed={seed}"
+    return "ibquant " + " ".join(args.argv) + f" | seed={seed}"
 
 
 def _cmd_info(parser, args) -> int:
@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # echoed into every output header
     handlers = {
         "info": _cmd_info,
         "quantize": _cmd_quantize,

@@ -1,10 +1,19 @@
 """LDPC decoding engines and the Monte-Carlo BER harness.
 
-Three engines share one message-passing skeleton: the integer lookup-table
-decoder driven by a density-evolution design, plain and table-corrected
-min-sum, and log-domain belief propagation.  All decoders stop early once the
-hard decision satisfies every parity check.  Frames are independent streams
-seeded by (seed, frame_index), so results do not depend on batching.
+The integer lookup-table (LUT) decoder runs a density-evolution design; plain
+and table-corrected min-sum and log-domain belief propagation share one float
+message-passing loop.  All decoders stop early once the hard decision
+satisfies every parity check.  Frames are independent streams seeded by
+(seed, frame_index), so results do not depend on batching.
+
+The LUT decoder compiles its design at the start of every call.  Each stage
+table becomes a flat uint8 array (for up to 8-bit messages) indexed by the
+shift-or pair index (left << message_bits) | right.  Messages are held
+slot-major, one contiguous (nodes, batch) row block per node slot, so moving
+them between the variable and the check view is one row permutation.  Each
+iteration's cascades form one lookup program in which a sub-chain shared by
+several exclusive outputs, or by the variable and decision cascades, runs
+once; the next v2c messages and the hard decision come out of one program.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import numpy as np
 from .channels import DmcSpec, binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
 from .dde import LdpcEnsembleDesign, design_decoder
 from .ldpc import LdpcCode, encode, generator_matrix
+from .maxlut import LutCascade
 
 LLR_LIMIT = 25.0
 
@@ -51,6 +61,96 @@ def _scatter_to_vars(code: LdpcCode, c2v_checks: np.ndarray) -> np.ndarray:
     return c2v_checks[:, code.var_adj, code.var_slot_of]
 
 
+class _Lookups:
+    """Straight-line program of two-operand table lookups on numbered values.
+
+    Values 0..num_inputs-1 are the inputs.  Every distinct lookup, keyed by
+    its table bytes and its two operands, is added once and numbered after
+    them, so a sub-chain that several cascades have in common runs once.  A
+    lookup reads its flat table at (left << shift) | right; the right operand
+    -1 is the constant zero.
+    """
+
+    def __init__(self, num_inputs: int, shift: int, index_dtype):
+        self.num_inputs = num_inputs
+        self.shift = shift
+        self.index_dtype = index_dtype
+        self.steps: list[tuple[np.ndarray, int, int]] = []
+        self.outputs: list[int] = []
+        self._ids: dict[tuple[bytes, int, int], int] = {}
+
+    def add_chain(self, cascade: LutCascade, tables: list[np.ndarray],
+                  inputs: list[int]) -> int:
+        """Add a cascade over the given values; returns its output value."""
+        ids = list(inputs)
+        for (left, right), table in zip(cascade.operand_plan(), tables):
+            ids.append(self._lookup(table, ids[left], ids[right] if right >= 0 else -1))
+        return ids[-1]
+
+    def _lookup(self, table: np.ndarray, left: int, right: int) -> int:
+        key = (table.tobytes(), left, right)
+        if key not in self._ids:
+            self._ids[key] = self.num_inputs + len(self.steps)
+            self.steps.append((table, left, right))
+        return self._ids[key]
+
+    def run(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
+        values = list(inputs)
+        for table, left, right in self.steps:
+            index = np.left_shift(values[left], self.shift, dtype=self.index_dtype)
+            if right >= 0:
+                np.bitwise_or(index, values[right], out=index)
+            values.append(table.take(index))
+        return [values[k] for k in self.outputs]
+
+
+def _flat_tables(cascade: LutCascade, levels: int, dtype) -> list[np.ndarray]:
+    """Stage tables as flat arrays indexed by (left << message_bits) | right."""
+    tables = []
+    for (_, right), stage in zip(cascade.operand_plan(), cascade.stages):
+        lut = stage.lut
+        if (lut.table.shape != (levels, levels if right >= 0 else 1)
+                or lut.out_alphabet_size != levels):
+            raise ValueError("design table does not match the message alphabet")
+        flat = np.zeros((levels, levels), dtype=dtype)
+        flat[:, :lut.table.shape[1]] = lut.table
+        tables.append(flat.ravel())
+    return tables
+
+
+def _compile_iteration(design: LdpcEnsembleDesign, t: int, dtype,
+                       index_dtype) -> tuple[_Lookups, _Lookups]:
+    """The check program and the variable-node program of iteration t.
+
+    The check program maps the dc check-side slots to the dc exclusive
+    outputs.  The node program maps the channel message (value 0) and the dv
+    variable-side slots (values 1..dv) to the dv next v2c messages followed
+    by the hard decision.
+    """
+    levels = design.alphabet_size
+    dv, dc = design.var_degree, design.check_degree
+    check = _Lookups(dc, design.message_bits, index_dtype)
+    chain = design.check_luts[t]
+    tables = _flat_tables(chain, levels, dtype)
+    for i in range(dc):
+        check.outputs.append(check.add_chain(chain, tables,
+                                             [k for k in range(dc) if k != i]))
+
+    node = _Lookups(1 + dv, design.message_bits, index_dtype)
+    chain = design.var_luts[t]
+    tables = _flat_tables(chain, levels, dtype)
+    for j in range(dv):
+        node.outputs.append(node.add_chain(
+            chain, tables, [0] + [1 + i for i in range(dv) if i != j]))
+    rule = design.decision_luts[t]
+    if rule.bit_map.shape != (levels,):
+        raise ValueError("decision map does not match the message alphabet")
+    tables = _flat_tables(rule.cascade, levels, dtype)
+    tables[-1] = rule.bit_map.astype(dtype)[tables[-1]]  # the last stage emits bits
+    node.outputs.append(node.add_chain(rule.cascade, tables, list(range(1 + dv))))
+    return check, node
+
+
 def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
                      channel_bins: np.ndarray, max_iter: int):
     """Integer-only LUT decoding of a batch of frames.
@@ -68,39 +168,37 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
     dv, dc = code.var_degree, code.check_degree
     if dv != design.var_degree or dc != design.check_degree:
         raise ValueError("design degrees do not match the code")
-    chan_labels = design.channel_lut.labels
+    levels = design.alphabet_size
+    if design.channel_lut.num_clusters != levels:
+        raise ValueError("channel quantizer does not match the message alphabet")
+    dtype = np.min_scalar_type(levels - 1)
+    index_dtype = np.min_scalar_type(levels * levels - 1)
+    depth = design.max_iter
+    plans = [_compile_iteration(design, t, dtype, index_dtype)
+             for t in range(min(max_iter, depth))]
+    n, m = code.block_length, code.num_checks
+    # row of every check-side message in the variable-side layout, and back
+    to_checks = (code.check_slot_of * n + code.check_adj).T.ravel()
+    to_vars = (code.var_slot_of * m + code.var_adj).T.ravel()
 
     batch = bins.shape[0]
-    out_bits = np.zeros((batch, code.block_length), dtype=np.uint8)
+    out_bits = np.zeros((batch, n), dtype=np.uint8)
     iters_used = np.full(batch, max_iter, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
 
     active = np.arange(batch)
-    chan = chan_labels[bins]
-    v2c = np.repeat(chan[:, :, None], dv, axis=2)
-    c2v = None
-    depth = design.max_iter
+    chan = design.channel_lut.labels.astype(dtype).take(bins.T)
+    v2c = np.tile(chan, (dv, 1))
     for t in range(max_iter):
-        tt = min(t, depth - 1)
-        if t > 0:
-            vt = min(t - 1, depth - 1)
-            var_chain = design.var_luts[vt]
-            new_v2c = np.empty_like(v2c)
-            for j in range(dv):
-                others = [c2v[:, :, i] for i in range(dv) if i != j]
-                new_v2c[:, :, j] = var_chain.evaluate([chan] + others)
-            v2c = new_v2c
-        mc = _gather_to_checks(code, v2c)
-        cc = np.empty_like(mc)
-        check_chain = design.check_luts[tt]
-        for i in range(dc):
-            others = [mc[:, :, k] for k in range(dc) if k != i]
-            cc[:, :, i] = check_chain.evaluate(others)
-        c2v = _scatter_to_vars(code, cc)
-
-        rule = design.decision_luts[tt]
-        bits = rule.decide(chan, [c2v[:, :, j] for j in range(dv)]).astype(np.uint8)
+        check, node = plans[min(t, depth - 1)]
+        mc = v2c.take(to_checks, axis=0)
+        c2v = np.concatenate(check.run([mc[i * m:(i + 1) * m] for i in range(dc)]))
+        c2v = c2v.take(to_vars, axis=0)
+        *var_out, decision = node.run([chan] + [c2v[j * n:(j + 1) * n] for j in range(dv)])
+        bits = decision.T.astype(np.uint8, copy=False)
         ok = code.parity_ok(bits)
+        if t == max_iter - 1:
+            out_bits[active] = bits
         if np.any(ok):
             done = active[ok]
             out_bits[done] = bits[ok]
@@ -109,12 +207,10 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
             keep = ~ok
             active = active[keep]
             if active.size == 0:
-                return out_bits, iters_used, converged
-            chan = chan[keep]
-            v2c = v2c[keep]
-            c2v = c2v[keep]
-        if t == max_iter - 1:
-            out_bits[active] = bits[~ok] if np.any(ok) else bits
+                break
+            chan = chan[:, keep]
+            var_out = [v[:, keep] for v in var_out]
+        v2c = np.concatenate(var_out)
     return out_bits, iters_used, converged
 
 

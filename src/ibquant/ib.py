@@ -126,7 +126,7 @@ def design_from_quantizer(j: JointXY, quantizer: Quantizer, beta: float = math.i
     pz = py @ rows
     pxz = j.matrix @ rows
     posts = np.empty((rows.shape[1], j.num_x))
-    alive = pz > 0
+    alive = pz >= DEAD_CLUSTER_EPS
     posts[alive] = (pxz[:, alive] / pz[alive]).T
     posts[~alive] = 1.0 / j.num_x
     compression = mutual_information(JointXY(py[:, None] * rows))

@@ -187,19 +187,25 @@ class LutCascade:
         """Apply the chain to integer message arrays (one per input, same shape)."""
         if len(inputs) != self.num_inputs:
             raise ValueError(f"expected {self.num_inputs} inputs, got {len(inputs)}")
-        values = []
-
-        def fetch(source):
-            kind, idx = source
-            if kind == "input":
-                return inputs[idx]
-            if kind == "stage":
-                return values[idx]
-            return np.zeros_like(inputs[0])
-
-        for stage in self.stages:
-            values.append(stage.lut.table[fetch(stage.left), fetch(stage.right)])
+        values = list(inputs)
+        for (left, right), stage in zip(self.operand_plan(), self.stages):
+            rhs = values[right] if right >= 0 else np.zeros_like(inputs[0])
+            values.append(stage.lut.table[values[left], rhs])
         return values[-1]
+
+    def operand_plan(self) -> list[tuple[int, int]]:
+        """(left, right) of every stage as integers.
+
+        Input k is k, the output of stage j is num_inputs + j, and the
+        constant zero operand is -1.
+        """
+        offset = {"input": 0, "stage": self.num_inputs}
+
+        def number(source) -> int:
+            kind, idx = source
+            return -1 if kind == "const" else offset[kind] + idx
+
+        return [(number(s.left), number(s.right)) for s in self.stages]
 
 
 def _cascade_plan(schedule: str, num_inputs: int) -> list[tuple[tuple, tuple]]:

@@ -10,6 +10,16 @@ def run(argv):
     return main(argv)
 
 
+def rerun_bytes(argv, out):
+    """Bytes written by two identical invocations, the same --out included."""
+    full = argv + ["--out", str(out)]
+    assert run(full) == 0
+    first = out.read_bytes()
+    out.unlink()
+    assert run(full) == 0
+    return first, out.read_bytes()
+
+
 class TestInfo:
     def test_bsc(self, capsys):
         assert run(["info", "--channel", "bsc:0.11"]) == 0
@@ -33,6 +43,14 @@ class TestQuantize:
         info_loss = float(lines[2].split(",")[4])
         assert info_loss == pytest.approx(0.0, abs=1e-9)
 
+    def test_header_echoes_the_given_argv(self, tmp_path):
+        out = tmp_path / "q.csv"
+        argv = ["quantize", "--channel", "bsc:0.11", "--alg", "dp", "--n", "2",
+                "--seed", "4", "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_text().splitlines()[0] == (
+            "# ibquant " + " ".join(argv) + " | seed=4")
+
     def test_ask_it_ib_row(self, tmp_path):
         out = tmp_path / "q.csv"
         assert run(["quantize", "--channel", "ask4", "--sigma", "1", "--bins", "32",
@@ -46,10 +64,8 @@ class TestQuantize:
         args = ["quantize", "--channel", "ask4", "--sigma", "1", "--bins", "32",
                 "--alg", "kl-means", "--n", "4", "--restarts", "5",
                 "--seed", "7"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        first, second = rerun_bytes(args, tmp_path / "a.csv")
+        assert first == second
 
     def test_mapping_out(self, tmp_path):
         out = tmp_path / "q.csv"
@@ -87,10 +103,8 @@ class TestMaxlut:
     def test_rerun_identical(self, tmp_path):
         args = ["maxlut", "--node", "variable", "--in-bits", "3",
                 "--out-bits", "3", "--channel", "bpsk:1.5", "--bins", "64"]
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        first, second = rerun_bytes(args, tmp_path / "a.txt")
+        assert first == second
 
 
 class TestLdpcCommands:
@@ -132,10 +146,8 @@ class TestLdpcCommands:
     def test_simulate_rerun_identical(self, tmp_path):
         args = ["ldpc", "simulate", "--decoder", "bp", "--ebn0", "2.0",
                 "--max-frames", "25", "--seed", "5", "--n", "120", "--bins", "32"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        first, second = rerun_bytes(args, tmp_path / "a.csv")
+        assert first == second
 
     def test_design_mismatch_is_usage_error(self, tmp_path):
         design_file = tmp_path / "design.txt"

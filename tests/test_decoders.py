@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ibquant.channels import build_bpsk_awgn, ebn0_db_to_noise_std
-from ibquant.dde import design_decoder
+from ibquant.dde import design_decoder, load_design, save_design
 from ibquant.decoders import (
     _frame_rng,
     ber_sweep,
@@ -96,6 +99,130 @@ class TestLutDecoder:
         mean = per_frame.mean()
         stderr = per_frame.std(ddof=1) / np.sqrt(frames)
         assert abs(mean - design.error_prob_trace[0]) <= 3 * stderr + 1e-4
+
+
+def reference_decode_lut_batch(code, design, channel_bins, max_iter):
+    """The cascade-by-cascade LUT decoder that decode_lut_batch compiles.
+
+    Every exclusive node output is one LutCascade.evaluate call and every
+    hard decision one DecisionRule.decide call; messages are (batch, nodes,
+    slot) arrays moved between the node views by two-index fancy indexing.
+    """
+    bins = np.asarray(channel_bins)
+    dv, dc = code.var_degree, code.check_degree
+    batch = bins.shape[0]
+    out_bits = np.zeros((batch, code.block_length), dtype=np.uint8)
+    iters_used = np.full(batch, max_iter, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+
+    active = np.arange(batch)
+    chan = design.channel_lut.labels[bins]
+    v2c = np.repeat(chan[:, :, None], dv, axis=2)
+    c2v = None
+    depth = design.max_iter
+    for t in range(max_iter):
+        tt = min(t, depth - 1)
+        if t > 0:
+            var_chain = design.var_luts[min(t - 1, depth - 1)]
+            new_v2c = np.empty_like(v2c)
+            for j in range(dv):
+                others = [c2v[:, :, i] for i in range(dv) if i != j]
+                new_v2c[:, :, j] = var_chain.evaluate([chan] + others)
+            v2c = new_v2c
+        mc = v2c[:, code.check_adj, code.check_slot_of]
+        cc = np.empty_like(mc)
+        check_chain = design.check_luts[tt]
+        for i in range(dc):
+            others = [mc[:, :, k] for k in range(dc) if k != i]
+            cc[:, :, i] = check_chain.evaluate(others)
+        c2v = cc[:, code.var_adj, code.var_slot_of]
+
+        rule = design.decision_luts[tt]
+        bits = rule.decide(chan, [c2v[:, :, j] for j in range(dv)]).astype(np.uint8)
+        ok = code.parity_ok(bits)
+        if np.any(ok):
+            done = active[ok]
+            out_bits[done] = bits[ok]
+            iters_used[done] = t + 1
+            converged[done] = True
+            keep = ~ok
+            active = active[keep]
+            if active.size == 0:
+                return out_bits, iters_used, converged
+            chan = chan[keep]
+            v2c = v2c[keep]
+            c2v = c2v[keep]
+        if t == max_iter - 1:
+            out_bits[active] = bits[~ok] if np.any(ok) else bits
+    return out_bits, iters_used, converged
+
+
+# name: (block length, dv, dc, Eb/N0 dB, bins, message bits, designed iterations)
+ORACLE_DESIGNS = {
+    "4bit-above": (120, 3, 6, 2.0, 128, 4, 50),   # saturates after 13 iterations
+    "4bit-below": (120, 3, 6, 1.0, 64, 4, 12),    # stalls: all 12 designed
+    "3bit-above": (120, 3, 6, 2.0, 64, 3, 20),    # saturates after 17 iterations
+    "2bit-below": (120, 3, 6, 2.0, 64, 2, 20),
+    "3bit-dv2": (120, 2, 4, 1.5, 64, 3, 10),
+    "5bit-tiny": (24, 3, 6, 2.0, 64, 5, 3),       # (l << 5) | r needs 10 bits
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_designs(setup_2db, tmp_path_factory):
+    designs = {}
+    for name, (n, dv, dc, ebn0, num_bins, bits, iters) in ORACLE_DESIGNS.items():
+        code = construct_regular_ldpc(n, dv, dc, seed=3)
+        if name == "4bit-above":
+            design = setup_2db[2]
+        else:
+            design = design_decoder(build_bpsk_awgn(ebn0, code.design_rate, num_bins),
+                                    dv, dc, bits, iters)
+        designs[name] = (code, design)
+    path = tmp_path_factory.mktemp("oracle") / "design.txt"
+    code, design = designs["3bit-above"]
+    save_design(design, path)
+    designs["3bit-loaded"] = (code, load_design(path))
+    # decision tables from other iterations: the decision cascade no longer
+    # shares its first stages with the variable cascade
+    code, design = designs["4bit-below"]
+    designs["4bit-mixed"] = (code, dataclasses.replace(
+        design, decision_luts=design.decision_luts[::-1]))
+    return designs
+
+
+class TestCompiledLutDecoder:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ORACLE_DESIGNS) + ["3bit-loaded", "4bit-mixed"]),
+           batch=st.integers(1, 6), max_iter=st.integers(1, 60),
+           sigma=st.floats(0.3, 1.3), seed=st.integers(0, 2**32 - 1))
+    @example(name="4bit-above", batch=1, max_iter=50, sigma=0.8, seed=0)
+    @example(name="4bit-below", batch=5, max_iter=40, sigma=0.85, seed=1)
+    @example(name="3bit-loaded", batch=4, max_iter=30, sigma=0.8, seed=2)
+    @example(name="2bit-below", batch=3, max_iter=25, sigma=0.6, seed=3)
+    @example(name="5bit-tiny", batch=6, max_iter=10, sigma=0.7, seed=4)
+    @example(name="4bit-mixed", batch=4, max_iter=20, sigma=0.85, seed=5)
+    def test_matches_reference_decoder(self, oracle_designs, name, batch, max_iter,
+                                       sigma, seed):
+        code, design = oracle_designs[name]
+        rng = np.random.default_rng(seed)
+        received = 1.0 + sigma * rng.standard_normal((batch, code.block_length))
+        bins = design.dmc.discretization.bin_of(received)
+        got = decode_lut_batch(code, design, bins, max_iter)
+        want = reference_decode_lut_batch(code, design, bins, max_iter)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_rejects_inconsistent_message_alphabet(self, oracle_designs):
+        code, design = oracle_designs["3bit-above"]
+        two_bit = oracle_designs["2bit-below"][1]
+        bins = np.zeros((1, code.block_length), dtype=np.int64)
+        for bad in (dataclasses.replace(design, message_bits=2),  # channel quantizer
+                    dataclasses.replace(design, check_luts=two_bit.check_luts),
+                    dataclasses.replace(design, decision_luts=two_bit.decision_luts)):
+            with pytest.raises(ValueError, match="message alphabet"):
+                decode_lut_batch(code, bad, bins, 5)
 
 
 class TestBaselineDecoders:

@@ -324,6 +324,18 @@ class TestItIbOnAskInstance:
         assert best <= oracle_loss + 0.002
         assert best >= oracle_loss - 1e-9
 
+    def test_denormal_cluster_counts_as_dead(self):
+        # this restart starves one cluster to a denormal mass (~8.8e-321);
+        # its posterior row must be the dead-cluster default, not a
+        # precision-losing quotient that ConditionalDist rejects
+        j = build_ask_awgn(4, 1.0, 128, 3.0).joint()
+        rng = np.random.default_rng(np.random.SeedSequence((1599525336001, 2, 11)))
+        design = iterative_ib(j, 16, 400.0, init=rng)
+        pz = design.cluster_prior.probs
+        starved = (pz > 0) & (pz < 1e-300)
+        assert starved.any()
+        assert np.all(design.cluster_posteriors.rows[starved] == 0.25)
+
 
 class TestIbCurve:
     def test_single_cluster_point(self):
