@@ -20,15 +20,30 @@ from .info import entropy, mutual_information
 
 def _parse_channel(parser: argparse.ArgumentParser, args) -> channels.DmcSpec:
     spec = args.channel
-    if spec.startswith("bsc:"):
-        return channels.build_bsc(float(spec.split(":", 1)[1]))
-    if spec.startswith("bpsk:"):
-        ebn0 = float(spec.split(":", 1)[1])
-        return channels.build_bpsk_awgn(ebn0, args.rate, args.bins, args.clip)
-    if spec.startswith("ask"):
-        levels = int(spec[3:])
-        return channels.build_ask_awgn(levels, args.sigma, args.bins, args.clip)
-    parser.error(f"unknown channel spec {spec!r}; use bsc:EPS, bpsk:EBN0_DB or askM")
+    kind = next((k for k in ("bsc:", "bpsk:", "ask") if spec.startswith(k)), None)
+    if kind is None:
+        parser.error(f"unknown channel spec {spec!r}; use bsc:EPS, bpsk:EBN0_DB or askM")
+    value = spec[len(kind):]
+    try:
+        if kind == "bsc:":
+            return channels.build_bsc(float(value))
+        if kind == "bpsk:":
+            return channels.build_bpsk_awgn(float(value), args.rate, args.bins, args.clip)
+        return channels.build_ask_awgn(int(value), args.sigma, args.bins, args.clip)
+    except ValueError as exc:
+        parser.error(f"invalid channel {spec!r}: {exc}")
+
+
+def _parse_list(parser: argparse.ArgumentParser, flag: str, text: str, kind) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        parser.error(f"{flag} must be a comma-separated list of {kind.__name__} values")
+
+
+def _check_degrees(parser: argparse.ArgumentParser, args) -> None:
+    if not 1 <= args.dv < args.dc:
+        parser.error("--dv and --dc must satisfy 1 <= dv < dc")
 
 
 def _add_channel_args(sub: argparse.ArgumentParser) -> None:
@@ -59,7 +74,7 @@ def _cmd_info(parser, args) -> int:
 
 def _cmd_quantize(parser, args) -> int:
     dmc = _parse_channel(parser, args)
-    n_values = [int(tok) for tok in args.n.split(",")]
+    n_values = _parse_list(parser, "--n", args.n, int)
     if any(n < 1 for n in n_values):
         parser.error("cluster counts must be >= 1")
     points = ib.ib_curve(dmc.joint(), args.alg, n_values, beta=args.beta,
@@ -101,6 +116,7 @@ def _cmd_maxlut(parser, args) -> int:
 def _cmd_ldpc_design(parser, args) -> int:
     if args.bits < 1:
         parser.error("--bits must be >= 1")
+    _check_degrees(parser, args)
     rate = args.rate if args.rate is not None else 1.0 - args.dv / args.dc
     design = design_bpsk_decoder(args.ebn0, args.dv, args.dc, args.bits,
                                  args.iters, args.bins, args.clip, rate)
@@ -115,7 +131,11 @@ def _cmd_ldpc_design(parser, args) -> int:
 
 
 def _cmd_ldpc_simulate(parser, args) -> int:
-    ebn0_list = [float(tok) for tok in args.ebn0.split(",")]
+    ebn0_list = _parse_list(parser, "--ebn0", args.ebn0, float)
+    _check_degrees(parser, args)
+    if args.n < 1 or args.n * args.dv % args.dc:
+        parser.error(f"--n {args.n} does not fit the degrees: "
+                     "n * dv must be a positive multiple of dc")
     code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
     design = load_design(args.design) if args.design else None
     if design is not None and (design.var_degree != args.dv

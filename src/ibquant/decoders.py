@@ -1,19 +1,30 @@
 """LDPC decoding engines and the Monte-Carlo BER harness.
 
 The integer lookup-table (LUT) decoder runs a density-evolution design; plain
-and table-corrected min-sum and log-domain belief propagation share one float
-message-passing loop.  All decoders stop early once the hard decision
-satisfies every parity check.  Frames are independent streams seeded by
-(seed, frame_index), so results do not depend on batching.
+and table-corrected min-sum and log-domain belief propagation are the float
+baselines.  All decoders stop early once the hard decision satisfies every
+parity check.  Frames are independent streams seeded by (seed, frame_index),
+so results do not depend on batching.
+
+Every engine holds its messages slot-major: one contiguous (nodes, batch) row
+block per node slot, so moving them between the variable and the check view
+is one row permutation (``_slot_permutations``), and frames that converged
+are dropped by selecting columns.
 
 The LUT decoder compiles its design at the start of every call.  Each stage
 table becomes a flat uint8 array (for up to 8-bit messages) indexed by the
-shift-or pair index (left << message_bits) | right.  Messages are held
-slot-major, one contiguous (nodes, batch) row block per node slot, so moving
-them between the variable and the check view is one row permutation.  Each
-iteration's cascades form one lookup program in which a sub-chain shared by
-several exclusive outputs, or by the variable and decision cascades, runs
-once; the next v2c messages and the hard decision come out of one program.
+shift-or pair index (left << message_bits) | right.  Each iteration's
+cascades form one lookup program in which a sub-chain shared by several
+exclusive outputs, or by the variable and decision cascades, runs once; the
+next v2c messages and the hard decision come out of one program.
+
+The float engines share one flooding iteration (``_FloatIteration``) and
+differ only in the check update, which maps the dc check-side slot rows to dc
+exclusive outputs.  Plain min-sum makes one running pass for the two smallest
+magnitudes of every check instead of sorting it; corrected min-sum chains
+table-corrected boxplus operations from both ends; BP multiplies tanh(x/2)
+from both ends.  The variable update adds the dv incoming messages left to
+right, then the channel LLR.
 """
 
 from __future__ import annotations
@@ -53,12 +64,17 @@ class BerPoint:
         return self.frame_errors / self.frames if self.frames else 0.0
 
 
-def _gather_to_checks(code: LdpcCode, v2c: np.ndarray) -> np.ndarray:
-    return v2c[:, code.check_adj, code.check_slot_of]
+def _slot_permutations(code: LdpcCode) -> tuple[np.ndarray, np.ndarray]:
+    """Row permutations between the slot-major variable and check layouts.
 
-
-def _scatter_to_vars(code: LdpcCode, c2v_checks: np.ndarray) -> np.ndarray:
-    return c2v_checks[:, code.var_adj, code.var_slot_of]
+    Row j * n + v holds the message on slot j of variable v, row i * m + c the
+    message on slot i of check c; to_checks lists, for every check-side row,
+    its variable-side row, and to_vars the reverse.
+    """
+    n, m = code.block_length, code.num_checks
+    to_checks = (code.check_slot_of * n + code.check_adj).T.ravel()
+    to_vars = (code.var_slot_of * m + code.var_adj).T.ravel()
+    return to_checks, to_vars
 
 
 class _Lookups:
@@ -163,7 +179,7 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         raise ValueError("channel bins must be integers")
     if bins.ndim != 2 or bins.shape[1] != code.block_length:
         raise ValueError("channel_bins must be (batch, n)")
-    if bins.min() < 0 or bins.max() >= design.channel_lut.num_inputs:
+    if bins.size and (bins.min() < 0 or bins.max() >= design.channel_lut.num_inputs):
         raise ValueError("bin index out of range")
     dv, dc = code.var_degree, code.check_degree
     if dv != design.var_degree or dc != design.check_degree:
@@ -177,9 +193,7 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
     plans = [_compile_iteration(design, t, dtype, index_dtype)
              for t in range(min(max_iter, depth))]
     n, m = code.block_length, code.num_checks
-    # row of every check-side message in the variable-side layout, and back
-    to_checks = (code.check_slot_of * n + code.check_adj).T.ravel()
-    to_vars = (code.var_slot_of * m + code.var_adj).T.ravel()
+    to_checks, to_vars = _slot_permutations(code)
 
     batch = bins.shape[0]
     out_bits = np.zeros((batch, n), dtype=np.uint8)
@@ -226,57 +240,93 @@ def decode_lut(code: LdpcCode, design: LdpcEnsembleDesign, channel_bins,
     return bits[0], int(iters[0]), bool(conv[0])
 
 
-def _minsum_check_update(mc: np.ndarray) -> np.ndarray:
-    sign = np.where(mc < 0, -1.0, 1.0)
-    total_sign = sign.prod(axis=2, keepdims=True)
-    mag = np.abs(mc)
-    order = np.argsort(mag, axis=2)
-    min1 = np.take_along_axis(mag, order[:, :, :1], axis=2)
-    min2 = np.take_along_axis(mag, order[:, :, 1:2], axis=2)
-    out_mag = np.where(
-        np.arange(mc.shape[2])[None, None, :] == order[:, :, :1], min2, min1)
-    return total_sign * sign * out_mag
+_SIGN_BIT = np.int64(-2**63)
+
+
+def _minsum_check_update(mc: np.ndarray, out: np.ndarray) -> None:
+    """Plain min-sum: every output takes the smallest other input magnitude.
+
+    One running pass keeps the smallest (min1) and second smallest (min2)
+    magnitude of every check.  The output magnitude is where(mag == min1,
+    min2, min1), so ties give min1 everywhere; it is formed without a select:
+    min(mag, min2) is min1 where mag == min1 and min2 elsewhere, and XOR with
+    the bits of min1 ^ min2 swaps the two.  The sign bit, the parity of the
+    other inputs' signs, is XORed in the same way.
+    """
+    mags = np.abs(mc)
+    signs = np.add(mc, 0.0).view(np.int64)  # -0.0 counts as positive, as in x < 0
+    signs &= _SIGN_BIT
+    min1 = np.minimum(mags[0], mags[1])
+    min2 = np.maximum(mags[0], mags[1])
+    for mag in mags[2:]:
+        np.minimum(min2, np.maximum(min1, mag), out=min2)
+        np.minimum(min1, mag, out=min1)
+    swap = np.bitwise_xor.reduce(signs, axis=0)
+    swap ^= min1.view(np.int64)
+    swap ^= min2.view(np.int64)
+    np.minimum(mags, min2, out=out)
+    bits = out.view(np.int64)
+    bits ^= swap
+    bits ^= signs
 
 
 def _correction(t: np.ndarray) -> np.ndarray:
-    idx = np.minimum((t / CORRECTION_STEP).astype(np.int64),
-                     CORRECTION_TABLE_SIZE - 1)
-    return _CORRECTION_TABLE[idx]
+    """g(t) for t >= 0; clipping before the integer cast truncates the same."""
+    idx = np.minimum(t / CORRECTION_STEP, CORRECTION_TABLE_SIZE - 1)
+    return _CORRECTION_TABLE[idx.astype(np.intp)]
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sign = np.where(a < 0, -1.0, 1.0) * np.where(b < 0, -1.0, 1.0)
-    mag = np.minimum(np.abs(a), np.abs(b))
-    return sign * mag + _correction(np.abs(a + b)) - _correction(np.abs(a - b))
+def _boxplus(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    mag = np.minimum(np.abs(a), np.abs(b), out=out)
+    # a signed zero here is harmless: the correction term added next is > 0
+    np.copysign(mag, a * b, out=mag)
+    mag += _correction(np.abs(a + b))
+    mag -= _correction(np.abs(a - b))
+    return mag
 
 
 _BOXPLUS_IDENTITY = 1e9  # acts as certainty: boxplus(identity, x) = x
 
 
-def _corrected_check_update(mc: np.ndarray) -> np.ndarray:
-    batch, m, dc = mc.shape
-    prefix = np.empty((batch, m, dc + 1))
-    suffix = np.empty((batch, m, dc + 1))
-    prefix[:, :, 0] = _BOXPLUS_IDENTITY
-    suffix[:, :, dc] = _BOXPLUS_IDENTITY
-    for i in range(dc):
-        prefix[:, :, i + 1] = _boxplus(prefix[:, :, i], mc[:, :, i])
-        j = dc - 1 - i
-        suffix[:, :, j] = _boxplus(suffix[:, :, j + 1], mc[:, :, j])
-    return _boxplus(prefix[:, :, :dc], suffix[:, :, 1:])
+def _corrected_check_update(mc: np.ndarray, out: np.ndarray) -> None:
+    """Boxplus with a tabulated Jacobian correction over prefix/suffix chains.
+
+    Both chains start from _BOXPLUS_IDENTITY, whose x + g - g rounding is part
+    of the result, and output i is boxplus(prefix[i], suffix[i + 1]).
+    """
+    dc = len(mc)
+    identity = np.full_like(mc[0], _BOXPLUS_IDENTITY)
+    prefix = [identity]
+    for row in mc[:-1]:
+        prefix.append(_boxplus(prefix[-1], row))
+    suffix = identity
+    for i in range(dc - 1, -1, -1):
+        _boxplus(prefix[i], suffix, out=out[i])
+        if i:
+            suffix = _boxplus(suffix, mc[i])
 
 
-def _bp_check_update(mc: np.ndarray) -> np.ndarray:
-    batch, m, dc = mc.shape
-    t = np.tanh(0.5 * mc)
-    prefix = np.ones((batch, m, dc + 1))
-    suffix = np.ones((batch, m, dc + 1))
-    for i in range(dc):
-        prefix[:, :, i + 1] = prefix[:, :, i] * t[:, :, i]
-        j = dc - 1 - i
-        suffix[:, :, j] = suffix[:, :, j + 1] * t[:, :, j]
-    excl = np.clip(prefix[:, :, :dc] * suffix[:, :, 1:], -1 + 1e-15, 1 - 1e-15)
-    return 2.0 * np.arctanh(excl)
+def _bp_check_update(mc: np.ndarray, out: np.ndarray) -> None:
+    """Tanh rule: output i is 2 artanh of the product of the other tanh(x/2).
+
+    The exclusive products are prefix[i] * suffix[i + 1]; the first is the
+    whole suffix and the last the whole prefix.
+    """
+    dc = len(mc)
+    t = np.multiply(mc, 0.5)
+    np.tanh(t, out=t)
+    out[0] = t[0]
+    for i in range(1, dc - 1):
+        np.multiply(out[i - 1], t[i], out=out[i])  # prefix products
+    out[dc - 1] = out[dc - 2]
+    suffix = t[dc - 1]
+    for i in range(dc - 2, 0, -1):
+        np.multiply(out[i - 1], suffix, out=out[i])
+        suffix = suffix * t[i]
+    out[0] = suffix
+    np.clip(out, -1 + 1e-15, 1 - 1e-15, out=out)
+    np.arctanh(out, out=out)
+    out *= 2.0
 
 
 _CHECK_UPDATES = {
@@ -286,29 +336,64 @@ _CHECK_UPDATES = {
 }
 
 
-def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
-                     engine: str):
-    """Float message passing shared by the min-sum variants and BP."""
-    if engine not in _CHECK_UPDATES:
-        raise ValueError(f"unknown engine {engine!r}")
-    update = _CHECK_UPDATES[engine]
+class _FloatIteration:
+    """One flooding iteration of float message passing on slot-major rows."""
+
+    def __init__(self, code: LdpcCode, engine: str):
+        self.update = _CHECK_UPDATES[engine]
+        self.to_checks, self.to_vars = _slot_permutations(code)
+        self.dv, self.dc = code.var_degree, code.check_degree
+        self.num_checks = code.num_checks
+
+    def __call__(self, chan: np.ndarray, v2c: np.ndarray):
+        """Posterior (n, batch) and c2v (dv * n, batch) from the v2c rows."""
+        mc = v2c.take(self.to_checks, axis=0)
+        cc = np.empty_like(mc)
+        shape = (self.dc, self.num_checks, mc.shape[1])
+        self.update(mc.reshape(shape), cc.reshape(shape))
+        np.clip(cc, -LLR_LIMIT, LLR_LIMIT, out=cc)
+        c2v = cc.take(self.to_vars, axis=0)
+        slots = np.split(c2v, self.dv)
+        total = slots[0].copy()
+        for s in slots[1:]:
+            total += s
+        total += chan  # llr + ((c2v_0 + c2v_1) + c2v_2)
+        return total, c2v
+
+    def extrinsic(self, posterior: np.ndarray, c2v: np.ndarray) -> np.ndarray:
+        """Next v2c rows: the posterior minus each incoming message."""
+        v2c = np.subtract(posterior, c2v.reshape(self.dv, *posterior.shape))
+        np.clip(v2c, -LLR_LIMIT, LLR_LIMIT, out=v2c)
+        return v2c.reshape(c2v.shape)
+
+
+def _llr_rows(code: LdpcCode, llrs) -> np.ndarray:
     llr = np.asarray(llrs, dtype=float)
     if llr.ndim != 2 or llr.shape[1] != code.block_length:
         raise ValueError("llrs must be (batch, n)")
-    dv = code.var_degree
-    batch = llr.shape[0]
-    out_bits = np.zeros((batch, code.block_length), dtype=np.uint8)
+    return np.ascontiguousarray(llr.T)
+
+
+def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
+                     engine: str):
+    """Float message passing shared by the min-sum variants and BP.
+
+    llrs has shape (batch, n); returns (bits, iterations, converged).
+    """
+    if engine not in _CHECK_UPDATES:
+        raise ValueError(f"unknown engine {engine!r}")
+    chan = _llr_rows(code, llrs)
+    step = _FloatIteration(code, engine)
+    n, batch = chan.shape
+    out_bits = np.zeros((batch, n), dtype=np.uint8)
     iters_used = np.full(batch, max_iter, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
 
     active = np.arange(batch)
-    v2c = np.repeat(llr[:, :, None], dv, axis=2)
+    v2c = np.tile(chan, (code.var_degree, 1))
     for t in range(max_iter):
-        mc = _gather_to_checks(code, v2c)
-        cc = np.clip(update(mc), -LLR_LIMIT, LLR_LIMIT)
-        c2v = _scatter_to_vars(code, cc)
-        posterior = llr + c2v.sum(axis=2)
-        bits = (posterior < 0).astype(np.uint8)
+        posterior, c2v = step(chan, v2c)
+        bits = (posterior < 0).T.astype(np.uint8)
         ok = code.parity_ok(bits)
         if np.any(ok):
             done = active[ok]
@@ -318,14 +403,14 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
             keep = ~ok
             active = active[keep]
             if active.size == 0:
-                return out_bits, iters_used, converged
-            llr = llr[keep]
-            posterior = posterior[keep]
-            c2v = c2v[keep]
+                break
+            chan = chan[:, keep]
+            posterior = posterior[:, keep]
+            c2v = c2v[:, keep]
             bits = bits[keep]
-        v2c = np.clip(posterior[:, :, None] - c2v, -LLR_LIMIT, LLR_LIMIT)
         if t == max_iter - 1:
             out_bits[active] = bits
+        v2c = step.extrinsic(posterior, c2v)
     return out_bits, iters_used, converged
 
 
@@ -353,16 +438,14 @@ def decode_bp(code: LdpcCode, dmc: DmcSpec, channel_bins, max_iter: int = 50):
 def bp_posteriors(code: LdpcCode, dmc: DmcSpec, channel_bins,
                   max_iter: int = 50) -> np.ndarray:
     """Posterior LLR per bit after max_iter full BP sweeps (no early stop)."""
-    llr = _frame_llrs(code, dmc, channel_bins)
-    v2c = np.repeat(llr[:, :, None], code.var_degree, axis=2)
-    posterior = llr
+    chan = _llr_rows(code, _frame_llrs(code, dmc, channel_bins))
+    step = _FloatIteration(code, "bp")
+    posterior = chan
+    v2c = np.tile(chan, (code.var_degree, 1))
     for _ in range(max_iter):
-        mc = _gather_to_checks(code, v2c)
-        cc = np.clip(_bp_check_update(mc), -LLR_LIMIT, LLR_LIMIT)
-        c2v = _scatter_to_vars(code, cc)
-        posterior = llr + c2v.sum(axis=2)
-        v2c = np.clip(posterior[:, :, None] - c2v, -LLR_LIMIT, LLR_LIMIT)
-    return posterior[0]
+        posterior, c2v = step(chan, v2c)
+        v2c = step.extrinsic(posterior, c2v)
+    return posterior[:, 0]
 
 
 def _frame_llrs(code: LdpcCode, dmc: DmcSpec, channel_bins) -> np.ndarray:
@@ -426,20 +509,20 @@ def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
         while frames < max_frames and (max_errors <= 0 or frame_errors < max_errors):
             count = min(batch_size, max_frames - frames)
             tx = np.zeros((count, n), dtype=np.uint8)
-            bins = np.empty((count, n), dtype=np.int64)
+            noise = np.empty((count, n))
             for k in range(count):
+                # one stream per frame: info bits first, then the noise
                 rng = _frame_rng(seed, frames + k)
                 if gen is not None:
                     info = rng.integers(0, 2, size=gen.shape[0]).astype(np.uint8)
                     tx[k] = encode(gen, info)
-                symbols = 1.0 - 2.0 * tx[k].astype(float)
-                received = symbols + sigma * rng.standard_normal(n)
-                bins[k] = disc.bin_of(received)
+                rng.standard_normal(out=noise[k])
+            noise *= sigma
+            bins = disc.bin_of((1.0 - 2.0 * tx.astype(float)) + noise)
             if decoder == "lut":
                 bits, iters, _ = decode_lut_batch(code, pt_design, bins, max_iter)
             else:
-                engine = decoder
-                bits, iters, _ = decode_llr_batch(code, llr_table[bins], max_iter, engine)
+                bits, iters, _ = decode_llr_batch(code, llr_table[bins], max_iter, decoder)
             errs = (bits != tx).sum(axis=1)
             bit_errors += int(errs.sum())
             frame_errors += int((errs > 0).sum())

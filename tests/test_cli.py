@@ -31,6 +31,14 @@ class TestInfo:
             run(["info", "--channel", "qam:16"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["ask4.5", "askM", "bsc:x", "bpsk:", "bsc:0.7",
+                                      "ask3"])
+    def test_malformed_channel_is_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["info", "--channel", spec])
+        assert exc.value.code == 2
+        assert "channel" in capsys.readouterr().err
+
 
 class TestQuantize:
     def test_bsc_dp_identity(self, tmp_path):
@@ -148,6 +156,18 @@ class TestLdpcCommands:
                 "--max-frames", "25", "--seed", "5", "--n", "120", "--bins", "32"]
         first, second = rerun_bytes(args, tmp_path / "a.csv")
         assert first == second
+
+    @pytest.mark.parametrize("extra", [["--n", "1001"], ["--n", "0"],
+                                       ["--dv", "6", "--dc", "3", "--n", "120"],
+                                       ["--ebn0", "2.0,x"]])
+    def test_unfit_code_arguments_are_usage_errors(self, tmp_path, extra, capsys):
+        argv = ["ldpc", "simulate", "--decoder", "minsum", "--ebn0", "2.0",
+                "--max-frames", "5", "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + extra)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_design_mismatch_is_usage_error(self, tmp_path):
         design_file = tmp_path / "design.txt"

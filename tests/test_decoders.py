@@ -6,9 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ibquant.channels import build_bpsk_awgn, ebn0_db_to_noise_std
+from ibquant.channels import binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
 from ibquant.dde import design_decoder, load_design, save_design
 from ibquant.decoders import (
+    CORRECTION_STEP,
+    CORRECTION_TABLE_SIZE,
+    LLR_LIMIT,
+    _CHECK_UPDATES,
+    _CORRECTION_TABLE,
     _frame_rng,
     ber_sweep,
     bp_posteriors,
@@ -157,6 +162,146 @@ def reference_decode_lut_batch(code, design, channel_bins, max_iter):
     return out_bits, iters_used, converged
 
 
+def _reference_minsum(mc):
+    sign = np.where(mc < 0, -1.0, 1.0)
+    total_sign = sign.prod(axis=2, keepdims=True)
+    mag = np.abs(mc)
+    order = np.argsort(mag, axis=2)
+    min1 = np.take_along_axis(mag, order[:, :, :1], axis=2)
+    min2 = np.take_along_axis(mag, order[:, :, 1:2], axis=2)
+    out_mag = np.where(
+        np.arange(mc.shape[2])[None, None, :] == order[:, :, :1], min2, min1)
+    return total_sign * sign * out_mag
+
+
+def _reference_correction(t):
+    idx = np.minimum((t / CORRECTION_STEP).astype(np.int64),
+                     CORRECTION_TABLE_SIZE - 1)
+    return _CORRECTION_TABLE[idx]
+
+
+def _reference_boxplus(a, b):
+    sign = np.where(a < 0, -1.0, 1.0) * np.where(b < 0, -1.0, 1.0)
+    mag = np.minimum(np.abs(a), np.abs(b))
+    return (sign * mag + _reference_correction(np.abs(a + b))
+            - _reference_correction(np.abs(a - b)))
+
+
+def _reference_corrected(mc):
+    batch, m, dc = mc.shape
+    prefix = np.empty((batch, m, dc + 1))
+    suffix = np.empty((batch, m, dc + 1))
+    prefix[:, :, 0] = 1e9  # boxplus identity
+    suffix[:, :, dc] = 1e9
+    for i in range(dc):
+        prefix[:, :, i + 1] = _reference_boxplus(prefix[:, :, i], mc[:, :, i])
+        j = dc - 1 - i
+        suffix[:, :, j] = _reference_boxplus(suffix[:, :, j + 1], mc[:, :, j])
+    return _reference_boxplus(prefix[:, :, :dc], suffix[:, :, 1:])
+
+
+def _reference_bp(mc):
+    batch, m, dc = mc.shape
+    t = np.tanh(0.5 * mc)
+    prefix = np.ones((batch, m, dc + 1))
+    suffix = np.ones((batch, m, dc + 1))
+    for i in range(dc):
+        prefix[:, :, i + 1] = prefix[:, :, i] * t[:, :, i]
+        j = dc - 1 - i
+        suffix[:, :, j] = suffix[:, :, j + 1] * t[:, :, j]
+    excl = np.clip(prefix[:, :, :dc] * suffix[:, :, 1:], -1 + 1e-15, 1 - 1e-15)
+    return 2.0 * np.arctanh(excl)
+
+
+REFERENCE_CHECK_UPDATES = {"minsum": _reference_minsum,
+                           "minsum-corrected": _reference_corrected,
+                           "bp": _reference_bp}
+
+
+def _reference_iteration(code, update, llr, v2c):
+    mc = v2c[:, code.check_adj, code.check_slot_of]
+    cc = np.clip(update(mc), -LLR_LIMIT, LLR_LIMIT)
+    c2v = cc[:, code.var_adj, code.var_slot_of]
+    return llr + c2v.sum(axis=2), c2v
+
+
+def reference_decode_llr_batch(code, llrs, max_iter, engine):
+    """The float loop that decode_llr_batch runs on slot-major rows.
+
+    Messages are (batch, nodes, slot) arrays moved between the node views by
+    two-index fancy indexing; min-sum sorts every check row.
+    """
+    update = REFERENCE_CHECK_UPDATES[engine]
+    llr = np.asarray(llrs, dtype=float)
+    batch = llr.shape[0]
+    out_bits = np.zeros((batch, code.block_length), dtype=np.uint8)
+    iters_used = np.full(batch, max_iter, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+
+    active = np.arange(batch)
+    v2c = np.repeat(llr[:, :, None], code.var_degree, axis=2)
+    for t in range(max_iter):
+        posterior, c2v = _reference_iteration(code, update, llr, v2c)
+        bits = (posterior < 0).astype(np.uint8)
+        ok = code.parity_ok(bits)
+        if np.any(ok):
+            done = active[ok]
+            out_bits[done] = bits[ok]
+            iters_used[done] = t + 1
+            converged[done] = True
+            keep = ~ok
+            active = active[keep]
+            if active.size == 0:
+                return out_bits, iters_used, converged
+            llr = llr[keep]
+            posterior = posterior[keep]
+            c2v = c2v[keep]
+            bits = bits[keep]
+        v2c = np.clip(posterior[:, :, None] - c2v, -LLR_LIMIT, LLR_LIMIT)
+        if t == max_iter - 1:
+            out_bits[active] = bits
+    return out_bits, iters_used, converged
+
+
+def reference_bp_posteriors(code, dmc, channel_bins, max_iter):
+    """Posterior LLRs of the reference float loop after max_iter BP sweeps."""
+    llr = binary_llrs(dmc)[np.asarray(channel_bins)[None, :]]
+    v2c = np.repeat(llr[:, :, None], code.var_degree, axis=2)
+    posterior = llr
+    for _ in range(max_iter):
+        posterior, c2v = _reference_iteration(code, _reference_bp, llr, v2c)
+        v2c = np.clip(posterior[:, :, None] - c2v, -LLR_LIMIT, LLR_LIMIT)
+    return posterior[0]
+
+
+def _oracle_llrs(code, kind, batch, sigma, seed):
+    """(batch, n) LLRs of one of the FLOAT_INPUTS kinds."""
+    rng = np.random.default_rng(seed)
+    n = code.block_length
+    noisy = 1.0 + sigma * rng.standard_normal((batch, n))
+    if kind == "table-128":
+        dmc = build_bpsk_awgn(2.0, code.design_rate, 128)
+        return binary_llrs(dmc)[dmc.discretization.bin_of(noisy)]
+    if kind == "table-8":  # eight distinct values: ties in almost every check
+        dmc = build_bpsk_awgn(1.0, code.design_rate, 8)
+        return binary_llrs(dmc)[dmc.discretization.bin_of(noisy)]
+    if kind == "equal-magnitudes":
+        return np.where(noisy < 0, -1.5, 1.5)
+    if kind == "zeros":  # exact zeros of both signs among small values
+        llr = np.round(noisy, 1)
+        llr[rng.random((batch, n)) < 0.2] = 0.0
+        llr[rng.random((batch, n)) < 0.1] = -0.0
+        return llr
+    # saturating: beyond LLR_LIMIT, and exactly at it
+    llr = np.clip(40.0 * noisy, -2 * LLR_LIMIT, 2 * LLR_LIMIT)
+    at_limit = rng.random((batch, n)) < 0.3
+    llr[at_limit] = np.copysign(LLR_LIMIT, noisy[at_limit])
+    return llr
+
+
+FLOAT_INPUTS = ("table-128", "table-8", "equal-magnitudes", "zeros", "saturating")
+
+
 # name: (block length, dv, dc, Eb/N0 dB, bins, message bits, designed iterations)
 ORACLE_DESIGNS = {
     "4bit-above": (120, 3, 6, 2.0, 128, 4, 50),   # saturates after 13 iterations
@@ -223,6 +368,96 @@ class TestCompiledLutDecoder:
                     dataclasses.replace(design, decision_luts=two_bit.decision_luts)):
             with pytest.raises(ValueError, match="message alphabet"):
                 decode_lut_batch(code, bad, bins, 5)
+
+
+@pytest.fixture(scope="module")
+def float_codes():
+    return {(dv, dc): construct_regular_ldpc(120, dv, dc, seed=3)
+            for dv, dc in ((3, 6), (2, 4))}
+
+
+class TestSlotMajorFloatDecoder:
+    @settings(max_examples=80, deadline=None)
+    @given(degrees=st.sampled_from([(3, 6), (2, 4)]),
+           engine=st.sampled_from(["minsum", "minsum-corrected", "bp"]),
+           kind=st.sampled_from(FLOAT_INPUTS), batch=st.integers(0, 6),
+           max_iter=st.integers(1, 60), sigma=st.floats(0.3, 1.3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(degrees=(3, 6), engine="minsum", kind="table-8", batch=6, max_iter=40,
+             sigma=0.9, seed=0)
+    @example(degrees=(3, 6), engine="minsum", kind="equal-magnitudes", batch=4,
+             max_iter=20, sigma=0.8, seed=1)
+    @example(degrees=(2, 4), engine="minsum-corrected", kind="zeros", batch=5,
+             max_iter=30, sigma=0.7, seed=2)
+    @example(degrees=(3, 6), engine="bp", kind="saturating", batch=3, max_iter=25,
+             sigma=1.2, seed=3)
+    @example(degrees=(3, 6), engine="minsum-corrected", kind="table-128", batch=0,
+             max_iter=5, sigma=0.8, seed=4)
+    def test_matches_reference_decoder(self, float_codes, degrees, engine, kind, batch,
+                                       max_iter, sigma, seed):
+        code = float_codes[degrees]
+        llr = _oracle_llrs(code, kind, batch, sigma, seed)
+        got = decode_llr_batch(code, llr, max_iter, engine)
+        want = reference_decode_llr_batch(code, llr, max_iter, engine)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=st.sampled_from([(3, 6), (2, 4)]),
+           engine=st.sampled_from(["minsum", "minsum-corrected", "bp"]),
+           kind=st.sampled_from(FLOAT_INPUTS), batch=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_check_updates_match_reference_bit_for_bit(self, float_codes, degrees,
+                                                        engine, kind, batch, seed):
+        # signed zeros and last-bit rounding do not reach the decoded bits
+        code = float_codes[degrees]
+        llr = _oracle_llrs(code, kind, batch, 0.8, seed)
+        mc = llr[:, code.check_adj]  # (batch, m, dc)
+        want = REFERENCE_CHECK_UPDATES[engine](mc).transpose(2, 1, 0)
+        got = np.empty_like(want)
+        _CHECK_UPDATES[engine](np.ascontiguousarray(mc.transpose(2, 1, 0)), got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("degrees", [(3, 6), (2, 4)])
+    def test_bp_posteriors_match_reference(self, float_codes, degrees):
+        code = float_codes[degrees]
+        dmc = build_bpsk_awgn(1.0, code.design_rate, 64)
+        bins = noisy_frames(code, 1.0, 3, seed=17, disc=dmc.discretization)
+        for frame in bins:
+            for max_iter in (0, 1, 12):
+                got = bp_posteriors(code, dmc, frame, max_iter)
+                want = reference_bp_posteriors(code, dmc, frame, max_iter)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_rejects_bad_input(self, float_codes):
+        code = float_codes[(3, 6)]
+        llr = np.zeros((2, code.block_length))
+        with pytest.raises(ValueError, match="unknown engine"):
+            decode_llr_batch(code, llr, 5, "offset-minsum")
+        for bad in (llr[0], llr[:, :-1], llr[None]):
+            with pytest.raises(ValueError, match=r"\(batch, n\)"):
+                decode_llr_batch(code, bad, 5, "bp")
+
+
+class TestEmptyBatch:
+    def test_lut_decoder(self, oracle_designs):
+        code, design = oracle_designs["4bit-below"]
+        bits, iters, conv = decode_lut_batch(
+            code, design, np.zeros((0, code.block_length), np.int64), 5)
+        assert bits.shape == (0, code.block_length) and bits.dtype == np.uint8
+        assert iters.shape == (0,) and iters.dtype == np.int64
+        assert conv.shape == (0,) and conv.dtype == bool
+
+    @pytest.mark.parametrize("engine", ["minsum", "minsum-corrected", "bp"])
+    def test_float_decoder(self, float_codes, engine):
+        code = float_codes[(3, 6)]
+        bits, iters, conv = decode_llr_batch(code, np.zeros((0, code.block_length)), 5,
+                                             engine)
+        assert bits.shape == (0, code.block_length) and bits.dtype == np.uint8
+        assert iters.shape == (0,) and iters.dtype == np.int64
+        assert conv.shape == (0,) and conv.dtype == bool
 
 
 class TestBaselineDecoders:
