@@ -137,13 +137,22 @@ def _cmd_ldpc_simulate(parser, args) -> int:
         parser.error(f"--n {args.n} does not fit the degrees: "
                      "n * dv must be a positive multiple of dc")
     code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
-    design = load_design(args.design) if args.design else None
-    if design is not None and (design.var_degree != args.dv
-                               or design.check_degree != args.dc):
-        parser.error("design file degrees do not match --dv/--dc")
+    design = None
+    bits = 4 if args.bits is None else args.bits
+    if args.design:
+        try:
+            design = load_design(args.design)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if design.var_degree != args.dv or design.check_degree != args.dc:
+            parser.error("design file degrees do not match --dv/--dc")
+        if args.bits is not None and args.bits != design.message_bits:
+            parser.error(f"--bits {args.bits} does not match the design file's "
+                         f"{design.message_bits}-bit messages")
+        bits = design.message_bits
     points = decoders.ber_sweep(
         code, args.decoder, ebn0_list, args.max_frames, args.max_errors,
-        args.seed, message_bits=args.bits, max_iter=args.iters,
+        args.seed, message_bits=bits, max_iter=args.iters,
         num_bins=args.bins, clip_multiplier=args.clip, design=design,
         codewords=args.codewords)
     decoders.write_ber_csv(args.out, points, args.decoder, code.block_length,
@@ -209,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dv", type=int, default=3)
     p_sim.add_argument("--dc", type=int, default=6)
     p_sim.add_argument("--code-seed", type=int, default=1)
-    p_sim.add_argument("--bits", type=int, default=4)
+    p_sim.add_argument("--bits", type=int, default=None,
+                       help="message bits (default 4, or the --design file's)")
     p_sim.add_argument("--iters", type=int, default=50)
     p_sim.add_argument("--bins", type=int, default=128)
     p_sim.add_argument("--clip", type=float, default=3.0)

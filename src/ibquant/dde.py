@@ -21,10 +21,10 @@ from .maxlut import (
     MessageDist,
     NodeFunction,
     NodeLut,
+    _build_cascade,
     _cascade_plan,
     _lut_from_lines,
     _lut_text,
-    cascade_node,
     quantized_message,
 )
 
@@ -147,13 +147,17 @@ def design_decoder(dmc: DmcSpec, dv: int, dc: int, message_bits: int = 4,
     trace = []
     v2c = chan_msg
     for _ in range(max_iter):
-        chk = cascade_node(NodeFunction.CHECK_XOR, [v2c] * (dc - 1), levels,
-                           "balanced_tree")
+        # One table per distinct stage: the check chain's equal first-level
+        # stages and the decision chain's first dv-1 stages, which equal the
+        # variable chain's, are built once per iteration.
+        tables: dict = {}
+        chk = _build_cascade(NodeFunction.CHECK_XOR, [v2c] * (dc - 1), levels,
+                             "balanced_tree", tables)
         c2v = _floored(chk.final)
-        var = cascade_node(NodeFunction.VARIABLE_EQUAL,
-                           [chan_msg] + [c2v] * (dv - 1), levels, "left_fold")
-        dec = cascade_node(NodeFunction.VARIABLE_EQUAL,
-                           [chan_msg] + [c2v] * dv, levels, "left_fold")
+        var = _build_cascade(NodeFunction.VARIABLE_EQUAL,
+                             [chan_msg] + [c2v] * (dv - 1), levels, "left_fold", tables)
+        dec = _build_cascade(NodeFunction.VARIABLE_EQUAL,
+                             [chan_msg] + [c2v] * dv, levels, "left_fold", tables)
         bits = _decision_bits(dec.final)
         err = _decision_error(dec.final, bits)
         if trace and err < SATURATION_FLOOR:
@@ -244,37 +248,52 @@ def _read_cascade(lines: list[str], pos: int, node: NodeFunction) -> tuple[LutCa
 
 
 def load_design(path) -> LdpcEnsembleDesign:
+    """Read a save_design file; a missing or malformed section raises ValueError."""
     with open(path) as fh:
         lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-    header = lines[0].split()
-    if header[0] != "design":
-        raise ValueError(f"not a design file: {lines[0]!r}")
-    message_bits, max_iter, dv, dc = (int(tok) for tok in header[1:])
-    _, noise_std, clip, num_bins = lines[1].split()
-    noise_std, clip, num_bins = float(noise_std), float(clip), int(num_bins)
-    dmc = build_bpsk_awgn_sigma(noise_std, num_bins, clip)
-    _, num_in, levels = lines[2].split()
-    num_in, levels = int(num_in), int(levels)
-    labels = np.array([int(t) for t in lines[3].split()])
-    chan_lut = Quantizer.from_labels(labels, levels)
-    rows = np.array([[float(t) for t in lines[4 + i].split()] for i in range(2)])
-    chan_msg = MessageDist(ConditionalDist(rows))
-    pos = 6
-    check_luts, var_luts, decision_luts, trace = [], [], [], []
-    for t in range(max_iter):
-        if lines[pos] != f"iteration {t}":
-            raise ValueError(f"expected iteration {t} marker, got {lines[pos]!r}")
-        pos += 1
-        chk, pos = _read_cascade(lines, pos, NodeFunction.CHECK_XOR)
-        var, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
-        dec, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
-        bit_map = np.array([int(t) for t in lines[pos].split()[1:]])
-        pos += 1
-        trace.append(float(lines[pos].split()[1]))
-        pos += 1
-        check_luts.append(chk)
-        var_luts.append(var)
-        decision_luts.append(DecisionRule(dec, bit_map))
+    section = "design header"
+    try:
+        header = lines[0].split()
+        if header[0] != "design":
+            raise ValueError(f"not a design file: {lines[0]!r}")
+        message_bits, max_iter, dv, dc = (int(tok) for tok in header[1:])
+        section = "channel line"
+        _, noise_std, clip, num_bins = lines[1].split()
+        noise_std, clip, num_bins = float(noise_std), float(clip), int(num_bins)
+        dmc = build_bpsk_awgn_sigma(noise_std, num_bins, clip)
+        section = "channel quantizer"
+        _, num_in, levels = lines[2].split()
+        num_in, levels = int(num_in), int(levels)
+        labels = np.array([int(t) for t in lines[3].split()])
+        chan_lut = Quantizer.from_labels(labels, levels)
+        rows = np.array([[float(t) for t in lines[4 + i].split()] for i in range(2)])
+        chan_msg = MessageDist(ConditionalDist(rows))
+        pos = 6
+        check_luts, var_luts, decision_luts, trace = [], [], [], []
+        for t in range(max_iter):
+            section = f"iteration {t}"
+            if lines[pos] != f"iteration {t}":
+                raise ValueError(f"expected iteration {t} marker, got {lines[pos]!r}")
+            pos += 1
+            section = f"iteration {t} check chain"
+            chk, pos = _read_cascade(lines, pos, NodeFunction.CHECK_XOR)
+            section = f"iteration {t} variable chain"
+            var, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
+            section = f"iteration {t} decision chain"
+            dec, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
+            section = f"iteration {t} decision map and trace"
+            bit_map = np.array([int(t) for t in lines[pos].split()[1:]])
+            pos += 1
+            trace.append(float(lines[pos].split()[1]))
+            pos += 1
+            check_luts.append(chk)
+            var_luts.append(var)
+            decision_luts.append(DecisionRule(dec, bit_map))
+    except IndexError:
+        raise ValueError(f"design file {path} is cut short: "
+                         f"the {section} is missing or incomplete") from None
+    except ValueError as exc:
+        raise ValueError(f"design file {path}: malformed {section}: {exc}") from None
     return LdpcEnsembleDesign(
         channel_lut=chan_lut,
         channel_message=chan_msg,

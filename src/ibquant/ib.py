@@ -497,6 +497,34 @@ def _nearest_positive_labels(keep: np.ndarray, labels: np.ndarray) -> np.ndarray
     return out
 
 
+def _best_blocks(merit: np.ndarray, num_blocks: int) -> tuple[np.ndarray, float]:
+    """Split positions 0..n-1 into num_blocks contiguous, possibly empty blocks.
+
+    ``merit[b, a]`` is the merit of the block a..b-1; entries with a > b are
+    overwritten with -inf.  Returns the block index of every position and the
+    best total merit.  Ties go to the smallest boundary: argmax takes the
+    first maximum.
+    """
+    size = merit.shape[0]
+    ends = np.arange(size)
+    merit[ends[:, None] < ends[None, :]] = -np.inf
+    score = np.full(size, -np.inf)
+    score[0] = 0.0
+    parent = np.empty((num_blocks, size), dtype=int)
+    cand = np.empty_like(merit)
+    for k in range(num_blocks):
+        np.add(merit, score, out=cand)
+        parent[k] = cand.argmax(axis=1)
+        score = cand[ends, parent[k]]
+    labels = np.empty(size - 1, dtype=int)
+    b = size - 1
+    for k in range(num_blocks - 1, -1, -1):
+        a = parent[k, b]
+        labels[a:b] = k
+        b = a
+    return labels, float(score[-1])
+
+
 def dp_contiguous_partition(j: JointXY, num_clusters: int,
                             order: np.ndarray) -> tuple[np.ndarray, float]:
     """Best contiguous partition (in the given symbol order) maximizing I(x;z).
@@ -513,62 +541,54 @@ def dp_contiguous_partition(j: JointXY, num_clusters: int,
     prefix = np.zeros((nx, ny + 1))
     np.cumsum(m, axis=1, out=prefix[:, 1:])
 
-    # Block merit g[a, b] = contribution of cluster {a..b-1} to I(x;z).
-    w = prefix[:, None, :] - prefix[:, :, None]          # (x, a, b)
-    w = np.maximum(w, 0.0)
-    tot = w.sum(axis=0)
+    # Block merit merit[b, a] = contribution of cluster {a..b-1} to I(x;z).
+    w = prefix[:, :, None] - prefix[:, None, :]          # (x, b, a)
+    np.maximum(w, 0.0, out=w)
+    denom = px[:, None, None] * w.sum(axis=0)
+    ratio = np.ones_like(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = px[:, None, None] * tot[None, :, :]
-        ratio = np.where((w > 0) & (denom > 0), w / np.where(denom > 0, denom, 1.0), 1.0)
-        merit = np.sum(w * np.log(ratio), axis=0) / LN2
-    merit = np.where(np.isfinite(merit), merit, 0.0)
-
-    score = np.full((num_clusters + 1, ny + 1), -np.inf)
-    score[0, 0] = 0.0
-    parent = np.zeros((num_clusters + 1, ny + 1), dtype=int)
-    upper = np.triu(np.ones((ny + 1, ny + 1), dtype=bool))  # blocks need a <= b
-    for k in range(1, num_clusters + 1):
-        cand = np.where(upper, score[k - 1][:, None] + merit, -np.inf)
-        parent[k] = np.argmax(cand, axis=0)
-        score[k] = cand[parent[k], np.arange(ny + 1)]
-
-    labels = np.empty(ny, dtype=int)
-    b = ny
-    for k in range(num_clusters, 0, -1):
-        a = parent[k, b]
-        labels[a:b] = k - 1
-        b = a
+        np.divide(w, denom, out=ratio, where=(w > 0) & (denom > 0))
+        np.log(ratio, out=ratio)
+        ratio *= w
+        merit = ratio.sum(axis=0)
+    merit /= LN2
+    merit[~np.isfinite(merit)] = 0.0
+    labels, info = _best_blocks(merit, num_clusters)
     # Renumber so labels appear in block order starting at 0.
-    used = np.unique(labels)
-    remap = {int(u): i for i, u in enumerate(sorted(used))}
-    labels = np.array([remap[int(v)] for v in labels])
-    return labels, float(score[num_clusters, ny])
+    return np.unique(labels, return_inverse=True)[1], info
 
 
 def _antisymmetric_pairing(m: np.ndarray) -> np.ndarray | None:
     """Partner index per symbol such that column(partner) = swap(column), or None.
 
     Detection is exact: swapped columns must match bit for bit, which holds for
-    channels and node joints built from mirror-symmetric inputs.
+    channels and node joints built from mirror-symmetric inputs.  Columns with
+    the same unordered value pair form one class, sorted with the (u < v)
+    columns first, each side in column order; the i-th column of one side
+    pairs with the i-th of the other.  Zero-LLR columns (u == v) pair first
+    with last, and an odd count of them cannot mirror.
     """
     ny = m.shape[1]
-    groups: dict[tuple[float, float], list[int]] = {}
-    for y in range(ny):
-        groups.setdefault((float(m[0, y]), float(m[1, y])), []).append(y)
-    partner = np.full(ny, -1, dtype=int)
-    for (u, v), members in groups.items():
-        if u == v:
-            # zero-LLR symbols pair up internally; an odd count cannot mirror
-            if len(members) % 2 != 0:
-                return None
-            for a, b in zip(members, reversed(members)):
-                partner[a] = b
-            continue
-        mates = groups.get((v, u))
-        if mates is None or len(mates) != len(members):
-            return None
-        for a, b in zip(members, mates):
-            partner[a] = b
+    u, v = m[0], m[1]
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    flip = u > v
+    order = np.lexsort((flip, hi, lo))
+    slo, shi = lo[order], hi[order]
+    new = np.ones(ny, dtype=bool)
+    new[1:] = (slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])
+    cls = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    sizes = np.bincount(cls)
+    flipped = np.bincount(cls[flip[order]], minlength=starts.size)
+    zero_llr = slo[starts] == shi[starts]
+    if np.any(np.where(zero_llr, sizes % 2, 2 * flipped - sizes) != 0):
+        return None
+    pos = np.arange(ny) - starts[cls]
+    size = sizes[cls]
+    mate = np.where(zero_llr[cls], size - 1 - pos, (pos + size // 2) % size)
+    partner = np.empty(ny, dtype=int)
+    partner[order] = order[starts[cls] + mate]
     return partner
 
 
@@ -581,15 +601,8 @@ def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
     receive the mirrored label.  The retained information is additive over
     block pairs, so the same dynamic program applies.
     """
-    ny = m.shape[1]
-    half = num_clusters // 2
-    reps = []
-    for y in range(ny):
-        p = int(partner[y])
-        if y > p or (y == p):
-            continue
-        reps.append(y if m[0, y] >= m[1, y] else p)
-    reps = np.array(reps, dtype=int)
+    first = np.flatnonzero(np.arange(m.shape[1]) < partner)
+    reps = np.where(m[0, first] >= m[1, first], first, partner[first])
     w0 = m[0, reps]
     w1 = m[1, reps]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -605,35 +618,30 @@ def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
     # Paired-block merit: a block at label k mirrors into label K-1-k with the
     # component masses swapped, so each block contributes u log2(2u/(u+v)) +
     # v log2(2v/(u+v)) twice with the roles of u and v exchanged.
-    u = np.maximum(s0[None, :] - s0[:, None], 0.0)
-    v = np.maximum(s1[None, :] - s1[:, None], 0.0)
+    u = np.maximum(s0[:, None] - s0[None, :], 0.0)       # (b, a)
+    v = np.maximum(s1[:, None] - s1[None, :], 0.0)
     tot = u + v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe = np.where(tot > 0, tot, 1.0)
-        term_u = np.where(u > 0, u * np.log2(np.where(u > 0, 2.0 * u / safe, 1.0)), 0.0)
-        term_v = np.where(v > 0, v * np.log2(np.where(v > 0, 2.0 * v / safe, 1.0)), 0.0)
-    merit = 2.0 * (term_u + term_v)
+    safe = np.where(tot > 0, tot, 1.0)
+    merit = _pair_term(u, safe)
+    merit += _pair_term(v, safe)
+    merit *= 2.0
+    rep_labels, _ = _best_blocks(merit, num_clusters // 2)
 
-    score = np.full((half + 1, nrep + 1), -np.inf)
-    score[0, 0] = 0.0
-    parent = np.zeros((half + 1, nrep + 1), dtype=int)
-    upper = np.triu(np.ones((nrep + 1, nrep + 1), dtype=bool))
-    for k in range(1, half + 1):
-        cand = np.where(upper, score[k - 1][:, None] + merit, -np.inf)
-        parent[k] = np.argmax(cand, axis=0)
-        score[k] = cand[parent[k], np.arange(nrep + 1)]
-
-    rep_labels = np.empty(nrep, dtype=int)
-    b = nrep
-    for k in range(half, 0, -1):
-        a = parent[k, b]
-        rep_labels[a:b] = k - 1
-        b = a
-    labels = np.empty(ny, dtype=int)
-    for pos, rep in enumerate(reps[order]):
-        labels[rep] = rep_labels[pos]
-        labels[partner[rep]] = num_clusters - 1 - rep_labels[pos]
+    labels = np.empty(m.shape[1], dtype=int)
+    ordered = reps[order]
+    labels[ordered] = rep_labels
+    labels[partner[ordered]] = num_clusters - 1 - rep_labels
     return labels
+
+
+def _pair_term(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """mass * log2(2 mass / total), 0 where mass is 0."""
+    term = np.ones_like(mass)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(2.0 * mass, total, out=term, where=mass > 0)
+        np.log2(term, out=term)
+        term *= mass
+    return term
 
 
 def dp_optimal_quantizer(j: JointXY, num_clusters: int,
@@ -674,27 +682,25 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int,
 
     # Group exactly-identical columns; they always co-cluster, which also keeps
     # mirror-image outcomes of symmetric channels in the same cluster.
-    groups: dict[tuple[float, float], int] = {}
-    group_of = np.full(j.num_y, -1, dtype=int)
-    for y in np.flatnonzero(keep):
-        key = (float(m[0, y]), float(m[1, y]))
-        if key not in groups:
-            groups[key] = len(groups)
-        group_of[y] = groups[key]
-    merged = np.zeros((2, len(groups)))
-    for y in np.flatnonzero(keep):
-        merged[:, group_of[y]] += m[:, y]
+    cols = m[:, keep]
+    _, first, inverse = np.unique(cols.T, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=int)   # number groups by first occurrence
+    rank[np.argsort(first)] = np.arange(first.size)
+    group_of = rank[inverse.ravel()]
+    # bincount adds each group's masses in column order
+    merged = np.vstack([np.bincount(group_of, weights=row, minlength=first.size)
+                        for row in cols])
 
     with np.errstate(divide="ignore"):
         llr = np.log(merged[0]) - np.log(merged[1])
     order = np.argsort(-llr, kind="stable")
     sub = JointXY(merged / merged.sum())
     ordered_labels, _ = dp_contiguous_partition(sub, num_clusters, order)
-    group_labels = np.empty(len(groups), dtype=int)
+    group_labels = np.empty(first.size, dtype=int)
     group_labels[order] = ordered_labels
 
     labels = np.zeros(j.num_y, dtype=int)
-    labels[keep] = group_labels[group_of[keep]]
+    labels[keep] = group_labels[group_of]
     if np.any(~keep):
         labels[~keep] = _nearest_positive_labels(keep, labels)
     quantizer = Quantizer.from_labels(labels, num_clusters)

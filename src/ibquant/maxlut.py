@@ -239,6 +239,14 @@ def cascade_node(f: NodeFunction, inputs, out_size: int,
     alphabet size; the schedule fixes the pairing order.  A single input turns
     into a pure requantization stage.
     """
+    return _build_cascade(f, inputs, out_size, schedule, {})
+
+
+def _build_cascade(f: NodeFunction, inputs, out_size: int, schedule: str,
+                   tables: dict) -> LutCascade:
+    """cascade_node that reuses and extends ``tables``, a memo from (node
+    function, left rows, right rows, out_size) to the NodeLut built for them:
+    byte-equal operands give the same table, so the DP runs once per key."""
     if not inputs:
         raise ValueError("cascade needs at least one input message")
     if out_size < 2:
@@ -250,7 +258,11 @@ def cascade_node(f: NodeFunction, inputs, out_size: int,
     for left, right in plan:
         # A constant second operand only requantizes, so equality semantics apply.
         func = NodeFunction.VARIABLE_EQUAL if right[0] == "const" else f
-        lut = build_max_lut(func, dists[left], dists[right], out_size)
+        a, b = dists[left], dists[right]
+        key = (func, a.rows.tobytes(), b.rows.tobytes(), out_size)  # rows are (2, k)
+        lut = tables.get(key)
+        if lut is None:
+            lut = tables[key] = build_max_lut(func, a, b, out_size)
         stages.append(CascadeStage(left, right, lut))
         dists[("stage", len(stages) - 1)] = lut.out_cond
     return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
@@ -288,6 +300,8 @@ def _lut_from_lines(lines, start: int = 0) -> tuple[NodeLut, int]:
     nl, nz, nv = int(nl), int(nz), int(nv)
     table = np.array([[int(t) for t in lines[start + 1 + i].split()] for i in range(nl)])
     rows = np.array([[float(t) for t in lines[start + 1 + nl + i].split()] for i in range(2)])
+    if table.shape != (nl, nz) or rows.shape != (2, nv):
+        raise ValueError(f"lut body does not match its header {lines[start]!r}")
     out_cond = MessageDist(ConditionalDist(rows))
     info = mutual_information(JointXY(0.5 * rows))
     return NodeLut(table, out_cond, nv, info), start + 1 + nl + 2

@@ -180,3 +180,32 @@ class TestLdpcCommands:
                  "--n", "120", "--dv", "4", "--dc", "8",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    def test_truncated_design_is_usage_error(self, tmp_path, capsys):
+        design_file = tmp_path / "design.txt"
+        assert run(["ldpc", "design", "--bits", "3", "--iters", "4", "--ebn0", "2.0",
+                    "--bins", "32", "--out", str(design_file)]) == 0
+        cut = tmp_path / "cut.txt"
+        cut.write_bytes(design_file.read_bytes()[:1500])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "simulate", "--design", str(cut), "--decoder", "lut",
+                 "--ebn0", "2.0", "--max-frames", "5", "--n", "120",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(cut) in err and "iteration 0" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bits_contradicting_design_is_usage_error(self, tmp_path, capsys):
+        design_file = tmp_path / "design.txt"
+        assert run(["ldpc", "design", "--bits", "3", "--iters", "2", "--ebn0", "2.0",
+                    "--bins", "32", "--out", str(design_file)]) == 0
+        argv = ["ldpc", "simulate", "--design", str(design_file), "--decoder", "lut",
+                "--ebn0", "2.0", "--max-frames", "5", "--n", "120"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--bits", "4", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--bits 4" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert run(argv + ["--bits", "3", "--out", str(tmp_path / "y.csv")]) == 0

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from ibquant import dde, maxlut
 from ibquant.channels import build_bpsk_awgn
 from ibquant.dde import design_decoder, load_design, save_design
+from ibquant.ib import dp_optimal_quantizer
 from ibquant.info import JointXY, mutual_information
+from ibquant.maxlut import CascadeStage, LutCascade, NodeFunction
 
 
 def small_design(ebn0=2.0, bins=64, bits=3, iters=6):
@@ -112,3 +115,107 @@ class TestSerialization:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2], b[2])
+
+
+def reference_cascade(f, inputs, out_size, schedule):
+    """cascade_node with every stage built by its own build_max_lut call."""
+    dists = {("input", i): d for i, d in enumerate(inputs)}
+    dists[("const", 0)] = maxlut.MessageDist.constant()
+    stages = []
+    for left, right in maxlut._cascade_plan(schedule, len(inputs)):
+        func = NodeFunction.VARIABLE_EQUAL if right[0] == "const" else f
+        lut = maxlut.build_max_lut(func, dists[left], dists[right], out_size)
+        stages.append(CascadeStage(left, right, lut))
+        dists[("stage", len(stages) - 1)] = lut.out_cond
+    return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
+
+
+def reference_design(dmc, dv, dc, message_bits, max_iter):
+    """design_decoder's loop with three independent cascades per iteration."""
+    levels = 2 ** message_bits
+    chan = dp_optimal_quantizer(dmc.joint(), levels)
+    chan_msg = dde._floored(maxlut.quantized_message(dmc.transition.rows, chan.quantizer))
+    checks, vars_, decisions, trace = [], [], [], []
+    v2c = chan_msg
+    for _ in range(max_iter):
+        chk = reference_cascade(NodeFunction.CHECK_XOR, [v2c] * (dc - 1), levels,
+                                "balanced_tree")
+        c2v = dde._floored(chk.final)
+        var = reference_cascade(NodeFunction.VARIABLE_EQUAL,
+                                [chan_msg] + [c2v] * (dv - 1), levels, "left_fold")
+        dec = reference_cascade(NodeFunction.VARIABLE_EQUAL,
+                                [chan_msg] + [c2v] * dv, levels, "left_fold")
+        bits = dde._decision_bits(dec.final)
+        err = dde._decision_error(dec.final, bits)
+        if trace and err < dde.SATURATION_FLOOR:
+            break
+        checks.append(chk)
+        vars_.append(var)
+        decisions.append(dde.DecisionRule(dec, bits))
+        trace.append(err)
+        if err < dde.SATURATION_FLOOR:
+            break
+        v2c = dde._floored(var.final)
+    return dde.LdpcEnsembleDesign(chan.quantizer, chan_msg, tuple(checks), tuple(vars_),
+                                  tuple(decisions), message_bits, np.array(trace), dmc,
+                                  dv, dc)
+
+
+class TestSharedTables:
+    def count_builds(self, monkeypatch):
+        calls = []
+        original = maxlut.build_max_lut
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(maxlut, "build_max_lut", counted)
+        return calls
+
+    def test_six_builds_per_iteration_at_3_6(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        design = design_decoder(build_bpsk_awgn(0.2, 0.5, 64), 3, 6, 3, 5)
+        assert design.max_iter == 5
+        assert len(calls) == 6 * 5
+
+    @pytest.mark.parametrize("dv,dc", [(2, 4), (3, 6), (4, 8)])
+    def test_variable_stages_are_decision_prefix(self, dv, dc):
+        design = design_decoder(build_bpsk_awgn(1.0, 1 - dv / dc, 64), dv, dc, 3, 4)
+        for var, rule in zip(design.var_luts, design.decision_luts):
+            shared = rule.cascade.stages[:dv - 1]
+            assert len(var.stages) == dv - 1 == len(shared)
+            assert all(a.lut is b.lut for a, b in zip(var.stages, shared))
+
+    @pytest.mark.parametrize("dv,dc", [(1, 2), (2, 4), (3, 6), (4, 8)])
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_matches_independent_cascades(self, tmp_path, dv, dc, bits):
+        dmc = build_bpsk_awgn(1.5, 1 - dv / dc, 48)
+        shared, independent = tmp_path / "shared.txt", tmp_path / "independent.txt"
+        save_design(design_decoder(dmc, dv, dc, bits, 8), shared)
+        save_design(reference_design(dmc, dv, dc, bits, 8), independent)
+        assert shared.read_bytes() == independent.read_bytes()
+
+
+class TestTruncatedDesignFile:
+    def test_every_cut_names_file_and_section(self, tmp_path):
+        path = tmp_path / "design.txt"
+        save_design(small_design(bits=2, iters=2), path, comment="cut test")
+        data = path.read_bytes()
+        last_line = data.rstrip(b"\n").rfind(b"\n") + 1
+        cut = tmp_path / "cut.txt"
+        for size in range(0, last_line, 11):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match="design file .*cut.txt") as exc:
+                load_design(cut)
+            assert "header" in str(exc.value) or "channel" in str(exc.value) \
+                or "iteration" in str(exc.value)
+
+    def test_cut_inside_an_iteration(self, tmp_path):
+        path = tmp_path / "design.txt"
+        save_design(small_design(bits=3, iters=3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        marker = lines.index("iteration 1\n")
+        path.write_text("".join(lines[:marker + 3]))
+        with pytest.raises(ValueError, match="iteration 1 check chain"):
+            load_design(path)
