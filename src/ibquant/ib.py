@@ -2,13 +2,13 @@
 
 Implements the iterative information-bottleneck fixed-point algorithm, greedy
 agglomerative merging, a KL-means / rate-penalized Lloyd iteration, and a
-dynamic-programming quantizer that is globally optimal for binary sources.
+dynamic-programming quantizer that is optimal for binary sources.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import xlogy
@@ -20,7 +20,6 @@ from .info import (
     Pmf,
     _mapping_rows,
     mutual_information,
-    push_through_quantizer,
 )
 
 DETERMINISTIC_EPS = 1e-12
@@ -93,6 +92,9 @@ class IbDesign:
     relevant_info: float
     objective: float
     info_loss: float
+    # sweeps run and whether the stop test passed; one-pass designs: 0, True
+    sweeps: int = 0
+    converged: bool = True
 
     @property
     def occupied_clusters(self) -> int:
@@ -103,13 +105,8 @@ def ib_objective(j: JointXY, quantizer, beta: float) -> float:
     """The Lagrangian [I(y;z) - beta * I(x;z)] / (beta + 1); -I(x;z) at beta = inf."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    pushed = push_through_quantizer(j, quantizer)
-    relevant = mutual_information(pushed)
-    if math.isinf(beta):
-        return -relevant
     rows = _quantizer_rows(j, quantizer)
-    compression = mutual_information(JointXY(j.matrix.sum(axis=0)[:, None] * rows))
-    return (compression - beta * relevant) / (beta + 1.0)
+    return _SweepData(j.matrix, j.matrix.sum(axis=0)).objective(rows, beta)
 
 
 def _quantizer_rows(j: JointXY, quantizer) -> np.ndarray:
@@ -173,37 +170,68 @@ def it_ib_update(j: JointXY, quantizer, beta: float) -> ItIbState:
         raise ValueError("beta must be non-negative")
     rows = _quantizer_rows(j, quantizer)
     m = j.matrix
-    py = m.sum(axis=0)
-    pz = py @ rows
-    pxz = m @ rows
     cposts = np.full((rows.shape[1], j.num_x), 1.0 / j.num_x)
-    alive = pz >= DEAD_CLUSTER_EPS
-    cposts[alive] = (pxz[:, alive] / pz[alive]).T
-    posts = _posterior_of(m)
-    dist = _kl_matrix_nats(posts, cposts)
-    mapping, psi = _stationary_mapping(pz, dist, beta, with_normalizers=True)
+    pz, (mapping, psi) = _SweepData(m, m.sum(axis=0)).sweep(rows, cposts, beta,
+                                                            with_normalizers=True)
     return ItIbState(ConditionalDist(mapping), Pmf(pz), ConditionalDist(cposts), psi)
 
 
-def _posterior_of(m: np.ndarray) -> np.ndarray:
-    py = m.sum(axis=0)
-    return np.where(py[None, :] > 0, m / np.where(py > 0, py, 1.0),
-                    1.0 / m.shape[0]).T
+class _SweepData:
+    """Joint columns m = p(x, y) and marginal py, with the terms every sweep reuses."""
+
+    def __init__(self, m: np.ndarray, py: np.ndarray):
+        self.m = m
+        self.py = py
+        self.posts = np.where(py[None, :] > 0, m / np.where(py > 0, py, 1.0),
+                              1.0 / m.shape[0]).T
+        self.self_term = xlogy(self.posts, self.posts).sum(axis=1)
+        self.support = (self.posts > 0).astype(float)
+
+    def kl_nats(self, cposts: np.ndarray) -> np.ndarray:
+        """Pairwise D(posts_row || cposts_row) in nats; +inf where support is violated."""
+        with np.errstate(divide="ignore"):
+            log_c = np.log(cposts)
+        finite_cols = np.isfinite(log_c)
+        if finite_cols.all():
+            return self.self_term[:, None] - self.posts @ log_c.T
+        # posts @ log_c.T is only valid where no (p > 0, c == 0) pairing occurs;
+        # -inf entries in log_c flag those columns per cluster.
+        cross_vals = self.posts @ np.where(finite_cols, log_c, 0.0).T
+        violation = self.support @ (~finite_cols).T.astype(float)
+        cross = np.where(violation > 0, -np.inf, cross_vals)
+        return self.self_term[:, None] - cross
+
+    def sweep(self, mapping: np.ndarray, cposts: np.ndarray, beta: float,
+              with_normalizers: bool = False):
+        """Cluster prior of ``mapping`` and the stationary mapping it induces.
+
+        Writes the induced posteriors into ``cposts``; dead clusters keep
+        their row instead of dividing by ~0.
+        """
+        pz = self.py @ mapping
+        pxz = self.m @ mapping
+        alive = pz >= DEAD_CLUSTER_EPS
+        cposts[alive] = (pxz[:, alive] / pz[alive]).T
+        return pz, _stationary_mapping(pz, self.kl_nats(cposts), beta, with_normalizers)
+
+    def objective(self, mapping: np.ndarray, beta: float) -> float:
+        relevant = mutual_information(JointXY(self.m @ mapping))
+        if math.isinf(beta):
+            return -relevant
+        compression = mutual_information(JointXY(self.py[:, None] * mapping))
+        return (compression - beta * relevant) / (beta + 1.0)
 
 
-def _kl_matrix_nats(posts: np.ndarray, cposts: np.ndarray) -> np.ndarray:
-    """Pairwise D(posts_row || cposts_row) in nats; +inf where support is violated."""
-    self_term = xlogy(posts, posts).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_c = np.log(cposts)
-    # posts @ log_c.T is only valid where no (p > 0, c == 0) pairing occurs;
-    # -inf entries in log_c flag those columns per cluster.
-    finite_cols = np.isfinite(log_c)
-    safe_log_c = np.where(finite_cols, log_c, 0.0)
-    cross_vals = posts @ safe_log_c.T
-    violation = (posts > 0).astype(float) @ (~finite_cols).T.astype(float)
-    cross = np.where(violation > 0, -np.inf, cross_vals)
-    return self_term[:, None] - cross
+def _positive_mass(j: JointXY) -> tuple[np.ndarray, _SweepData]:
+    """Mask of the observation symbols with mass, and their sweep data."""
+    py = j.matrix.sum(axis=0)
+    keep = py > 0   # never empty: a JointXY sums to 1
+    return keep, _SweepData(j.matrix[:, keep], py[keep])
+
+
+# exp(x) is +0.0 in IEEE double for every x below about -745.13.  numpy takes
+# a slow path for such arguments, so the stationary mapping skips them.
+EXP_ZERO_BELOW = -746.0
 
 
 def _stationary_mapping(pz: np.ndarray, dist_nats: np.ndarray, beta: float,
@@ -211,14 +239,16 @@ def _stationary_mapping(pz: np.ndarray, dist_nats: np.ndarray, beta: float,
     """One stationary-condition update: rows proportional to p(z) exp(-beta D)."""
     penalty = np.zeros_like(dist_nats) if beta == 0 else beta * dist_nats
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.log(pz)[None, :] - penalty
-    logw = np.where(np.isnan(logw), -np.inf, logw)
+        logw = np.subtract(np.log(pz)[None, :], penalty, out=penalty)
+    np.fmax(logw, -np.inf, out=logw)   # NaN -> -inf
     shift = logw.max(axis=1, keepdims=True)
-    w = np.exp(logw - shift)
+    logw -= shift
+    w = np.zeros_like(logw)
+    np.exp(logw, out=w, where=~(logw < EXP_ZERO_BELOW))   # NaN stays NaN
     totals = w.sum(axis=1, keepdims=True)
     if with_normalizers:
         return w / totals, (totals * np.exp(shift))[:, 0]
-    return w / totals
+    return np.divide(w, totals, out=w)
 
 
 def iterative_ib(j: JointXY, num_clusters: int, beta: float,
@@ -230,20 +260,14 @@ def iterative_ib(j: JointXY, num_clusters: int, beta: float,
     with recomputation of the cluster prior and posteriors until the Lagrangian
     stops decreasing.  ``init`` may be a Quantizer or anything accepted by
     numpy's default_rng to seed a random row-stochastic start.  Observation
-    symbols with zero marginal probability are dropped before iterating.
+    symbols with zero marginal probability are dropped before iterating.  The
+    design reports the sweeps run and whether the stop test passed.
     """
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    m = j.matrix
-    py_full = m.sum(axis=0)
-    keep = py_full > 0
-    if not np.any(keep):
-        raise ValueError("joint has no observation mass")
-    sub = m[:, keep]
-    py = py_full[keep]
-    posts = (sub / py).T  # p(x|y), rows y
+    keep, data = _positive_mass(j)
 
     if isinstance(init, Quantizer):
         if init.num_inputs != j.num_y or init.num_clusters != num_clusters:
@@ -251,73 +275,56 @@ def iterative_ib(j: JointXY, num_clusters: int, beta: float,
         mapping = init.mapping.rows[keep].copy()
     else:
         rng = np.random.default_rng(0 if init is None else init)
-        raw = rng.uniform(size=(py.shape[0], num_clusters))
+        raw = rng.uniform(size=(data.py.shape[0], num_clusters))
         mapping = raw / raw.sum(axis=1, keepdims=True)
 
     cposts = np.full((num_clusters, j.num_x), 1.0 / j.num_x)
-    prev_obj = None
-    for _ in range(max_sweeps):
-        pz = py @ mapping
-        pxz = sub @ mapping
-        alive = pz >= DEAD_CLUSTER_EPS
-        # Dead clusters keep their last valid posterior instead of dividing by ~0.
-        cposts[alive] = (pxz[:, alive] / pz[alive]).T
-
-        dist = _kl_matrix_nats(posts, cposts)
-        new_mapping = _stationary_mapping(pz, dist, beta)
-        change = float(np.abs(new_mapping - mapping).max())
-        mapping = new_mapping
-
-        obj = _subjoint_objective(sub, py, mapping, beta)
-        if objective_trace is not None:
+    prev_obj = None  # objective of `mapping`, when already evaluated
+    sweeps, converged = 0, False
+    tracing = objective_trace is not None
+    for sweeps in range(1, max_sweeps + 1):
+        _, new_mapping = data.sweep(mapping, cposts, beta)
+        # The stop test needs both objectives only once the mapping has settled.
+        can_stop = sweeps > 1 and float(np.abs(new_mapping - mapping).max()) < MAPPING_TOL
+        obj = data.objective(new_mapping, beta) if can_stop or tracing else None
+        if tracing:
             objective_trace.append(obj)
-        if prev_obj is not None and prev_obj - obj < tol and change < MAPPING_TOL:
+        if can_stop and prev_obj is None:
+            prev_obj = data.objective(mapping, beta)
+        mapping = new_mapping
+        if can_stop and prev_obj - obj < tol:
+            converged = True
             break
         prev_obj = obj
 
     full = np.empty((j.num_y, num_clusters))
     full[keep] = mapping
     full[~keep] = 1.0 / num_clusters
-    return design_from_quantizer(j, Quantizer(ConditionalDist(full)), beta)
-
-
-def _subjoint_objective(sub: np.ndarray, py: np.ndarray, mapping: np.ndarray,
-                        beta: float) -> float:
-    compression = mutual_information(JointXY(py[:, None] * mapping))
-    relevant = mutual_information(JointXY(sub @ mapping))
-    return (compression - beta * relevant) / (beta + 1.0)
+    design = design_from_quantizer(j, Quantizer(ConditionalDist(full)), beta)
+    return replace(design, sweeps=sweeps, converged=converged)
 
 
 def fixed_point_residual(j: JointXY, quantizer: Quantizer, beta: float) -> float:
     """Max row-wise deviation between a mapping and its stationary recomputation."""
     rows = _quantizer_rows(j, quantizer)
-    m = j.matrix
-    py = m.sum(axis=0)
-    keep = py > 0
-    sub = m[:, keep]
-    pyk = py[keep]
+    keep, data = _positive_mass(j)
     mapping = rows[keep]
-    posts = (sub / pyk).T
-    pz = pyk @ mapping
-    pxz = sub @ mapping
     cposts = np.full((mapping.shape[1], j.num_x), 1.0 / j.num_x)
-    alive = pz >= DEAD_CLUSTER_EPS
-    cposts[alive] = (pxz[:, alive] / pz[alive]).T
-    dist = _kl_matrix_nats(posts, cposts)
-    recomputed = _stationary_mapping(pz, dist, beta)
+    _, recomputed = data.sweep(mapping, cposts, beta)
     return float(np.abs(recomputed - mapping).max())
 
 
-def _merge_cost(weights: np.ndarray, posts: np.ndarray) -> np.ndarray:
-    """Exact increase of the information loss for merging each cluster pair.
+def _merge_cost(weights: np.ndarray, posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exact increase of the information loss for merging clusters i in rows with each j.
 
     Merging clusters i and j replaces both posteriors by their weighted
-    mixture; the drop in I(x;z) is w_i D(p_i||mix) + w_j D(p_j||mix).
+    mixture; the drop in I(x;z) is w_i D(p_i||mix) + w_j D(p_j||mix).  Every
+    entry is computed alone, so a row comes out the same whichever other
+    rows are computed with it, and the full matrix is exactly symmetric.
     """
-    k = weights.shape[0]
-    wi = weights[:, None, None]
+    wi = weights[rows, None, None]
     wj = weights[None, :, None]
-    pi = posts[:, None, :]
+    pi = posts[rows, None, :]
     pj = posts[None, :, :]
     tot = wi + wj
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -326,7 +333,7 @@ def _merge_cost(weights: np.ndarray, posts: np.ndarray) -> np.ndarray:
         term_i = xlogy(pi, pi) - pi * log_mix
         term_j = xlogy(pj, pj) - pj * log_mix
     cost = (wi[..., 0] * term_i.sum(axis=2) + wj[..., 0] * term_j.sum(axis=2)) / LN2
-    cost[np.arange(k), np.arange(k)] = np.inf
+    cost[np.arange(rows.shape[0]), rows] = np.inf
     return np.maximum(cost, 0.0)
 
 
@@ -343,18 +350,14 @@ def agglomerative_ib(j: JointXY, num_clusters: int) -> IbDesign:
         raise ValueError(f"cannot use {num_clusters} clusters for {j.num_y} symbols")
     m = j.matrix
     py = m.sum(axis=0)
-    posts = np.where(py[None, :] > 0, m / np.where(py > 0, py, 1.0), 1.0 / j.num_x).T
+    weights = py.astype(float)
+    cluster_posts = _SweepData(m, py).posts.copy()
+    # Merging b into a < b keeps the clusters ordered by their smallest symbol.
+    labels = np.arange(j.num_y)
 
-    weights = list(py.astype(float))
-    cluster_posts = [posts[i].copy() for i in range(j.num_y)]
-    members: list[list[int]] = [[i] for i in range(j.num_y)]
-
-    while len(members) > num_clusters:
-        w = np.array(weights)
-        p = np.array(cluster_posts)
-        cost = _merge_cost(w, p)
-        flat = np.argmin(cost)
-        a, b = divmod(int(flat), len(members))
+    cost = _merge_cost(weights, cluster_posts, np.arange(j.num_y))
+    while weights.shape[0] > num_clusters:
+        a, b = divmod(int(np.argmin(cost)), weights.shape[0])
         if a > b:
             a, b = b, a
         tot = weights[a] + weights[b]
@@ -364,22 +367,26 @@ def agglomerative_ib(j: JointXY, num_clusters: int) -> IbDesign:
             mix = 0.5 * (cluster_posts[a] + cluster_posts[b])
         weights[a] = tot
         cluster_posts[a] = mix
-        members[a] = members[a] + members[b]
-        del weights[b], cluster_posts[b], members[b]
+        labels[labels == b] = a
+        labels[labels > b] -= 1
+        weights = np.delete(weights, b)
+        cluster_posts = np.delete(cluster_posts, b, axis=0)
+        # Only pairs with cluster a change; deleting b keeps the row-major
+        # order of the others, so argmin still finds the first minimum.
+        cost = np.delete(np.delete(cost, b, axis=0), b, axis=1)
+        cost[a] = _merge_cost(weights, cluster_posts, np.array([a]))[0]
+        cost[:, a] = cost[a]
 
-    order = sorted(range(len(members)), key=lambda c: min(members[c]))
-    labels = np.empty(j.num_y, dtype=int)
-    for new_label, c in enumerate(order):
-        labels[members[c]] = new_label
     quantizer = Quantizer.from_labels(labels, num_clusters)
     return design_from_quantizer(j, quantizer, math.inf)
 
 
-def _kmeans_pp_seeds(posts: np.ndarray, py: np.ndarray, n: int, rng) -> np.ndarray:
+def _kmeans_pp_seeds(data: _SweepData, n: int, rng) -> np.ndarray:
     """KL-flavoured k-means++ seeding: spread initial centroids over the posteriors."""
+    posts, py = data.posts, data.py
     first = rng.choice(posts.shape[0], p=py / py.sum())
     chosen = [int(first)]
-    dist = _kl_matrix_nats(posts, posts[[first]])[:, 0]
+    dist = data.kl_nats(posts[[first]])[:, 0]
     dist = np.where(np.isfinite(dist), dist, 1e3)
     for _ in range(1, n):
         scores = py * np.maximum(dist, 0.0)
@@ -389,7 +396,7 @@ def _kmeans_pp_seeds(posts: np.ndarray, py: np.ndarray, n: int, rng) -> np.ndarr
         else:
             pick = int(rng.choice(posts.shape[0], p=scores / total))
         chosen.append(pick)
-        new_d = _kl_matrix_nats(posts, posts[[pick]])[:, 0]
+        new_d = data.kl_nats(posts[[pick]])[:, 0]
         new_d = np.where(np.isfinite(new_d), new_d, 1e3)
         dist = np.minimum(dist, new_d)
     return posts[chosen].copy()
@@ -404,27 +411,24 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
     member posteriors, (b) code lengths l(z) = -log2 p(z), and (c) assignment
     of each observation symbol to the cluster minimizing distortion + lam * length.
     An empty cluster is re-seeded with the worst-cost symbol, but only when the
-    steal lowers the overall objective.  lam = 0 recovers pure KL-means.
+    steal lowers the overall objective.  lam = 0 recovers pure KL-means.  The
+    design reports the sweeps run and whether the labels stopped changing.
     """
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    m = j.matrix
-    py_full = m.sum(axis=0)
-    keep = py_full > 0
-    sub = m[:, keep]
-    py = py_full[keep]
-    posts = (sub / py).T
+    keep, data = _positive_mass(j)
+    posts, py = data.posts, data.py
     ny = posts.shape[0]
     n = min(num_clusters, ny)
 
     rng = np.random.default_rng(0 if init is None else init)
-    centroids = _kmeans_pp_seeds(posts, py, n, rng)
+    centroids = _kmeans_pp_seeds(data, n, rng)
     lengths = np.full(n, math.log2(n) if n > 1 else 0.0)
 
     def assign(cent, lens):
-        cost = _kl_matrix_nats(posts, cent) / LN2
+        cost = data.kl_nats(cent) / LN2
         if lam > 0:
             cost = cost + lam * lens[None, :]
         lbl = np.argmin(cost, axis=1)
@@ -446,7 +450,7 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
         return cent, pz, lens
 
     def objective(lbl, cent, lens):
-        cost = _kl_matrix_nats(posts, cent) / LN2
+        cost = data.kl_nats(cent) / LN2
         per = cost[np.arange(ny), lbl]
         if lam > 0:
             # labels only ever point at occupied clusters, where lengths are finite
@@ -454,7 +458,8 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
         return float(np.sum(py * per))
 
     labels, _ = assign(centroids, lengths)
-    for _ in range(max_sweeps):
+    sweeps, converged = 0, False
+    for sweeps in range(1, max_sweeps + 1):
         centroids, pz, lengths = refresh(labels)
         obj = objective(labels, centroids, lengths)
 
@@ -475,6 +480,7 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
         if objective_trace is not None:
             objective_trace.append(obj)
         if np.array_equal(new_labels, labels):
+            converged = True
             break
         labels = new_labels
 
@@ -483,7 +489,8 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
     if np.any(~keep):
         full_labels[~keep] = _nearest_positive_labels(keep, full_labels)
     quantizer = Quantizer.from_labels(full_labels, num_clusters)
-    return design_from_quantizer(j, quantizer, math.inf)
+    design = design_from_quantizer(j, quantizer, math.inf)
+    return replace(design, sweeps=sweeps, converged=converged)
 
 
 def _nearest_positive_labels(keep: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -646,7 +653,7 @@ def _pair_term(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 def dp_optimal_quantizer(j: JointXY, num_clusters: int,
                          symmetric: bool | None = None) -> IbDesign:
-    """Globally optimal deterministic quantizer for a binary source.
+    """Optimal deterministic quantizer for a binary source.
 
     Sorts observation symbols by posterior log-likelihood ratio (descending)
     and places cluster boundaries by dynamic programming; for binary sources
@@ -659,7 +666,9 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int,
     antisymmetric instances (output-symmetric channels and node joints): with
     the default None it is applied automatically whenever the instance is
     exactly antisymmetric and the cluster count is even, which makes the label
-    map commute with the symbol-flip relabeling.
+    map commute with the symbol-flip relabeling.  That result is optimal among
+    mirror-symmetric quantizers only and can retain less information than the
+    global optimum; ``symmetric=False`` always returns the global optimum.
     """
     if j.num_x != 2:
         raise ValueError("the dynamic program requires a binary source alphabet")

@@ -8,9 +8,13 @@ from scipy.special import xlogy
 
 from ibquant.channels import build_ask_awgn, build_bsc
 from ibquant.ib import (
+    DEAD_CLUSTER_EPS,
+    EXP_ZERO_BELOW,
+    MAPPING_TOL,
     Quantizer,
     _antisymmetric_pairing,
     _nearest_positive_labels,
+    _restart_rng,
     agglomerative_ib,
     design_from_quantizer,
     dp_contiguous_partition,
@@ -23,7 +27,14 @@ from ibquant.ib import (
     kl_means_ib,
     write_curve_csv,
 )
-from ibquant.info import LN2, JointXY, entropy, mutual_information, push_through_quantizer
+from ibquant.info import (
+    LN2,
+    ConditionalDist,
+    JointXY,
+    entropy,
+    mutual_information,
+    push_through_quantizer,
+)
 
 
 def random_joint(rng, nx, ny):
@@ -213,6 +224,125 @@ def reference_dp_optimal_quantizer(j, num_clusters):
     return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters))
 
 
+# ---------------------------------------------------------------------------
+# Reference IT-IB and agglomerative loops: the implementations that evaluated
+# the objective after every sweep and rebuilt the whole merge-cost matrix at
+# every merge.  The library must give the same mappings, labels and
+# information loss, bit for bit.
+
+
+def reference_kl_matrix_nats(posts, cposts):
+    self_term = xlogy(posts, posts).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(cposts)
+    finite_cols = np.isfinite(log_c)
+    safe_log_c = np.where(finite_cols, log_c, 0.0)
+    cross_vals = posts @ safe_log_c.T
+    violation = (posts > 0).astype(float) @ (~finite_cols).T.astype(float)
+    cross = np.where(violation > 0, -np.inf, cross_vals)
+    return self_term[:, None] - cross
+
+
+def reference_stationary_mapping(pz, dist_nats, beta):
+    penalty = np.zeros_like(dist_nats) if beta == 0 else beta * dist_nats
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(pz)[None, :] - penalty
+    logw = np.where(np.isnan(logw), -np.inf, logw)
+    shift = logw.max(axis=1, keepdims=True)
+    w = np.exp(logw - shift)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def reference_subjoint_objective(sub, py, mapping, beta):
+    compression = mutual_information(JointXY(py[:, None] * mapping))
+    relevant = mutual_information(JointXY(sub @ mapping))
+    return (compression - beta * relevant) / (beta + 1.0)
+
+
+def reference_iterative_ib(j, num_clusters, beta, init, max_sweeps=500, tol=1e-10,
+                           objective_trace=None):
+    m = j.matrix
+    py_full = m.sum(axis=0)
+    keep = py_full > 0
+    sub = m[:, keep]
+    py = py_full[keep]
+    posts = (sub / py).T
+    rng = np.random.default_rng(init)
+    raw = rng.uniform(size=(py.shape[0], num_clusters))
+    mapping = raw / raw.sum(axis=1, keepdims=True)
+
+    cposts = np.full((num_clusters, j.num_x), 1.0 / j.num_x)
+    prev_obj = None
+    sweeps, converged = 0, False
+    for sweeps in range(1, max_sweeps + 1):
+        pz = py @ mapping
+        pxz = sub @ mapping
+        alive = pz >= DEAD_CLUSTER_EPS
+        cposts[alive] = (pxz[:, alive] / pz[alive]).T
+        dist = reference_kl_matrix_nats(posts, cposts)
+        new_mapping = reference_stationary_mapping(pz, dist, beta)
+        change = float(np.abs(new_mapping - mapping).max())
+        mapping = new_mapping
+        obj = reference_subjoint_objective(sub, py, mapping, beta)
+        if objective_trace is not None:
+            objective_trace.append(obj)
+        if prev_obj is not None and prev_obj - obj < tol and change < MAPPING_TOL:
+            converged = True
+            break
+        prev_obj = obj
+
+    full = np.empty((j.num_y, num_clusters))
+    full[keep] = mapping
+    full[~keep] = 1.0 / num_clusters
+    design = design_from_quantizer(j, Quantizer(ConditionalDist(full)), beta)
+    return design, sweeps, converged
+
+
+def reference_merge_cost(weights, posts):
+    k = weights.shape[0]
+    wi = weights[:, None, None]
+    wj = weights[None, :, None]
+    pi = posts[:, None, :]
+    pj = posts[None, :, :]
+    tot = wi + wj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mix = np.where(tot > 0, (wi * pi + wj * pj) / np.where(tot > 0, tot, 1.0), 0.0)
+        log_mix = np.where(mix > 0, np.log(np.where(mix > 0, mix, 1.0)), 0.0)
+        term_i = xlogy(pi, pi) - pi * log_mix
+        term_j = xlogy(pj, pj) - pj * log_mix
+    cost = (wi[..., 0] * term_i.sum(axis=2) + wj[..., 0] * term_j.sum(axis=2)) / LN2
+    cost[np.arange(k), np.arange(k)] = np.inf
+    return np.maximum(cost, 0.0)
+
+
+def reference_agglomerative_ib(j, num_clusters):
+    m = j.matrix
+    py = m.sum(axis=0)
+    posts = np.where(py[None, :] > 0, m / np.where(py > 0, py, 1.0), 1.0 / j.num_x).T
+    weights = list(py.astype(float))
+    cluster_posts = [posts[i].copy() for i in range(j.num_y)]
+    members = [[i] for i in range(j.num_y)]
+    while len(members) > num_clusters:
+        cost = reference_merge_cost(np.array(weights), np.array(cluster_posts))
+        a, b = divmod(int(np.argmin(cost)), len(members))
+        if a > b:
+            a, b = b, a
+        tot = weights[a] + weights[b]
+        if tot > 0:
+            mix = (weights[a] * cluster_posts[a] + weights[b] * cluster_posts[b]) / tot
+        else:
+            mix = 0.5 * (cluster_posts[a] + cluster_posts[b])
+        weights[a] = tot
+        cluster_posts[a] = mix
+        members[a] = members[a] + members[b]
+        del weights[b], cluster_posts[b], members[b]
+    order = sorted(range(len(members)), key=lambda c: min(members[c]))
+    labels = np.empty(j.num_y, dtype=int)
+    for new_label, c in enumerate(order):
+        labels[members[c]] = new_label
+    return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
+
+
 def float_bits(x) -> int:
     return int(np.float64(x).view(np.int64))
 
@@ -226,11 +356,12 @@ def assert_same_pairing(m):
 
 
 @st.composite
-def tied_binary_matrices(draw, max_symbols=40):
-    """Unnormalized 2 x ny masses with rounding ties, duplicate and zero columns."""
+def tied_matrices(draw, max_symbols=40, max_x=2):
+    """Unnormalized nx x ny masses with rounding ties, duplicate and zero columns."""
+    nx = draw(st.integers(2, max_x))
     ny = draw(st.integers(1, max_symbols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = np.round(rng.uniform(size=(2, ny)), draw(st.integers(1, 3)))
+    m = np.round(rng.uniform(size=(nx, ny)), draw(st.integers(1, 3)))
     if draw(st.booleans()):
         src = rng.integers(0, ny, size=ny // 3)
         m[:, rng.integers(0, ny, size=src.size)] = m[:, src]
@@ -242,9 +373,25 @@ def tied_binary_matrices(draw, max_symbols=40):
 
 
 @st.composite
+def sparse_joints(draw, max_x=4, max_symbols=12):
+    """Unnormalized masses with zero-mass columns and exact-zero entries."""
+    nx = draw(st.integers(2, max_x))
+    ny = draw(st.integers(1, max_symbols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(size=(nx, ny))
+    if draw(st.booleans()):
+        m[rng.uniform(size=m.shape) < 0.3] = 0.0
+    if draw(st.booleans()):
+        m[:, rng.integers(0, ny, size=max(1, ny // 4))] = 0.0
+    if m.sum() == 0:
+        m[0, 0] = 1.0
+    return m
+
+
+@st.composite
 def mirrored_matrices(draw, max_pairs=20, max_zero_llr=5):
     """Exactly antisymmetric masses: mirrored column pairs plus zero-LLR columns."""
-    base = draw(tied_binary_matrices(max_symbols=max_pairs))
+    base = draw(tied_matrices(max_symbols=max_pairs))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_llr = np.round(rng.uniform(size=draw(st.integers(0, max_zero_llr))), 1)
     m = np.hstack([base, base[::-1], np.vstack([zero_llr, zero_llr])])
@@ -350,6 +497,15 @@ class TestIterativeIb:
         assert design.compression_rate == pytest.approx(0.0, abs=1e-9)
         assert design.info_loss == pytest.approx(mutual_information(j), abs=1e-9)
 
+    def test_reports_sweeps_and_convergence(self):
+        # n = 32 restarts of the 4-ASK curve: eight of them run out of sweeps
+        j = build_ask_awgn(4, 1.0, 128, 3.0).joint()
+        designs = [iterative_ib(j, 32, 400.0, init=_restart_rng(404, 3, r)) for r in range(20)]
+        capped = [d for d in designs if not d.converged]
+        assert len(capped) == 8
+        assert all(d.sweeps == 500 for d in capped)
+        assert all(0 < d.sweeps < 500 for d in designs if d.converged)
+
     def test_single_sweep_state(self):
         rng = np.random.default_rng(28)
         j = random_joint(rng, 3, 6)
@@ -412,6 +568,72 @@ class TestAgglomerativeIb:
             agglomerative_ib(j, 5)
 
 
+class TestItIbMatchesReference:
+    """IT-IB against the loop that evaluated the objective after every sweep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=sparse_joints(), beta=st.sampled_from([0.0, 10.0, 400.0, math.inf]),
+           max_sweeps=st.integers(1, 60), tol=st.sampled_from([1e-10, 0.0]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(m=np.array([[0.5, 0.0, 0.2], [0.0, 0.1, 0.2]]), beta=400.0, max_sweeps=60,
+             tol=1e-10, seed=1, data=None)
+    def test_matches_reference(self, m, beta, max_sweeps, tol, seed, data):
+        j = joint_of(m)
+        n = data.draw(st.integers(1, j.num_y)) if data is not None else j.num_y
+        want_trace = []
+        try:
+            want, sweeps, converged = reference_iterative_ib(
+                j, n, beta, seed, max_sweeps, tol, objective_trace=want_trace)
+        except ValueError as err:
+            # at beta = inf the mapping turns into NaN; both loops must refuse it
+            for trace in (None, []):
+                with pytest.raises(ValueError, match=str(err)):
+                    iterative_ib(j, n, beta, init=seed, max_sweeps=max_sweeps, tol=tol,
+                                 objective_trace=trace)
+            return
+        for trace in (None, []):
+            got = iterative_ib(j, n, beta, init=seed, max_sweeps=max_sweeps, tol=tol,
+                               objective_trace=trace)
+            assert got.quantizer.mapping.rows.tobytes() == want.quantizer.mapping.rows.tobytes()
+            assert float_bits(got.info_loss) == float_bits(want.info_loss)
+            assert (got.sweeps, got.converged) == (sweeps, converged)
+            if trace is not None:
+                assert [float_bits(v) for v in trace] == [float_bits(v) for v in want_trace]
+
+    def test_exp_is_zero_below_the_cut(self):
+        # the stationary mapping writes +0.0 instead of calling exp below the
+        # cut; exp itself must round to +0.0 there, whatever path numpy takes
+        below = [EXP_ZERO_BELOW, np.nextafter(EXP_ZERO_BELOW, -np.inf), -1000.0, -1e300,
+                 -np.inf]
+        for size in (1, 3, 8, 17, 64):
+            for x in below:
+                out = np.exp(np.full(size, x))
+                assert np.all(out.view(np.int64) == 0)   # +0.0, not -0.0
+        assert np.exp(np.float64(-745.13)) > 0.0
+
+
+class TestAgglomerativeMatchesReference:
+    """Incremental merge costs against rebuilding the whole cost matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=tied_matrices(max_symbols=30, max_x=10), data=st.data())
+    def test_matches_reference(self, m, data):
+        j = joint_of(m)
+        n = data.draw(st.integers(1, j.num_y))
+        got = agglomerative_ib(j, n)
+        want = reference_agglomerative_ib(j, n)
+        assert np.array_equal(got.quantizer.labels, want.quantizer.labels)
+        assert float_bits(got.info_loss) == float_bits(want.info_loss)
+
+    def test_ask_curve_sizes(self):
+        j = build_ask_awgn(4, 1.0, 128, 3.0).joint()
+        for n in (4, 32):
+            got = agglomerative_ib(j, n)
+            want = reference_agglomerative_ib(j, n)
+            assert np.array_equal(got.quantizer.labels, want.quantizer.labels)
+            assert float_bits(got.info_loss) == float_bits(want.info_loss)
+
+
 class TestKlMeans:
     def test_identity_fixed_point(self):
         rng = np.random.default_rng(12)
@@ -446,6 +668,17 @@ class TestKlMeans:
             kl_means_ib(j, 3, lam=0.0, init=trial, objective_trace=trace)
             diffs = np.diff(np.array(trace))
             assert np.all(diffs <= 1e-10)
+
+    def test_reports_sweeps_and_convergence(self):
+        rng = np.random.default_rng(15)
+        j = random_joint(rng, 3, 10)
+        trace = []
+        design = kl_means_ib(j, 3, init=0, objective_trace=trace)
+        assert design.converged and design.sweeps == len(trace) > 1
+        capped = kl_means_ib(j, 3, init=0, max_sweeps=1)
+        assert (capped.sweeps, capped.converged) == (1, False)
+        closed_form = agglomerative_ib(j, 3)
+        assert (closed_form.sweeps, closed_form.converged) == (0, True)
 
     def test_lambda_objective_non_increasing(self):
         rng = np.random.default_rng(16)
@@ -523,7 +756,7 @@ class TestDpMatchesReference:
         assert float_bits(got.relevant_info) == float_bits(want.relevant_info)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=with_cluster_count(tied_binary_matrices()))
+    @given(case=with_cluster_count(tied_matrices()))
     @example(case=(np.array([[0.3], [0.7]]), 1))
     @example(case=(np.array([[0.3], [0.7]]), 4))
     def test_tied_joints(self, case):
@@ -540,7 +773,7 @@ class TestDpMatchesReference:
         self.assert_same_design(joint_of(m), n)
 
     @settings(max_examples=100, deadline=None)
-    @given(m=st.one_of(tied_binary_matrices(), mirrored_matrices()))
+    @given(m=st.one_of(tied_matrices(), mirrored_matrices()))
     def test_pairing(self, m):
         assert_same_pairing(m)
 
@@ -570,8 +803,20 @@ class TestDpMatchesReference:
 
 
 class TestDpMatchesExhaustiveSearch:
+    def test_auto_symmetric_is_optimal_among_symmetric_quantizers_only(self):
+        # an exactly antisymmetric joint on which the mirror-symmetric
+        # construction misses the global optimum
+        j = joint_of(np.array([[0.1, 1.0, 0.4, 0.6, 0.9, 0.5],
+                               [0.9, 0.4, 1.0, 0.5, 0.1, 0.6]]))
+        best = exhaustive_best_relevant_info(j, 4)
+        general = dp_optimal_quantizer(j, 4, symmetric=False)
+        auto = dp_optimal_quantizer(j, 4)
+        assert general.relevant_info == pytest.approx(best, abs=1e-12)
+        assert best == pytest.approx(0.192965, abs=5e-7)
+        assert auto.relevant_info == pytest.approx(0.192656, abs=5e-7)
+
     @settings(max_examples=120, deadline=None)
-    @given(m=st.one_of(tied_binary_matrices(max_symbols=8),
+    @given(m=st.one_of(tied_matrices(max_symbols=8),
                        mirrored_matrices(max_pairs=3, max_zero_llr=2)),
            n=st.integers(1, 4))
     @example(m=np.array([[0.1, 1.0, 0.4, 0.6, 0.9, 0.5],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibquant.info import (
     ConditionalDist,
@@ -24,6 +26,27 @@ def random_quantizer(rng, ny, nz, deterministic):
         labels = rng.integers(0, nz, size=ny)
         return Quantizer.from_labels(labels, nz)
     return Quantizer.random_stochastic(ny, nz, rng)
+
+
+@st.composite
+def joints_and_quantizers(draw):
+    """A joint and a quantizer, hard or stochastic, with exact-zero entries at times."""
+    nx = draw(st.integers(2, 5))
+    ny = draw(st.integers(1, 10))
+    nz = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(size=(nx, ny))
+    if draw(st.booleans()):
+        m[rng.uniform(size=m.shape) < 0.3] = 0.0
+    if m.sum() == 0:
+        m[0, 0] = 1.0
+    if draw(st.booleans()):
+        return JointXY(m / m.sum()), random_quantizer(rng, ny, nz, deterministic=True)
+    rows = rng.uniform(size=(ny, nz))
+    if draw(st.booleans()):
+        rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    return JointXY(m / m.sum()), ConditionalDist(rows / rows.sum(axis=1, keepdims=True))
 
 
 def mi_by_hand(matrix):
@@ -201,22 +224,18 @@ class TestAvgKlDistortion:
 
 
 class TestInvariants:
-    def test_data_processing_inequality(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 10)))
-            nz = int(rng.integers(1, j.num_y + 1))
-            q = random_quantizer(rng, j.num_y, nz, deterministic=bool(rng.integers(2)))
-            assert mutual_information(push_through_quantizer(j, q)) <= mutual_information(j) + 1e-9
+    @settings(max_examples=200, deadline=None)
+    @given(case=joints_and_quantizers())
+    def test_data_processing_inequality(self, case):
+        j, q = case
+        assert mutual_information(push_through_quantizer(j, q)) <= mutual_information(j) + 1e-12
 
-    def test_distortion_identity_over_random_pairs(self):
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 10)))
-            nz = int(rng.integers(1, 7))
-            q = random_quantizer(rng, j.num_y, nz, deterministic=bool(rng.integers(2)))
-            gap = mutual_information(j) - mutual_information(push_through_quantizer(j, q))
-            assert abs(avg_kl_distortion(j, q) - gap) < 1e-9
+    @settings(max_examples=200, deadline=None)
+    @given(case=joints_and_quantizers())
+    def test_distortion_identity_over_random_pairs(self, case):
+        j, q = case
+        gap = mutual_information(j) - mutual_information(push_through_quantizer(j, q))
+        assert abs(avg_kl_distortion(j, q) - gap) < 1e-12
 
     def test_deterministic_rate_identity(self):
         rng = np.random.default_rng(23)
