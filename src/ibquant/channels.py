@@ -46,9 +46,33 @@ class AwgnDiscretization:
         return cls(noise_std, clip_multiplier, num_bins, edges)
 
     def bin_of(self, samples) -> np.ndarray:
-        """Bin index of each (possibly out-of-range) real sample."""
-        idx = np.searchsorted(self.bin_edges, np.asarray(samples), side="right") - 1
-        return np.clip(idx, 0, self.num_bins - 1)
+        """Bin index of each (possibly out-of-range) real sample.
+
+        The same as clip(searchsorted(bin_edges, x, side="right") - 1), so NaN
+        falls in the last bin.  The bin is computed from the uniform width,
+        then moved at most one bin against the edges; an entry that one move
+        does not settle (only possible when the edges are not uniform) is
+        searched for.
+        """
+        x = np.asarray(samples, dtype=float)
+        if x.ndim == 0:
+            return self.bin_of(x[None])[0]
+        edges, last = self.bin_edges, self.num_bins - 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            est = (x - edges[0]) * (self.num_bins / (edges[-1] - edges[0]))
+        np.fmin(est, last, out=est)  # NaN goes to the last bin
+        np.maximum(est, 0, out=est)
+        idx = est.astype(np.intp)
+        # edges[i] <= x < edges[i + 1] settles bin i; NaN marks an open end
+        lower = np.concatenate(([np.nan], edges[1:-1]))
+        upper = np.concatenate((edges[1:-1], [np.nan]))
+        idx -= x < lower[idx]
+        idx += x >= upper[idx]
+        unsettled = (x < lower[idx]) | (x >= upper[idx])
+        if unsettled.any():
+            found = np.searchsorted(edges, x[unsettled], side="right") - 1
+            idx[unsettled] = np.clip(found, 0, last)
+        return idx
 
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])

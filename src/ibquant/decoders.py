@@ -11,12 +11,22 @@ block per node slot, so moving them between the variable and the check view
 is one row permutation (``_slot_permutations``), and frames that converged
 are dropped by selecting columns.
 
-The LUT decoder compiles its design at the start of every call.  Each stage
-table becomes a flat uint8 array (for up to 8-bit messages) indexed by the
-shift-or pair index (left << message_bits) | right.  Each iteration's
-cascades form one lookup program in which a sub-chain shared by several
-exclusive outputs, or by the variable and decision cascades, runs once; the
-next v2c messages and the hard decision come out of one program.
+The LUT decoder packs p = max(1, 8 // b) frames' b-bit messages into each
+byte, frame k of a byte at bits k * b (``_FramePacking``), so one lookup
+serves p frames; designs of 5 to 8 bits hold one frame per byte, and wider
+messages are rejected.  At the start of every call it compiles its design: each
+two-operand stage table becomes a 65,536-entry uint8 table indexed by the
+uint16 pair (L << 8) | R of two packed bytes, and a stage whose right operand
+is the constant zero a 256-entry table indexed by L; each distinct stage is
+built once per call.  For 4-bit messages compiling and packing take a few
+milliseconds.  Each iteration's cascades form one lookup program in which a
+sub-chain shared by several exclusive outputs, or by the variable and
+decision cascades, runs once; the next v2c messages and the hard decision
+come out of one program, and the decision's bits are unpacked for the
+syndrome.  In an iteration where some frames pass their syndrome, the frames
+left are paired again, p to a byte: bytes whose frames all continue are
+kept, the others' frames are unpacked and packed anew, and copies of the
+last of them fill the free positions of the last byte.
 
 The float engines share one flooding iteration (``_FloatIteration``) and
 differ only in the check update, which maps the dc check-side slot rows to dc
@@ -77,20 +87,137 @@ def _slot_permutations(code: LdpcCode) -> tuple[np.ndarray, np.ndarray]:
     return to_checks, to_vars
 
 
+class _FramePacking:
+    """Several frames' b-bit messages in each byte.
+
+    p = max(1, 8 // b) frames share a byte, frame k of the group at bits
+    k * b.  A (rows, F) array of per-frame messages packs into (rows, G)
+    bytes, G = ceil(F / p); frame position f sits in column f mod G at slot
+    f div G, so the live frames are the first F positions and the p G - F
+    positions after them hold copies.
+    """
+
+    def __init__(self, bits: int):
+        if not 1 <= bits <= 8:
+            raise ValueError("the LUT decoder holds messages of 1 to 8 bits")
+        self.bits = bits
+        self.per_byte = max(1, 8 // bits)
+        self.shifts = bits * np.arange(self.per_byte, dtype=np.uint8)
+        self.mask = np.uint8((1 << bits) - 1)
+        self._tables: dict[tuple, np.ndarray] = {}
+
+    def pack(self, values: np.ndarray) -> np.ndarray:
+        """Pack (rows, F) uint8 values, frame f at position f."""
+        rows, frames = values.shape
+        p = self.per_byte
+        groups = -(-frames // p)
+        values = np.concatenate(
+            [values, np.repeat(values[:, -1:], groups * p - frames, axis=1)], axis=1)
+        slots = values.reshape(rows, p, groups)
+        packed = slots[:, 0].copy()
+        for k in range(1, p):
+            packed |= slots[:, k] << self.shifts[k]
+        return packed
+
+    def unpack(self, packed: np.ndarray, frames: int) -> np.ndarray:
+        """The (rows, frames) values of the first frame positions."""
+        rows, groups = packed.shape
+        values = np.empty((rows, self.per_byte, groups), dtype=np.uint8)
+        for k, shift in enumerate(self.shifts):
+            np.right_shift(packed, shift, out=values[:, k])
+        values &= self.mask
+        return values.reshape(rows, -1)[:, :frames]
+
+    def repack(self, packed: np.ndarray, live: np.ndarray):
+        """Drop the frame positions where live is False and pair the rest again.
+
+        Returns the new packed rows and, for each new live position, its
+        old position.  A byte whose frames all stay is kept: in place if it
+        lies before the last columns, which must hold the copies, else moved
+        into a gap.  The frames of the other bytes are paired in the columns
+        left, in position order, and copies of the last of them fill the
+        last positions.
+        """
+        rows, groups = packed.shape
+        p = self.per_byte
+        cells = np.zeros(p * groups, dtype=bool)
+        cells[:live.size] = live
+        cells = cells.reshape(p, groups)
+        frames = int(live.sum())
+        new_groups = -(-frames // p)
+        pads = new_groups * p - frames
+        whole = cells.all(axis=0)
+        bound = max(0, new_groups - pads)
+        stay = np.flatnonzero(whole[:bound])
+        movers = bound + np.flatnonzero(whole[bound:])[:bound - stay.size]
+        free = np.ones(new_groups, dtype=bool)
+        free[stay] = False
+        gaps = np.flatnonzero(free)
+        gaps, paired = gaps[:movers.size], gaps[movers.size:]
+        cells[:, stay] = False
+        cells[:, movers] = False
+        rest = np.flatnonzero(cells)
+        source = np.empty((p, new_groups), dtype=np.intp)
+        slot_start = groups * np.arange(p)[:, None]
+        source[:, stay] = stay + slot_start
+        source[:, gaps] = movers + slot_start
+        source[:, paired] = np.concatenate(
+            [rest, np.repeat(rest[-1:], pads)]).reshape(p, -1)
+
+        out = packed[:, :new_groups].copy()
+        out[:, gaps] = packed[:, movers]
+        singles = np.zeros((rows, paired.size), dtype=np.uint8)
+        for k in range(p):
+            old = source[k, paired]
+            digits = packed.take(old % groups, axis=1) >> self.shifts[old // groups]
+            digits &= self.mask
+            digits <<= self.shifts[k]
+            singles |= digits
+        out[:, paired] = singles
+        return out, source.ravel()[:frames]
+
+    def table(self, stage: np.ndarray) -> np.ndarray:
+        """The packed table of a (levels, levels) or (levels, 1) uint8 stage.
+
+        A two-operand stage becomes 65,536 entries indexed by the uint16 pair
+        (L << 8) | R of two packed bytes, a stage with a constant-zero right
+        operand 256 entries indexed by L; either applies the stage to every
+        frame of the bytes at once.  Each distinct stage is built once, by
+        broadcasting over one axis per frame digit of each operand byte; the
+        bits above the last frame get an axis of their own and are ignored.
+        """
+        key = (stage.shape, stage.tobytes())
+        packed = self._tables.get(key)
+        if packed is None:
+            b, p = self.bits, self.per_byte
+            operand = (1 << (8 - p * b),) + (1 << b,) * p  # spare bits, digits p-1..0
+            shape = operand * (2 if stage.shape[1] > 1 else 1)
+            packed = np.uint8(0)
+            for k in range(p):
+                axes = [1] * len(shape)
+                axes[p - k] = 1 << b                      # digit k of the left byte
+                if len(shape) > len(operand):
+                    axes[len(operand) + p - k] = 1 << b   # digit k of the right byte
+                packed = packed | (stage << self.shifts[k]).reshape(axes)
+            packed = np.broadcast_to(packed, shape).ravel()
+            self._tables[key] = packed
+        return packed
+
+
 class _Lookups:
     """Straight-line program of two-operand table lookups on numbered values.
 
     Values 0..num_inputs-1 are the inputs.  Every distinct lookup, keyed by
-    its table bytes and its two operands, is added once and numbered after
-    them, so a sub-chain that several cascades have in common runs once.  A
-    lookup reads its flat table at (left << shift) | right; the right operand
-    -1 is the constant zero.
+    its stage table bytes and its two operands, is added once and numbered
+    after them, so a sub-chain that several cascades have in common runs
+    once.  Values are packed bytes; a lookup reads its packed table at the
+    pair (left << 8) | right, or at left when the right operand is -1, the
+    constant zero.
     """
 
-    def __init__(self, num_inputs: int, shift: int, index_dtype):
+    def __init__(self, num_inputs: int, packing: _FramePacking):
         self.num_inputs = num_inputs
-        self.shift = shift
-        self.index_dtype = index_dtype
+        self.packing = packing
         self.steps: list[tuple[np.ndarray, int, int]] = []
         self.outputs: list[int] = []
         self._ids: dict[tuple[bytes, int, int], int] = {}
@@ -107,62 +234,62 @@ class _Lookups:
         key = (table.tobytes(), left, right)
         if key not in self._ids:
             self._ids[key] = self.num_inputs + len(self.steps)
-            self.steps.append((table, left, right))
+            self.steps.append((self.packing.table(table), left, right))
         return self._ids[key]
 
     def run(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
         values = list(inputs)
         for table, left, right in self.steps:
-            index = np.left_shift(values[left], self.shift, dtype=self.index_dtype)
-            if right >= 0:
-                np.bitwise_or(index, values[right], out=index)
+            if right < 0:
+                values.append(table.take(values[left]))
+                continue
+            index = np.left_shift(values[left], 8, dtype=np.uint16)
+            np.bitwise_or(index, values[right], out=index)
             values.append(table.take(index))
         return [values[k] for k in self.outputs]
 
 
-def _flat_tables(cascade: LutCascade, levels: int, dtype) -> list[np.ndarray]:
-    """Stage tables as flat arrays indexed by (left << message_bits) | right."""
+def _stage_tables(cascade: LutCascade, levels: int) -> list[np.ndarray]:
+    """The uint8 stage tables of a cascade, (levels, 1) for a constant right operand."""
     tables = []
     for (_, right), stage in zip(cascade.operand_plan(), cascade.stages):
         lut = stage.lut
         if (lut.table.shape != (levels, levels if right >= 0 else 1)
                 or lut.out_alphabet_size != levels):
             raise ValueError("design table does not match the message alphabet")
-        flat = np.zeros((levels, levels), dtype=dtype)
-        flat[:, :lut.table.shape[1]] = lut.table
-        tables.append(flat.ravel())
+        tables.append(lut.table.astype(np.uint8))
     return tables
 
 
-def _compile_iteration(design: LdpcEnsembleDesign, t: int, dtype,
-                       index_dtype) -> tuple[_Lookups, _Lookups]:
+def _compile_iteration(design: LdpcEnsembleDesign, t: int,
+                       packing: _FramePacking) -> tuple[_Lookups, _Lookups]:
     """The check program and the variable-node program of iteration t.
 
     The check program maps the dc check-side slots to the dc exclusive
     outputs.  The node program maps the channel message (value 0) and the dv
     variable-side slots (values 1..dv) to the dv next v2c messages followed
-    by the hard decision.
+    by the hard decision, whose bits sit where the frames' messages do.
     """
     levels = design.alphabet_size
     dv, dc = design.var_degree, design.check_degree
-    check = _Lookups(dc, design.message_bits, index_dtype)
+    check = _Lookups(dc, packing)
     chain = design.check_luts[t]
-    tables = _flat_tables(chain, levels, dtype)
+    tables = _stage_tables(chain, levels)
     for i in range(dc):
         check.outputs.append(check.add_chain(chain, tables,
                                              [k for k in range(dc) if k != i]))
 
-    node = _Lookups(1 + dv, design.message_bits, index_dtype)
+    node = _Lookups(1 + dv, packing)
     chain = design.var_luts[t]
-    tables = _flat_tables(chain, levels, dtype)
+    tables = _stage_tables(chain, levels)
     for j in range(dv):
         node.outputs.append(node.add_chain(
             chain, tables, [0] + [1 + i for i in range(dv) if i != j]))
     rule = design.decision_luts[t]
     if rule.bit_map.shape != (levels,):
         raise ValueError("decision map does not match the message alphabet")
-    tables = _flat_tables(rule.cascade, levels, dtype)
-    tables[-1] = rule.bit_map.astype(dtype)[tables[-1]]  # the last stage emits bits
+    tables = _stage_tables(rule.cascade, levels)
+    tables[-1] = rule.bit_map.astype(np.uint8)[tables[-1]]  # the last stage emits bits
     node.outputs.append(node.add_chain(rule.cascade, tables, list(range(1 + dv))))
     return check, node
 
@@ -184,14 +311,11 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
     dv, dc = code.var_degree, code.check_degree
     if dv != design.var_degree or dc != design.check_degree:
         raise ValueError("design degrees do not match the code")
-    levels = design.alphabet_size
-    if design.channel_lut.num_clusters != levels:
+    if design.channel_lut.num_clusters != design.alphabet_size:
         raise ValueError("channel quantizer does not match the message alphabet")
-    dtype = np.min_scalar_type(levels - 1)
-    index_dtype = np.min_scalar_type(levels * levels - 1)
+    packing = _FramePacking(design.message_bits)
     depth = design.max_iter
-    plans = [_compile_iteration(design, t, dtype, index_dtype)
-             for t in range(min(max_iter, depth))]
+    plans = [_compile_iteration(design, t, packing) for t in range(min(max_iter, depth))]
     n, m = code.block_length, code.num_checks
     to_checks, to_vars = _slot_permutations(code)
 
@@ -201,7 +325,7 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
     converged = np.zeros(batch, dtype=bool)
 
     active = np.arange(batch)
-    chan = design.channel_lut.labels.astype(dtype).take(bins.T)
+    chan = packing.pack(design.channel_lut.labels.astype(np.uint8).take(bins.T))
     v2c = np.tile(chan, (dv, 1))
     for t in range(max_iter):
         check, node = plans[min(t, depth - 1)]
@@ -209,22 +333,23 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         c2v = np.concatenate(check.run([mc[i * m:(i + 1) * m] for i in range(dc)]))
         c2v = c2v.take(to_vars, axis=0)
         *var_out, decision = node.run([chan] + [c2v[j * n:(j + 1) * n] for j in range(dv)])
-        bits = decision.T.astype(np.uint8, copy=False)
+        bits = packing.unpack(decision, active.size).T
         ok = code.parity_ok(bits)
         if t == max_iter - 1:
             out_bits[active] = bits
-        if np.any(ok):
-            done = active[ok]
-            out_bits[done] = bits[ok]
-            iters_used[done] = t + 1
-            converged[done] = True
-            keep = ~ok
-            active = active[keep]
-            if active.size == 0:
-                break
-            chan = chan[:, keep]
-            var_out = [v[:, keep] for v in var_out]
-        v2c = np.concatenate(var_out)
+        if not np.any(ok):
+            v2c = np.concatenate(var_out)
+            continue
+        done = active[ok]
+        out_bits[done] = bits[ok]
+        iters_used[done] = t + 1
+        converged[done] = True
+        if done.size == active.size:
+            break
+        # the frames left are paired again, so no byte carries a finished one
+        state, order = packing.repack(np.concatenate([chan] + var_out), ~ok)
+        active = active[order]
+        chan, v2c = state[:n], state[n:]
     return out_bits, iters_used, converged
 
 

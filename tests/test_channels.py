@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ibquant.channels import (
@@ -145,6 +149,47 @@ class TestDiscretization:
         disc = AwgnDiscretization.for_alphabet([1.0, -1.0], 0.5, 8)
         centers = disc.centers()
         assert np.array_equal(disc.bin_of(centers), np.arange(8))
+
+
+@st.composite
+def discretizations(draw):
+    """Uniform edges as the channels build them, or increasing hand-built ones."""
+    if draw(st.booleans()):
+        amplitude = draw(st.floats(0.1, 10.0))
+        return AwgnDiscretization.for_alphabet(
+            [-amplitude, amplitude], draw(st.floats(1e-3, 10.0)),
+            draw(st.integers(2, 300)), draw(st.floats(0.0, 5.0)))
+    edges = draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=40, unique=True))
+    return AwgnDiscretization(1.0, 3.0, len(edges) - 1, np.sort(edges))
+
+
+def searched_bins(disc, samples):
+    found = np.searchsorted(disc.bin_edges, np.asarray(samples), side="right") - 1
+    return np.clip(found, 0, disc.num_bins - 1)
+
+
+class TestBinOfMatchesSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(disc=discretizations(), data=st.data())
+    def test_matches_searchsorted(self, disc, data):
+        edges = disc.bin_edges
+        inside = st.floats(edges[0] - 1.0, edges[-1] + 1.0)
+        drawn = data.draw(st.lists(st.one_of(inside, st.floats()), max_size=60))
+        samples = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300], drawn])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = disc.bin_of(samples)
+            # a non-contiguous two-dimensional view and a scalar
+            grid = np.resize(samples, (3, samples.size))[:, ::2]
+            got_grid = disc.bin_of(grid.T)
+            got_scalar = disc.bin_of(float(samples[-1]))
+        want = searched_bins(disc, samples)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(got_grid, searched_bins(disc, grid.T))
+        assert got_scalar == searched_bins(disc, float(samples[-1]))
+        assert np.shape(got_scalar) == ()
 
 
 class TestLlrs:

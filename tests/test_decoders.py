@@ -15,6 +15,7 @@ from ibquant.decoders import (
     _CHECK_UPDATES,
     _CORRECTION_TABLE,
     _frame_rng,
+    _FramePacking,
     ber_sweep,
     bp_posteriors,
     decode_bp,
@@ -309,7 +310,8 @@ ORACLE_DESIGNS = {
     "3bit-above": (120, 3, 6, 2.0, 64, 3, 20),    # saturates after 17 iterations
     "2bit-below": (120, 3, 6, 2.0, 64, 2, 20),
     "3bit-dv2": (120, 2, 4, 1.5, 64, 3, 10),
-    "5bit-tiny": (24, 3, 6, 2.0, 64, 5, 3),       # (l << 5) | r needs 10 bits
+    "5bit-tiny": (24, 3, 6, 2.0, 64, 5, 3),       # one frame per byte
+    "1bit": (120, 3, 6, 2.0, 64, 1, 20),          # eight frames per byte
 }
 
 
@@ -339,10 +341,13 @@ def oracle_designs(setup_2db, tmp_path_factory):
 class TestCompiledLutDecoder:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(ORACLE_DESIGNS) + ["3bit-loaded", "4bit-mixed"]),
-           batch=st.integers(1, 6), max_iter=st.integers(1, 60),
+           batch=st.integers(1, 40), max_iter=st.integers(1, 60),
            sigma=st.floats(0.3, 1.3), seed=st.integers(0, 2**32 - 1))
     @example(name="4bit-above", batch=1, max_iter=50, sigma=0.8, seed=0)
     @example(name="4bit-below", batch=5, max_iter=40, sigma=0.85, seed=1)
+    @example(name="4bit-below", batch=7, max_iter=40, sigma=0.8, seed=6)
+    @example(name="4bit-below", batch=33, max_iter=50, sigma=0.8, seed=7)
+    @example(name="1bit", batch=19, max_iter=30, sigma=0.4, seed=8)
     @example(name="3bit-loaded", batch=4, max_iter=30, sigma=0.8, seed=2)
     @example(name="2bit-below", batch=3, max_iter=25, sigma=0.6, seed=3)
     @example(name="5bit-tiny", batch=6, max_iter=10, sigma=0.7, seed=4)
@@ -368,6 +373,60 @@ class TestCompiledLutDecoder:
                     dataclasses.replace(design, decision_luts=two_bit.decision_luts)):
             with pytest.raises(ValueError, match="message alphabet"):
                 decode_lut_batch(code, bad, bins, 5)
+
+
+class TestFramePacking:
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.integers(1, 8), constant_right=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_packed_lookup_applies_the_stage_to_every_frame(self, bits, constant_right,
+                                                              seed):
+        rng = np.random.default_rng(seed)
+        levels = 1 << bits
+        stage = rng.integers(0, levels, (levels, 1 if constant_right else levels),
+                             dtype=np.uint8)
+        packing = _FramePacking(bits)
+        table = packing.table(stage)
+        # random bytes, so the bits above the last frame are set too
+        left, right = rng.integers(0, 256, (2, 500), dtype=np.uint8)
+        index = left if constant_right else (left.astype(np.uint16) << 8) | right
+        out = table.take(index)
+        mask = levels - 1
+        for k in range(packing.per_byte):
+            l_k = (left >> (k * bits)) & mask
+            r_k = 0 if constant_right else (right >> (k * bits)) & mask
+            assert np.array_equal((out >> (k * bits)) & mask, stage[l_k, r_k])
+        if packing.per_byte * bits < 8:
+            assert np.all(out >> (packing.per_byte * bits) == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.integers(1, 8), frames=st.integers(1, 70), data=st.data())
+    def test_repack_keeps_the_live_frames_and_pads_with_copies(self, bits, frames, data):
+        packing = _FramePacking(bits)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(0, 1 << bits, (3, frames), dtype=np.uint8)
+        packed = packing.pack(values)
+        p = packing.per_byte
+        assert packed.shape == (3, -(-frames // p))
+        held = packing.unpack(packed, p * packed.shape[1])
+        assert np.array_equal(held[:, :frames], values)
+        assert np.all(held[:, frames:] == values[:, -1:])
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=frames,
+                                           max_size=frames)))
+        if not live.any():
+            return
+        repacked, order = packing.repack(packed, live)
+        assert sorted(order) == list(np.flatnonzero(live))
+        kept = live.sum()
+        assert repacked.shape == (3, -(-kept // p))
+        held = packing.unpack(repacked, p * repacked.shape[1])
+        assert np.array_equal(held[:, :kept], values[:, order])
+        pads = held[:, kept:]
+        assert all(any(np.array_equal(pad, values[:, f]) for f in order) for pad in pads.T)
+
+    def test_rejects_messages_wider_than_a_byte(self):
+        with pytest.raises(ValueError, match="1 to 8 bits"):
+            _FramePacking(9)
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +600,15 @@ class TestBerSweep:
                         seed=4, num_bins=64, batch_size=25)
         assert pts[0].frames < 5000
         assert pts[0].frame_errors >= 10
+
+    def test_lut_results_do_not_depend_on_batching(self, oracle_designs):
+        # below the threshold frames stop at different iterations, so the
+        # batches are compacted, and re-paired, at different frames
+        code, design = oracle_designs["4bit-below"]
+        points = [ber_sweep(code, "lut", [1.0], max_frames=30, seed=12, design=design,
+                            codewords="random", batch_size=size) for size in (7, 200)]
+        assert points[0] == points[1]
+        assert 0 < points[0][0].frame_errors < 30
 
     def test_unknown_decoder(self):
         code = make_code()
