@@ -9,6 +9,7 @@ seed, and identical invocations produce byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -77,6 +78,8 @@ def _cmd_quantize(parser, args) -> int:
     n_values = _parse_list(parser, "--n", args.n, int)
     if any(n < 1 for n in n_values):
         parser.error("cluster counts must be >= 1")
+    if args.alg == "it-ib" and not math.isfinite(args.beta):
+        parser.error(f"--beta must be finite for it-ib, got {args.beta}")
     points = ib.ib_curve(dmc.joint(), args.alg, n_values, beta=args.beta,
                          lam=args.lam, restarts=args.restarts, seed=args.seed)
     ib.write_curve_csv(args.out, points, args.alg, args.beta, args.restarts,

@@ -22,19 +22,28 @@ built once per call.  For 4-bit messages compiling and packing take a few
 milliseconds.  Each iteration's cascades form one lookup program in which a
 sub-chain shared by several exclusive outputs, or by the variable and
 decision cascades, runs once; the next v2c messages and the hard decision
-come out of one program, and the decision's bits are unpacked for the
-syndrome.  In an iteration where some frames pass their syndrome, the frames
-left are paired again, p to a byte: bytes whose frames all continue are
-kept, the others' frames are unpacked and packed anew, and copies of the
-last of them fill the free positions of the last byte.
+come out of one program.  Parity is bitwise, so the syndrome of the packed
+decision bytes holds every frame's syndrome at its bit: one OR over the
+checks gives a byte per group, unpacked into one failure flag per frame, and
+decisions are unpacked only for frames that finish.  In an iteration where
+some frames pass their syndrome, the frames left are paired again, p to a
+byte: bytes whose frames all continue are kept, the others' frames are
+unpacked and packed anew, and copies of the last of them fill the free
+positions of the last byte.
 
 The float engines share one flooding iteration (``_FloatIteration``) and
 differ only in the check update, which maps the dc check-side slot rows to dc
-exclusive outputs.  Plain min-sum makes one running pass for the two smallest
-magnitudes of every check instead of sorting it; corrected min-sum chains
-table-corrected boxplus operations from both ends; BP multiplies tanh(x/2)
-from both ends.  The variable update adds the dv incoming messages left to
-right, then the channel LLR.
+exclusive outputs.  Gather, update and clip run on blocks of checks small
+enough that a block's temporaries stay in a per-core L2 cache; the checks
+are independent, so the blocks give the bits of one whole-array update.
+Plain min-sum makes one running pass for the two smallest magnitudes of
+every check instead of sorting it; corrected min-sum chains table-corrected
+boxplus operations from both ends, starting from a large identity value, and
+while every input of a block is below 1e8 the four steps against the
+identity take their exact closed form (x + g) - g, g the last table entry;
+BP multiplies tanh(x/2) from both ends.  The variable update adds the dv
+incoming messages left to right, then the channel LLR.  The hard decision
+goes to the syndrome as the transposed (n, batch) comparison, with no copy.
 """
 
 from __future__ import annotations
@@ -333,9 +342,12 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         c2v = np.concatenate(check.run([mc[i * m:(i + 1) * m] for i in range(dc)]))
         c2v = c2v.take(to_vars, axis=0)
         *var_out, decision = node.run([chan] + [c2v[j * n:(j + 1) * n] for j in range(dv)])
-        bits = packing.unpack(decision, active.size).T
-        ok = code.parity_ok(bits)
-        if t == max_iter - 1:
+        failed = np.bitwise_or.reduce(code.syndrome(decision.T), axis=-1)
+        ok = packing.unpack(failed[None], active.size)[0] == 0
+        last = t == max_iter - 1
+        if last or np.any(ok):
+            bits = packing.unpack(decision, active.size).T
+        if last:
             out_bits[active] = bits
         if not np.any(ok):
             v2c = np.concatenate(var_out)
@@ -401,34 +413,62 @@ def _correction(t: np.ndarray) -> np.ndarray:
     return _CORRECTION_TABLE[idx.astype(np.intp)]
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    mag = np.minimum(np.abs(a), np.abs(b), out=out)
+def _bounded_correction(t: np.ndarray) -> np.ndarray:
+    """g(t) for 0 <= t < 2**60, where the integer cast is exact and may come first."""
+    return _CORRECTION_TABLE.take((t / CORRECTION_STEP).astype(np.intp), mode="clip")
+
+
+def _boxplus(a: np.ndarray, b: np.ndarray, abs_b: np.ndarray, correction,
+             out: np.ndarray | None = None) -> np.ndarray:
+    mag = np.minimum(np.abs(a), abs_b, out=out)
     # a signed zero here is harmless: the correction term added next is > 0
     np.copysign(mag, a * b, out=mag)
-    mag += _correction(np.abs(a + b))
-    mag -= _correction(np.abs(a - b))
+    mag += correction(np.abs(a + b))
+    mag -= correction(np.abs(a - b))
     return mag
 
 
 _BOXPLUS_IDENTITY = 1e9  # acts as certainty: boxplus(identity, x) = x
+# Below this magnitude boxplus(identity, x) is exactly (x + g63) - g63: the
+# min picks |x|, the sign is x's, and both correction indices clip to 63.
+_CLOSED_FORM_BOUND = 1e8
 
 
 def _corrected_check_update(mc: np.ndarray, out: np.ndarray) -> None:
     """Boxplus with a tabulated Jacobian correction over prefix/suffix chains.
 
     Both chains start from _BOXPLUS_IDENTITY, whose x + g - g rounding is part
-    of the result, and output i is boxplus(prefix[i], suffix[i + 1]).
+    of the result, and output i is boxplus(prefix[i], suffix[i + 1]).  While
+    every |input| is below _CLOSED_FORM_BOUND the four steps against the
+    identity take their closed form, and every correction index fits the
+    integer cast.
     """
     dc = len(mc)
-    identity = np.full_like(mc[0], _BOXPLUS_IDENTITY)
-    prefix = [identity]
-    for row in mc[:-1]:
-        prefix.append(_boxplus(prefix[-1], row))
-    suffix = identity
-    for i in range(dc - 1, -1, -1):
-        _boxplus(prefix[i], suffix, out=out[i])
-        if i:
-            suffix = _boxplus(suffix, mc[i])
+    mags = np.abs(mc)
+    if dc > 1 and mags.max(initial=0.0) < _CLOSED_FORM_BOUND:
+        g = _CORRECTION_TABLE[-1]
+        correction = _bounded_correction
+
+        def with_identity(x):
+            return (x + g) - g
+    else:
+        identity = np.full_like(mc[0], _BOXPLUS_IDENTITY)
+        correction = _correction
+
+        def with_identity(x):
+            return _boxplus(x, identity, identity, correction)
+        if dc == 1:  # the one output combines the two empty chains
+            out[0] = with_identity(identity)
+            return
+    prefix = [None, with_identity(mc[0])]
+    for i in range(1, dc - 1):
+        prefix.append(_boxplus(prefix[i], mc[i], mags[i], correction))
+    out[dc - 1] = with_identity(prefix[dc - 1])
+    suffix = with_identity(mc[dc - 1])
+    for i in range(dc - 2, 0, -1):
+        _boxplus(prefix[i], suffix, np.abs(suffix), correction, out=out[i])
+        suffix = _boxplus(suffix, mc[i], mags[i], correction)
+    out[0] = with_identity(suffix)
 
 
 def _bp_check_update(mc: np.ndarray, out: np.ndarray) -> None:
@@ -461,23 +501,36 @@ _CHECK_UPDATES = {
 }
 
 
+# Elements per slot row of a check block: a block's update temporaries stay
+# within a 2 MiB per-core L2 cache.
+_BLOCK = 1 << 14
+
+
 class _FloatIteration:
-    """One flooding iteration of float message passing on slot-major rows."""
+    """One flooding iteration of float message passing on slot-major rows.
+
+    The check side runs gather, update and clip on blocks of _BLOCK // batch
+    checks at a time; every check's update is independent of the others, so
+    the blocks give the same bits as one whole-array update.
+    """
 
     def __init__(self, code: LdpcCode, engine: str):
         self.update = _CHECK_UPDATES[engine]
-        self.to_checks, self.to_vars = _slot_permutations(code)
-        self.dv, self.dc = code.var_degree, code.check_degree
-        self.num_checks = code.num_checks
+        to_checks, self.to_vars = _slot_permutations(code)
+        self.check_rows = to_checks.reshape(code.check_degree, code.num_checks)
+        self.dv = code.var_degree
 
     def __call__(self, chan: np.ndarray, v2c: np.ndarray):
         """Posterior (n, batch) and c2v (dv * n, batch) from the v2c rows."""
-        mc = v2c.take(self.to_checks, axis=0)
-        cc = np.empty_like(mc)
-        shape = (self.dc, self.num_checks, mc.shape[1])
-        self.update(mc.reshape(shape), cc.reshape(shape))
-        np.clip(cc, -LLR_LIMIT, LLR_LIMIT, out=cc)
-        c2v = cc.take(self.to_vars, axis=0)
+        dc, m = self.check_rows.shape
+        batch = v2c.shape[1]
+        cc = np.empty((dc, m, batch))
+        rows = max(1, _BLOCK // max(1, batch))
+        for start in range(0, m, rows):
+            out = cc[:, start:start + rows]
+            self.update(v2c.take(self.check_rows[:, start:start + rows], axis=0), out)
+            np.clip(out, -LLR_LIMIT, LLR_LIMIT, out=out)
+        c2v = cc.reshape(dc * m, batch).take(self.to_vars, axis=0)
         slots = np.split(c2v, self.dv)
         total = slots[0].copy()
         for s in slots[1:]:
@@ -518,11 +571,13 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     v2c = np.tile(chan, (code.var_degree, 1))
     for t in range(max_iter):
         posterior, c2v = step(chan, v2c)
-        bits = (posterior < 0).T.astype(np.uint8)
-        ok = code.parity_ok(bits)
+        hard = posterior < 0
+        ok = code.parity_ok(hard.T)
+        if t == max_iter - 1:
+            out_bits[active] = hard.T
         if np.any(ok):
             done = active[ok]
-            out_bits[done] = bits[ok]
+            out_bits[done] = hard[:, ok].T
             iters_used[done] = t + 1
             converged[done] = True
             keep = ~ok
@@ -532,9 +587,6 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
             chan = chan[:, keep]
             posterior = posterior[:, keep]
             c2v = c2v[:, keep]
-            bits = bits[keep]
-        if t == max_iter - 1:
-            out_bits[active] = bits
         v2c = step.extrinsic(posterior, c2v)
     return out_bits, iters_used, converged
 

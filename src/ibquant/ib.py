@@ -265,6 +265,8 @@ def iterative_ib(j: JointXY, num_clusters: int, beta: float,
     """
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if beta < 0:
         raise ValueError("beta must be non-negative")
     keep, data = _positive_mass(j)

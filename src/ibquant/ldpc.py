@@ -69,12 +69,22 @@ class LdpcCode:
         return 1.0 - self.var_degree / self.check_degree
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        """Parity of each check; bits may carry extra leading axes."""
-        bits = np.asarray(bits)
-        return np.bitwise_xor.reduce(bits[..., self.check_adj], axis=-1)
+        """Parity of each check; bits may carry extra leading axes.
+
+        An XOR of dc gathers of variable rows, the variable axis moved to the
+        front: a transposed view of slot-major (n, frames) rows gathers whole
+        contiguous rows.  Parity is bitwise, so bytes that pack several
+        frames' bits give every frame's parity at its bit.
+        """
+        rows = np.moveaxis(np.asarray(bits), -1, 0)
+        slots = self.check_adj.T
+        parity = rows.take(slots[0], axis=0)
+        for slot in slots[1:]:
+            parity ^= rows.take(slot, axis=0)
+        return np.moveaxis(parity, 0, -1)
 
     def parity_ok(self, bits: np.ndarray) -> np.ndarray:
-        return ~np.any(self.syndrome(bits).astype(bool), axis=-1)
+        return ~np.any(self.syndrome(bits), axis=-1)
 
 
 def count_four_cycles(h: np.ndarray) -> int:

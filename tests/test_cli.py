@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,16 @@ class TestQuantize:
                     "--n", "2", "--out", str(out), "--mapping-out", str(mapping)]) == 0
         lines = [l for l in mapping.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "quantizer 2 2"
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta_is_usage_error(self, beta, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                run(["quantize", "--channel", "ask4", "--bins", "16", "--alg", "it-ib",
+                     "--beta", beta, "--n", "4", "--out", str(tmp_path / "q.csv")])
+        assert exc.value.code == 2
+        assert "--beta" in capsys.readouterr().err
 
     def test_dp_on_nonbinary_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "q.csv"

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibquant import dde, maxlut
 from ibquant.channels import build_bpsk_awgn
@@ -86,6 +91,41 @@ class TestSerialization:
             assert np.array_equal(a.bit_map, b.bit_map)
         assert np.allclose(loaded.dmc.transition.rows, design.dmc.transition.rows,
                            atol=0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ebn0=st.sampled_from([0.5, 1.5, 2.5]), bins=st.sampled_from([16, 32, 64]),
+           bits=st.integers(1, 4), iters=st.integers(1, 4),
+           degrees=st.sampled_from([(3, 6), (2, 4)]),
+           comment=st.one_of(st.none(), st.text(st.characters(min_codepoint=32,
+                                                              max_codepoint=126))))
+    def test_round_trip_property(self, ebn0, bins, bits, iters, degrees, comment):
+        # the text holds every table, map and float exactly, so saving the
+        # loaded design writes the same lines again
+        design = design_decoder(build_bpsk_awgn(ebn0, 0.5, bins), *degrees, bits, iters)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.txt"), Path(tmp, "b.txt")
+            save_design(design, first, comment=comment)
+            loaded = load_design(first)
+            save_design(loaded, second, comment=comment)
+            assert second.read_bytes() == first.read_bytes()
+        assert (loaded.message_bits, loaded.max_iter, loaded.var_degree,
+                loaded.check_degree) == (bits, design.max_iter, *degrees)
+        assert np.array_equal(loaded.channel_lut.labels, design.channel_lut.labels)
+        assert (loaded.channel_message.rows.tobytes()
+                == design.channel_message.rows.tobytes())
+        assert loaded.error_prob_trace.tobytes() == design.error_prob_trace.tobytes()
+        assert loaded.dmc.transition.rows.tobytes() == design.dmc.transition.rows.tobytes()
+        for got, want in zip(loaded.check_luts + loaded.var_luts,
+                             design.check_luts + design.var_luts):
+            assert (got.node, got.schedule, got.num_inputs) == (
+                want.node, want.schedule, want.num_inputs)
+            for a, b in zip(got.stages, want.stages, strict=True):
+                assert (a.left, a.right) == (b.left, b.right)
+                assert np.array_equal(a.lut.table, b.lut.table)
+                assert a.lut.out_cond.rows.tobytes() == b.lut.out_cond.rows.tobytes()
+        for got, want in zip(loaded.decision_luts, design.decision_luts, strict=True):
+            assert np.array_equal(got.bit_map, want.bit_map)
+            assert len(got.cascade.stages) == len(want.cascade.stages)
 
     def test_header_line(self, tmp_path):
         design = small_design(bits=4, iters=2)

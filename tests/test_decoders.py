@@ -1,18 +1,22 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ibquant import decoders
 from ibquant.channels import binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
 from ibquant.dde import design_decoder, load_design, save_design
 from ibquant.decoders import (
     CORRECTION_STEP,
     CORRECTION_TABLE_SIZE,
     LLR_LIMIT,
+    _BLOCK,
     _CHECK_UPDATES,
+    _CLOSED_FORM_BOUND,
     _CORRECTION_TABLE,
     _frame_rng,
     _FramePacking,
@@ -25,7 +29,7 @@ from ibquant.decoders import (
     decode_min_sum,
     write_ber_csv,
 )
-from ibquant.ldpc import construct_regular_ldpc
+from ibquant.ldpc import LdpcCode, construct_regular_ldpc
 
 
 def make_code(n=120, seed=3):
@@ -275,6 +279,10 @@ def reference_bp_posteriors(code, dmc, channel_bins, max_iter):
     return posterior[0]
 
 
+BOUND_NEIGHBOURS = (np.nextafter(_CLOSED_FORM_BOUND, 0.0), _CLOSED_FORM_BOUND,
+                    np.nextafter(_CLOSED_FORM_BOUND, np.inf))
+
+
 def _oracle_llrs(code, kind, batch, sigma, seed):
     """(batch, n) LLRs of one of the FLOAT_INPUTS kinds."""
     rng = np.random.default_rng(seed)
@@ -293,6 +301,11 @@ def _oracle_llrs(code, kind, batch, sigma, seed):
         llr[rng.random((batch, n)) < 0.2] = 0.0
         llr[rng.random((batch, n)) < 0.1] = -0.0
         return llr
+    if kind == "huge":  # finite, around the closed-form identity bound 1e8
+        mags = 10.0 ** rng.uniform(7.0, 12.0, (batch, n))
+        near = rng.random((batch, n)) < 0.3
+        mags[near] = rng.choice(BOUND_NEIGHBOURS, near.sum())
+        return np.copysign(mags, noisy)
     # saturating: beyond LLR_LIMIT, and exactly at it
     llr = np.clip(40.0 * noisy, -2 * LLR_LIMIT, 2 * LLR_LIMIT)
     at_limit = rng.random((batch, n)) < 0.3
@@ -300,7 +313,7 @@ def _oracle_llrs(code, kind, batch, sigma, seed):
     return llr
 
 
-FLOAT_INPUTS = ("table-128", "table-8", "equal-magnitudes", "zeros", "saturating")
+FLOAT_INPUTS = ("table-128", "table-8", "equal-magnitudes", "zeros", "saturating", "huge")
 
 
 # name: (block length, dv, dc, Eb/N0 dB, bins, message bits, designed iterations)
@@ -441,22 +454,26 @@ class TestSlotMajorFloatDecoder:
            engine=st.sampled_from(["minsum", "minsum-corrected", "bp"]),
            kind=st.sampled_from(FLOAT_INPUTS), batch=st.integers(0, 6),
            max_iter=st.integers(1, 60), sigma=st.floats(0.3, 1.3),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64, _BLOCK]))
     @example(degrees=(3, 6), engine="minsum", kind="table-8", batch=6, max_iter=40,
-             sigma=0.9, seed=0)
+             sigma=0.9, seed=0, block=_BLOCK)
     @example(degrees=(3, 6), engine="minsum", kind="equal-magnitudes", batch=4,
-             max_iter=20, sigma=0.8, seed=1)
+             max_iter=20, sigma=0.8, seed=1, block=_BLOCK)
     @example(degrees=(2, 4), engine="minsum-corrected", kind="zeros", batch=5,
-             max_iter=30, sigma=0.7, seed=2)
+             max_iter=30, sigma=0.7, seed=2, block=_BLOCK)
     @example(degrees=(3, 6), engine="bp", kind="saturating", batch=3, max_iter=25,
-             sigma=1.2, seed=3)
+             sigma=1.2, seed=3, block=_BLOCK)
     @example(degrees=(3, 6), engine="minsum-corrected", kind="table-128", batch=0,
-             max_iter=5, sigma=0.8, seed=4)
+             max_iter=5, sigma=0.8, seed=4, block=_BLOCK)
+    @example(degrees=(3, 6), engine="minsum-corrected", kind="huge", batch=5,
+             max_iter=30, sigma=0.8, seed=5, block=7)
     def test_matches_reference_decoder(self, float_codes, degrees, engine, kind, batch,
-                                       max_iter, sigma, seed):
+                                       max_iter, sigma, seed, block):
+        # smaller blocks split the checks as a large batch does at the default
         code = float_codes[degrees]
         llr = _oracle_llrs(code, kind, batch, sigma, seed)
-        got = decode_llr_batch(code, llr, max_iter, engine)
+        with mock.patch.object(decoders, "_BLOCK", block):
+            got = decode_llr_batch(code, llr, max_iter, engine)
         want = reference_decode_llr_batch(code, llr, max_iter, engine)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
@@ -478,6 +495,44 @@ class TestSlotMajorFloatDecoder:
         _CHECK_UPDATES[engine](np.ascontiguousarray(mc.transpose(2, 1, 0)), got)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(degrees=st.sampled_from([(3, 6), (2, 4)]),
+           engine=st.sampled_from(["minsum", "minsum-corrected", "bp"]),
+           kind=st.sampled_from(FLOAT_INPUTS), batch=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(degrees=(3, 6), engine="minsum-corrected", kind="huge", batch=3, seed=0,
+             data=None)
+    def test_blocks_of_checks_update_like_the_whole_array(self, float_codes, degrees,
+                                                          engine, kind, batch, seed, data):
+        # corrected min-sum takes its closed form in blocks below the bound and
+        # the identity chain elsewhere; both must give the same bits
+        code = float_codes[degrees]
+        m = code.num_checks
+        rng = np.random.default_rng(seed)
+        llr = _oracle_llrs(code, kind, batch, 0.8, seed)
+        mc = np.ascontiguousarray(llr[:, code.check_adj].transpose(2, 1, 0))
+        # checks kept as drawn, held just below the bound, or with one input on
+        # the other side of it from the rest; "above" reaches past the 2**63
+        # range of an integer cast of the correction index
+        scale = rng.integers(0, 4, m)
+        one = np.arange(len(mc))[:, None] == rng.integers(0, len(mc), m)
+        low = (scale == 1) | ((scale == 2) & one) | ((scale == 3) & ~one)
+        high = ((scale == 2) & ~one) | ((scale == 3) & one)
+        mc[low] = np.copysign(np.minimum(np.abs(mc[low]), BOUND_NEIGHBOURS[0]), mc[low])
+        above = 10.0 ** rng.uniform(9, 300, mc[high].shape)
+        mc[high] = np.copysign(np.maximum(np.abs(mc[high]), above), mc[high])
+        if data is None:
+            cuts = list(range(1, m))
+        else:
+            cuts = sorted(data.draw(st.sets(st.integers(1, m - 1))))
+        whole = np.empty_like(mc)
+        blocks = np.empty_like(mc)
+        with np.errstate(over="ignore"):  # a product of two such inputs only carries a sign
+            _CHECK_UPDATES[engine](mc, whole)
+            for start, stop in zip([0] + cuts, cuts + [m]):
+                _CHECK_UPDATES[engine](mc[:, start:stop], blocks[:, start:stop])
+        assert np.array_equal(blocks.view(np.int64), whole.view(np.int64))
+
     @pytest.mark.parametrize("degrees", [(3, 6), (2, 4)])
     def test_bp_posteriors_match_reference(self, float_codes, degrees):
         code = float_codes[degrees]
@@ -489,6 +544,15 @@ class TestSlotMajorFloatDecoder:
                 want = reference_bp_posteriors(code, dmc, frame, max_iter)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
+
+    def test_corrected_degree_one_checks_match_reference(self):
+        # each output combines two empty chains: boxplus(identity, identity)
+        code = LdpcCode(np.eye(6, dtype=np.uint8), 1, 1, seed=0)
+        llr = 1.0 + 0.8 * np.random.default_rng(9).standard_normal((3, 6))
+        got = decode_llr_batch(code, llr, 5, "minsum-corrected")
+        want = reference_decode_llr_batch(code, llr, 5, "minsum-corrected")
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_rejects_bad_input(self, float_codes):
         code = float_codes[(3, 6)]

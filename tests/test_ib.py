@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,18 @@ class TestIbObjective:
 
 
 class TestIterativeIb:
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_beta_before_sweeping(self, beta):
+        j = random_joint(np.random.default_rng(6), 2, 5)
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta must be finite"):
+                iterative_ib(j, 2, beta, init=0, objective_trace=trace)
+            with pytest.raises(ValueError, match="beta must be finite"):
+                ib_curve(j, "it-ib", [2], beta=beta, restarts=2)
+        assert trace == []
+
     def test_noiseless_identity_is_fixed_point(self):
         j = JointXY(np.diag([0.1, 0.2, 0.3, 0.4]))
         for beta in (1.0, 50.0, 400.0):
@@ -580,17 +593,16 @@ class TestItIbMatchesReference:
     def test_matches_reference(self, m, beta, max_sweeps, tol, seed, data):
         j = joint_of(m)
         n = data.draw(st.integers(1, j.num_y)) if data is not None else j.num_y
-        want_trace = []
-        try:
-            want, sweeps, converged = reference_iterative_ib(
-                j, n, beta, seed, max_sweeps, tol, objective_trace=want_trace)
-        except ValueError as err:
-            # at beta = inf the mapping turns into NaN; both loops must refuse it
+        if math.isinf(beta):
+            # the reference loop turns the mapping into NaN; IT-IB refuses beta first
             for trace in (None, []):
-                with pytest.raises(ValueError, match=str(err)):
+                with pytest.raises(ValueError, match="beta must be finite, got inf"):
                     iterative_ib(j, n, beta, init=seed, max_sweeps=max_sweeps, tol=tol,
                                  objective_trace=trace)
             return
+        want_trace = []
+        want, sweeps, converged = reference_iterative_ib(
+            j, n, beta, seed, max_sweeps, tol, objective_trace=want_trace)
         for trace in (None, []):
             got = iterative_ib(j, n, beta, init=seed, max_sweeps=max_sweeps, tol=tol,
                                objective_trace=trace)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ibquant.decoders import _FramePacking
 from ibquant.ldpc import (
     LdpcCode,
     construct_regular_ldpc,
@@ -81,6 +84,61 @@ class TestSyndrome:
         words[2, 5] = 1
         ok = code.parity_ok(words)
         assert list(ok) == [True, True, False, True]
+
+
+def reference_syndrome(code, bits):
+    """Parity of each check from one (..., m, dc) gather of the bits."""
+    return np.bitwise_xor.reduce(np.asarray(bits)[..., code.check_adj], axis=-1)
+
+
+SYNDROME_CODES = {(dv, dc): construct_regular_ldpc(60, dv, dc, seed=3)
+                  for dv, dc in ((3, 6), (2, 4), (4, 6))}
+
+
+class TestSyndromeMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(degrees=st.sampled_from(sorted(SYNDROME_CODES)),
+           lead=st.lists(st.integers(0, 4), max_size=2),
+           dtype=st.sampled_from([np.uint8, np.bool_, np.int64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_arrays_with_leading_axes(self, degrees, lead, dtype, seed):
+        code = SYNDROME_CODES[degrees]
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (*lead, code.block_length)).astype(dtype)
+        want = reference_syndrome(code, bits)
+        got = code.syndrome(bits)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(code.parity_ok(bits), ~np.any(want, axis=-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(degrees=st.sampled_from(sorted(SYNDROME_CODES)), frames=st.integers(0, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_transposed_slot_major_rows(self, degrees, frames, seed):
+        code = SYNDROME_CODES[degrees]
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 2, (code.block_length, frames)) == 1  # (n, frames)
+        want = reference_syndrome(code, np.ascontiguousarray(rows.T))
+        assert np.array_equal(code.syndrome(rows.T), want)
+        assert np.array_equal(code.parity_ok(rows.T), ~np.any(want, axis=-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(degrees=st.sampled_from(sorted(SYNDROME_CODES)),
+           message_bits=st.sampled_from([8, 4, 1]), frames=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_packed_decision_bytes(self, degrees, message_bits, frames, seed):
+        # 1, 2 and 8 frames per byte, each frame's bit at its position's lowest bit
+        code = SYNDROME_CODES[degrees]
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (code.block_length, frames), dtype=np.uint8)
+        bits[:, rng.random(frames) < 0.3] = 0  # some frames pass every check
+        packing = _FramePacking(message_bits)
+        packed = packing.pack(bits)
+        want = reference_syndrome(code, bits.T)
+        syndrome = code.syndrome(packed.T)  # (groups, m) bytes
+        assert np.array_equal(packing.unpack(syndrome.T, frames), want.T)
+        failed = np.bitwise_or.reduce(syndrome, axis=-1)
+        assert np.array_equal(packing.unpack(failed[None], frames)[0] == 0,
+                              ~np.any(want, axis=-1))
 
 
 class TestGenerator:

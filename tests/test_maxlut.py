@@ -1,7 +1,11 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibquant.channels import build_bpsk_awgn
 from ibquant.ib import dp_optimal_quantizer
@@ -10,6 +14,7 @@ from ibquant.maxlut import (
     LutCascade,
     MessageDist,
     NodeFunction,
+    NodeLut,
     build_max_lut,
     cascade_node,
     load_node_lut,
@@ -262,6 +267,32 @@ class TestSerialization:
         assert np.array_equal(loaded.table, lut.table)
         assert np.allclose(loaded.out_cond.rows, lut.out_cond.rows, atol=1e-14)
         assert loaded.relevant_info == pytest.approx(lut.relevant_info, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.8),
+           comment=st.one_of(st.none(), st.text(st.characters(min_codepoint=32,
+                                                              max_codepoint=126))))
+    def test_round_trip_property(self, shape, seed, zeros, comment):
+        nl, nz, nv = shape
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(size=(2, nv)) ** 8  # values over many decades
+        raw[rng.random((2, nv)) < zeros] = 0.0
+        raw[:, 0] += raw.sum(axis=1) == 0
+        rows = raw / raw.sum(axis=1, keepdims=True)
+        table = rng.integers(0, nv, (nl, nz))
+        lut = NodeLut(table, MessageDist(ConditionalDist(rows)), nv,
+                      mutual_information(JointXY(0.5 * rows)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.txt"), Path(tmp, "b.txt")
+            save_node_lut(lut, first, comment=comment)
+            loaded = load_node_lut(first)
+            save_node_lut(loaded, second, comment=comment)
+            assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(loaded.table, lut.table)
+        assert loaded.out_alphabet_size == nv
+        assert loaded.out_cond.rows.tobytes() == lut.out_cond.rows.tobytes()
+        assert loaded.relevant_info == lut.relevant_info
 
     def test_header_shape(self, tmp_path):
         msg = quantized_bpsk_message(2.0, 16, num_bins=64)
