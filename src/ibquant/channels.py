@@ -238,8 +238,8 @@ def load_dmc(path) -> DmcSpec:
             if not line:
                 continue
             if line.startswith("#"):
-                if line.startswith("# alphabet "):
-                    alphabet = np.array([float(t) for t in line.split()[2:]])
+                if line.startswith("# alphabet "):  # the last one: a comment may start so too
+                    alphabet = line.split()[2:]
                 continue
             lines.append(line)
     tag, num_in, num_out = lines[0].split()
@@ -250,6 +250,6 @@ def load_dmc(path) -> DmcSpec:
     rows = np.array([[float(t) for t in lines[2 + i].split()] for i in range(num_in)])
     if rows.shape != (num_in, num_out):
         raise ValueError("transition matrix shape does not match header")
-    if alphabet is None or alphabet.shape[0] != num_in:
-        alphabet = np.arange(num_in, dtype=float)
-    return DmcSpec(alphabet, ConditionalDist(rows), prior)
+    if alphabet is None or len(alphabet) != num_in:
+        alphabet = range(num_in)
+    return DmcSpec(np.array([float(t) for t in alphabet]), ConditionalDist(rows), prior)

@@ -136,10 +136,10 @@ def _cmd_ldpc_design(parser, args) -> int:
 def _cmd_ldpc_simulate(parser, args) -> int:
     ebn0_list = _parse_list(parser, "--ebn0", args.ebn0, float)
     _check_degrees(parser, args)
-    if args.n < 1 or args.n * args.dv % args.dc:
-        parser.error(f"--n {args.n} does not fit the degrees: "
-                     "n * dv must be a positive multiple of dc")
-    code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
+    try:
+        code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
+    except ValueError as exc:
+        parser.error(f"--n {args.n} does not fit the degrees: {exc}")
     design = None
     bits = 4 if args.bits is None else args.bits
     if args.design:

@@ -390,6 +390,9 @@ def _minsum_check_update(mc: np.ndarray, out: np.ndarray) -> None:
     the bits of min1 ^ min2 swaps the two.  The sign bit, the parity of the
     other inputs' signs, is XORed in the same way.
     """
+    if len(mc) == 1:  # no other input: the minimum of an empty set
+        out.fill(np.inf)
+        return
     mags = np.abs(mc)
     signs = np.add(mc, 0.0).view(np.int64)  # -0.0 counts as positive, as in x < 0
     signs &= _SIGN_BIT
@@ -488,7 +491,7 @@ def _bp_check_update(mc: np.ndarray, out: np.ndarray) -> None:
     for i in range(dc - 2, 0, -1):
         np.multiply(out[i - 1], suffix, out=out[i])
         suffix = suffix * t[i]
-    out[0] = suffix
+    out[0] = suffix if dc > 1 else 1.0  # a degree-1 check: the empty product
     np.clip(out, -1 + 1e-15, 1 - 1e-15, out=out)
     np.arctanh(out, out=out)
     out *= 2.0

@@ -2,12 +2,16 @@
 
 Codes come from a socket-permutation construction: variable and check edge
 sockets are matched by a seeded random permutation, duplicate edges are always
-repaired, and length-4 cycles are removed best-effort by local edge swaps.
+repaired, and length-4 cycles are removed best-effort by local edge swaps
+(MacKay, IEEE Trans. IT 1999).  Edge e belongs to variable e // dv; the
+construction keeps only the check of every edge.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -26,33 +30,29 @@ class LdpcCode:
     var_slot_of: np.ndarray = field(init=False)    # slot of var v within check_adj row
 
     def __post_init__(self):
-        h = np.asarray(self.parity_matrix, dtype=np.uint8)
-        if h.ndim != 2:
+        raw = np.asarray(self.parity_matrix)
+        if raw.ndim != 2:
             raise ValueError("parity matrix must be two-dimensional")
+        if not np.all((raw == 0) | (raw == 1)):
+            raise ValueError("parity matrix entries must be 0 or 1")
+        h = np.asarray(raw, dtype=np.uint8)
         if not np.all(h.sum(axis=0) == self.var_degree):
             raise ValueError("column weights are not uniform")
         if not np.all(h.sum(axis=1) == self.check_degree):
             raise ValueError("row weights are not uniform")
         h.setflags(write=False)
         object.__setattr__(self, "parity_matrix", h)
-        m, n = h.shape
-        check_adj = np.empty((m, self.check_degree), dtype=np.int64)
-        var_adj = np.empty((n, self.var_degree), dtype=np.int64)
-        for c in range(m):
-            check_adj[c] = np.flatnonzero(h[c])
-        for v in range(n):
-            var_adj[v] = np.flatnonzero(h[:, v])
-        # slot cross-references so messages can be gathered between node views
-        check_slot_of = np.empty((m, self.check_degree), dtype=np.int64)
-        var_slot_of = np.empty((n, self.var_degree), dtype=np.int64)
-        for c in range(m):
-            for i, v in enumerate(check_adj[c]):
-                check_slot_of[c, i] = int(np.flatnonzero(var_adj[v] == c)[0])
-        for v in range(n):
-            for j, c in enumerate(var_adj[v]):
-                var_slot_of[v, j] = int(np.flatnonzero(check_adj[c] == v)[0])
-        for arr, name in ((check_adj, "check_adj"), (var_adj, "var_adj"),
-                          (check_slot_of, "check_slot_of"), (var_slot_of, "var_slot_of")):
+        (m, n), dv, dc = h.shape, self.var_degree, self.check_degree
+        # check-major edges, stably sorted by variable: each node's neighbours
+        # ascend, and an edge's slot is its rank within its node
+        checks, variables = np.nonzero(h)
+        by_var = np.argsort(variables, kind="stable")
+        rank = np.empty_like(by_var)
+        rank[by_var] = np.arange(by_var.size)
+        for name, arr in (("check_adj", variables.reshape(m, dc)),
+                          ("var_adj", checks[by_var].reshape(n, dv)),
+                          ("check_slot_of", (rank % dv).reshape(m, dc)),
+                          ("var_slot_of", (by_var % dc).reshape(n, dv))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -71,12 +71,15 @@ class LdpcCode:
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Parity of each check; bits may carry extra leading axes.
 
-        An XOR of dc gathers of variable rows, the variable axis moved to the
-        front: a transposed view of slot-major (n, frames) rows gathers whole
-        contiguous rows.  Parity is bitwise, so bytes that pack several
-        frames' bits give every frame's parity at its bit.
+        A contiguous variable axis takes one (..., m, dc) gather.  Other
+        layouts, such as the decoders' transposed slot-major (n, frames)
+        rows, XOR dc gathers of whole variable rows.  Parity is bitwise, so
+        bytes that pack several frames' bits give every frame's parity.
         """
-        rows = np.moveaxis(np.asarray(bits), -1, 0)
+        bits = np.asarray(bits)
+        if bits.strides[-1] == bits.itemsize:
+            return np.bitwise_xor.reduce(bits[..., self.check_adj], axis=-1)
+        rows = np.moveaxis(bits, -1, 0)
         slots = self.check_adj.T
         parity = rows.take(slots[0], axis=0)
         for slot in slots[1:]:
@@ -95,137 +98,126 @@ def count_four_cycles(h: np.ndarray) -> int:
     return int((overlap * (overlap - 1) // 2).sum() // 2)
 
 
-def _pair_counts(edges_v, edges_c, n):
-    """Per-variable check sets, as sorted tuples keyed for cycle bookkeeping."""
-    per_var = [[] for _ in range(n)]
-    for v, c in zip(edges_v, edges_c):
-        per_var[v].append(c)
-    return per_var
-
-
-def _local_pair_keys(checks):
-    keys = []
-    cs = sorted(checks)
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            keys.append((cs[i], cs[j]))
-    return keys
-
-
 def construct_regular_ldpc(n: int, dv: int, dc: int, seed: int = 0,
                            cycle_passes: int = 30) -> LdpcCode:
     """Seeded (dv, dc)-regular Gallager-style code of block length n.
 
     Duplicate edges are always removed; 4-cycle removal is best-effort within
     ``cycle_passes`` sweeps (count the leftovers with ``count_four_cycles``).
-    Identical arguments produce bit-identical matrices.
+    Identical arguments produce bit-identical matrices.  Sizes without a
+    simple regular graph (n < 1, dc not dividing n * dv, fewer than dv
+    checks) raise ``ValueError``.
     """
-    if n * dv % dc != 0:
-        raise ValueError("n * dv must be divisible by dc")
     if dv < 1 or dc < 2:
         raise ValueError("degrees out of range")
+    if n < 1:
+        raise ValueError(f"block length must be >= 1, got {n}")
+    if n * dv % dc != 0:
+        raise ValueError("n * dv must be divisible by dc")
     m = n * dv // dc
+    if m < dv:
+        raise ValueError(f"{m} checks are fewer than dv = {dv}")
     rng = np.random.default_rng(seed)
-    edges_v = np.repeat(np.arange(n), dv)
-    num_edges = edges_v.shape[0]
-
+    num_edges = n * dv
     for _ in range(60):
-        perm = rng.permutation(num_edges)
-        edges_c = perm // dc
-        if _repair_duplicates(edges_v, edges_c, rng):
+        edges_c = rng.permutation(num_edges) // dc
+        if _repair_duplicates(edges_c, dv, m, rng):
             break
     else:
         raise RuntimeError("could not remove duplicate edges; degrees too dense")
 
-    _reduce_four_cycles(edges_v, edges_c, n, rng, cycle_passes)
+    _reduce_four_cycles(edges_c, dv, m, rng, cycle_passes)
 
     h = np.zeros((m, n), dtype=np.uint8)
-    h[edges_c, edges_v] = 1
+    h[edges_c, np.repeat(np.arange(n), dv)] = 1
     return LdpcCode(h, dv, dc, seed)
 
 
-def _repair_duplicates(edges_v, edges_c, rng, max_passes: int = 200) -> bool:
-    num_edges = edges_v.shape[0]
+def _repair_duplicates(edges_c, dv, m, rng, max_passes: int = 200) -> bool:
+    """Swap each repeat of an edge key v * m + c with one of 50 random partners.
+
+    Partners are screened against the keys at the start of the pass.
+    """
+    num_edges = edges_c.shape[0]
+    owner_keys = np.arange(num_edges) // dv * m
     for _ in range(max_passes):
-        seen = {}
-        dupes = []
-        for e in range(num_edges):
-            key = (int(edges_v[e]), int(edges_c[e]))
-            if key in seen:
-                dupes.append(e)
-            else:
-                seen[key] = e
-        if not dupes:
+        keys = owner_keys + edges_c
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        later = order[1:][ranked[1:] == ranked[:-1]]
+        if later.size == 0:
             return True
-        pairs = set(seen)
-        for e in dupes:
+        pairs = set(keys.tolist())
+        checks = edges_c.tolist()
+        for e in np.sort(later).tolist():
             for _ in range(50):
                 f = int(rng.integers(num_edges))
-                new_e = (int(edges_v[e]), int(edges_c[f]))
-                new_f = (int(edges_v[f]), int(edges_c[e]))
+                new_e = e // dv * m + checks[f]
+                new_f = f // dv * m + checks[e]
                 if new_e in pairs or new_f in pairs or new_e == new_f:
                     continue
-                edges_c[e], edges_c[f] = edges_c[f], edges_c[e]
+                checks[e], checks[f] = checks[f], checks[e]
                 break
+        edges_c[:] = checks
     return False
 
 
-def _reduce_four_cycles(edges_v, edges_c, n, rng, passes: int) -> None:
-    num_edges = edges_v.shape[0]
+def _reduce_four_cycles(edges_c, dv, m, rng, passes: int) -> None:
+    """Swap edges of variables on 4-cycles while a pass still improves.
+
+    Each edge of a variable on a 4-cycle tries 30 random partners; a swap is
+    kept if it makes no duplicate and lowers the two variables' excess, the
+    sum of (count - 1) over their check-pair keys c1 * m + c2.
+    """
+    num_edges = edges_c.shape[0]
+    first, second = np.triu_indices(dv, 1)
     for _ in range(passes):
-        per_var = _pair_counts(edges_v, edges_c, n)
-        pair_mult: dict[tuple[int, int], int] = {}
-        for checks in per_var:
-            for key in _local_pair_keys(checks):
-                pair_mult[key] = pair_mult.get(key, 0) + 1
-        bad_edges = []
-        for v, checks in enumerate(per_var):
-            for key in _local_pair_keys(checks):
-                if pair_mult[key] >= 2:
-                    bad_edges.extend(np.flatnonzero(edges_v == v).tolist())
-                    break
-        if not bad_edges:
+        rows = edges_c.reshape(-1, dv)
+        ordered = np.sort(rows, axis=1)
+        keys = ordered[:, first] * m + ordered[:, second]
+        uniq, inverse, counts = np.unique(keys.ravel(), return_inverse=True,
+                                          return_counts=True)
+        bad = (counts[inverse].reshape(keys.shape) >= 2).any(axis=1)
+        if not bad.any():
             return
-        pairs = {(int(edges_v[e]), int(edges_c[e])) for e in range(num_edges)}
-
-        def var_excess(v, checks):
-            return sum(pair_mult.get(key, 0) - 1
-                       for key in _local_pair_keys(checks) if pair_mult.get(key, 0) >= 2)
-
+        bad_edges = (np.flatnonzero(bad)[:, None] * dv + np.arange(dv)).ravel()
+        mult = defaultdict(int, zip(uniq.tolist(), counts.tolist()))
+        var_keys = keys.tolist()
+        checks = rows.tolist()
         improved = False
-        for e in bad_edges:
+        for e in bad_edges.tolist():
+            ve, je = divmod(e, dv)
             for _ in range(30):
                 f = int(rng.integers(num_edges))
-                ve, vf = int(edges_v[e]), int(edges_v[f])
+                vf, jf = divmod(f, dv)
                 if ve == vf:
                     continue
-                ce, cf = int(edges_c[e]), int(edges_c[f])
-                new_e, new_f = (ve, cf), (vf, ce)
-                if new_e in pairs or new_f in pairs:
+                se, sf = checks[ve], checks[vf]
+                ce, cf = se[je], sf[jf]
+                if cf in se or ce in sf:
                     continue
-                before = (var_excess(ve, per_var[ve]) + var_excess(vf, per_var[vf]))
-                pe = [c for c in per_var[ve] if c != ce] + [cf]
-                pf = [c for c in per_var[vf] if c != cf] + [ce]
-                # recompute multiplicities as if swapped (local delta only)
-                for key in _local_pair_keys(per_var[ve]) + _local_pair_keys(per_var[vf]):
-                    pair_mult[key] -= 1
-                for key in _local_pair_keys(pe) + _local_pair_keys(pf):
-                    pair_mult[key] = pair_mult.get(key, 0) + 1
-                after = (var_excess(ve, pe) + var_excess(vf, pf))
-                if after < before:
-                    pairs.discard((ve, ce))
-                    pairs.discard((vf, cf))
-                    pairs.add(new_e)
-                    pairs.add(new_f)
-                    edges_c[e], edges_c[f] = cf, ce
-                    per_var[ve], per_var[vf] = pe, pf
+                pe, pf = se.copy(), sf.copy()
+                pe[je], pf[jf] = cf, ce
+                old = var_keys[ve] + var_keys[vf]
+                new = [a * m + b for s in (pe, pf) for a, b in combinations(sorted(s), 2)]
+                # old and new hold equally many keys, each counted at least
+                # once, so their count sums compare as the excesses do
+                before = sum(map(mult.__getitem__, old))
+                for k in old:
+                    mult[k] -= 1
+                for k in new:
+                    mult[k] += 1
+                if sum(map(mult.__getitem__, new)) < before:
+                    checks[ve], checks[vf] = pe, pf
+                    half = len(new) // 2
+                    var_keys[ve], var_keys[vf] = new[:half], new[half:]
                     improved = True
                     break
-                # roll back the tentative bookkeeping
-                for key in _local_pair_keys(pe) + _local_pair_keys(pf):
-                    pair_mult[key] -= 1
-                for key in _local_pair_keys(per_var[ve]) + _local_pair_keys(per_var[vf]):
-                    pair_mult[key] = pair_mult.get(key, 0) + 1
+                for k in new:
+                    mult[k] -= 1
+                for k in old:
+                    mult[k] += 1
+        rows[:] = checks
         if not improved:
             return
 

@@ -1,13 +1,16 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ibquant.channels import (
     AwgnDiscretization,
+    DmcSpec,
     binary_llrs,
     build_ask_awgn,
     build_bpsk_awgn,
@@ -16,7 +19,7 @@ from ibquant.channels import (
     load_dmc,
     save_dmc,
 )
-from ibquant.info import JointXY, Pmf, mutual_information
+from ibquant.info import ConditionalDist, JointXY, Pmf, mutual_information
 
 
 def gaussian_pdf(t, mean, sigma):
@@ -215,6 +218,31 @@ class TestSerialization:
         assert np.allclose(loaded.transition.rows, dmc.transition.rows, atol=1e-14)
         assert np.allclose(loaded.input_prior.probs, dmc.input_prior.probs, atol=1e-14)
         assert np.array_equal(loaded.input_alphabet, dmc.input_alphabet)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 8)),
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.8),
+           comment=st.one_of(st.none(), st.text(st.characters(min_codepoint=32,
+                                                              max_codepoint=126))))
+    @example(shape=(2, 3), seed=0, zeros=0.0, comment="alphabet of a test channel")
+    def test_round_trip_property(self, shape, seed, zeros, comment):
+        num_in, num_out = shape
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(size=shape) ** 8  # values over many decades
+        raw[rng.random(shape) < zeros] = 0.0
+        raw[:, 0] += raw.sum(axis=1) == 0
+        alphabet = rng.standard_normal(num_in) * 10.0 ** rng.uniform(-5, 5, num_in)
+        dmc = DmcSpec(alphabet, ConditionalDist(raw / raw.sum(axis=1, keepdims=True)),
+                      Pmf(rng.dirichlet(np.ones(num_in))))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.txt"), Path(tmp, "b.txt")
+            save_dmc(dmc, first, comment=comment)
+            loaded = load_dmc(first)
+            save_dmc(loaded, second, comment=comment)
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.input_alphabet.tobytes() == dmc.input_alphabet.tobytes()
+        assert loaded.input_prior.probs.tobytes() == dmc.input_prior.probs.tobytes()
+        assert loaded.transition.rows.tobytes() == dmc.transition.rows.tobytes()
 
     def test_header_format(self, tmp_path):
         dmc = build_bsc(0.11)

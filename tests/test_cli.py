@@ -171,7 +171,8 @@ class TestLdpcCommands:
 
     @pytest.mark.parametrize("extra", [["--n", "1001"], ["--n", "0"],
                                        ["--dv", "6", "--dc", "3", "--n", "120"],
-                                       ["--ebn0", "2.0,x"]])
+                                       ["--ebn0", "2.0,x"], ["--n", "-6"],
+                                       ["--n", "4", "--dv", "3", "--dc", "6"]])
     def test_unfit_code_arguments_are_usage_errors(self, tmp_path, extra, capsys):
         argv = ["ldpc", "simulate", "--decoder", "minsum", "--ebn0", "2.0",
                 "--max-frames", "5", "--out", str(tmp_path / "x.csv")]

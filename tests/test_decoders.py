@@ -172,8 +172,11 @@ def _reference_minsum(mc):
     total_sign = sign.prod(axis=2, keepdims=True)
     mag = np.abs(mc)
     order = np.argsort(mag, axis=2)
-    min1 = np.take_along_axis(mag, order[:, :, :1], axis=2)
-    min2 = np.take_along_axis(mag, order[:, :, 1:2], axis=2)
+    # +inf after the sorted magnitudes: the other input of a degree-1 check
+    ranked = np.concatenate([np.take_along_axis(mag, order, axis=2),
+                             np.full((*mag.shape[:2], 1), np.inf)], axis=2)
+    min1 = ranked[:, :, :1]
+    min2 = ranked[:, :, 1:2]
     out_mag = np.where(
         np.arange(mc.shape[2])[None, None, :] == order[:, :, :1], min2, min1)
     return total_sign * sign * out_mag
@@ -545,14 +548,25 @@ class TestSlotMajorFloatDecoder:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
 
-    def test_corrected_degree_one_checks_match_reference(self):
-        # each output combines two empty chains: boxplus(identity, identity)
+    @pytest.mark.parametrize("engine", ["minsum", "minsum-corrected", "bp"])
+    def test_degree_one_checks_match_reference(self, engine):
+        # a degree-1 check has no other input, so it sends certainty: the
+        # minimum of no magnitudes, the product of no tanh values, and
+        # boxplus(identity, identity) of the two empty chains
         code = LdpcCode(np.eye(6, dtype=np.uint8), 1, 1, seed=0)
         llr = 1.0 + 0.8 * np.random.default_rng(9).standard_normal((3, 6))
-        got = decode_llr_batch(code, llr, 5, "minsum-corrected")
-        want = reference_decode_llr_batch(code, llr, 5, "minsum-corrected")
+        got = decode_llr_batch(code, llr, 5, engine)
+        want = reference_decode_llr_batch(code, llr, 5, engine)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("engine", ["minsum", "minsum-corrected", "bp"])
+    def test_degree_one_checks_force_the_zero_word(self, engine):
+        code = LdpcCode(np.eye(4, dtype=np.uint8), 1, 1, seed=0)
+        bits, iters, conv = decode_llr_batch(code, np.array([[-2.0, 1.0, 3.0, -0.5]]), 5,
+                                             engine)
+        assert bits.tolist() == [[0, 0, 0, 0]]
+        assert iters.tolist() == [1] and conv.tolist() == [True]
 
     def test_rejects_bad_input(self, float_codes):
         code = float_codes[(3, 6)]

@@ -1,6 +1,9 @@
+import hashlib
+from math import gcd
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ibquant.decoders import _FramePacking
@@ -12,6 +15,145 @@ from ibquant.ldpc import (
     generator_matrix,
     gf2_row_reduce,
 )
+
+
+def reference_adjacency(h):
+    """check_adj, var_adj, check_slot_of, var_slot_of by per-node scans of h."""
+    m, n = h.shape
+    dc, dv = int(h[0].sum()), int(h[:, 0].sum())
+    check_adj = np.empty((m, dc), dtype=np.int64)
+    var_adj = np.empty((n, dv), dtype=np.int64)
+    for c in range(m):
+        check_adj[c] = np.flatnonzero(h[c])
+    for v in range(n):
+        var_adj[v] = np.flatnonzero(h[:, v])
+    check_slot_of = np.empty((m, dc), dtype=np.int64)
+    var_slot_of = np.empty((n, dv), dtype=np.int64)
+    for c in range(m):
+        for i, v in enumerate(check_adj[c]):
+            check_slot_of[c, i] = int(np.flatnonzero(var_adj[v] == c)[0])
+    for v in range(n):
+        for j, c in enumerate(var_adj[v]):
+            var_slot_of[v, j] = int(np.flatnonzero(check_adj[c] == v)[0])
+    return check_adj, var_adj, check_slot_of, var_slot_of
+
+
+def _reference_local_pair_keys(checks):
+    cs = sorted(checks)
+    return [(cs[i], cs[j]) for i in range(len(cs)) for j in range(i + 1, len(cs))]
+
+
+def _reference_repair_duplicates(edges_v, edges_c, rng, max_passes=200):
+    num_edges = edges_v.shape[0]
+    for _ in range(max_passes):
+        seen = {}
+        dupes = []
+        for e in range(num_edges):
+            key = (int(edges_v[e]), int(edges_c[e]))
+            if key in seen:
+                dupes.append(e)
+            else:
+                seen[key] = e
+        if not dupes:
+            return True
+        pairs = set(seen)  # not updated by the swaps of this pass
+        for e in dupes:
+            for _ in range(50):
+                f = int(rng.integers(num_edges))
+                new_e = (int(edges_v[e]), int(edges_c[f]))
+                new_f = (int(edges_v[f]), int(edges_c[e]))
+                if new_e in pairs or new_f in pairs or new_e == new_f:
+                    continue
+                edges_c[e], edges_c[f] = edges_c[f], edges_c[e]
+                break
+    return False
+
+
+def _reference_reduce_four_cycles(edges_v, edges_c, n, rng, passes):
+    num_edges = edges_v.shape[0]
+    for _ in range(passes):
+        per_var = [[] for _ in range(n)]
+        for v, c in zip(edges_v, edges_c):
+            per_var[v].append(c)
+        pair_mult = {}
+        for checks in per_var:
+            for key in _reference_local_pair_keys(checks):
+                pair_mult[key] = pair_mult.get(key, 0) + 1
+        bad_edges = []
+        for v, checks in enumerate(per_var):
+            for key in _reference_local_pair_keys(checks):
+                if pair_mult[key] >= 2:
+                    bad_edges.extend(np.flatnonzero(edges_v == v).tolist())
+                    break
+        if not bad_edges:
+            return
+        pairs = {(int(edges_v[e]), int(edges_c[e])) for e in range(num_edges)}
+
+        def var_excess(checks):
+            return sum(pair_mult.get(key, 0) - 1 for key in _reference_local_pair_keys(checks)
+                       if pair_mult.get(key, 0) >= 2)
+
+        improved = False
+        for e in bad_edges:
+            for _ in range(30):
+                f = int(rng.integers(num_edges))
+                ve, vf = int(edges_v[e]), int(edges_v[f])
+                if ve == vf:
+                    continue
+                ce, cf = int(edges_c[e]), int(edges_c[f])
+                new_e, new_f = (ve, cf), (vf, ce)
+                if new_e in pairs or new_f in pairs:
+                    continue
+                before = var_excess(per_var[ve]) + var_excess(per_var[vf])
+                pe = [c for c in per_var[ve] if c != ce] + [cf]
+                pf = [c for c in per_var[vf] if c != cf] + [ce]
+                # tentative multiplicities as if swapped, rolled back on rejection
+                for key in _reference_local_pair_keys(per_var[ve]) + \
+                        _reference_local_pair_keys(per_var[vf]):
+                    pair_mult[key] -= 1
+                for key in _reference_local_pair_keys(pe) + _reference_local_pair_keys(pf):
+                    pair_mult[key] = pair_mult.get(key, 0) + 1
+                after = var_excess(pe) + var_excess(pf)
+                if after < before:
+                    pairs.discard((ve, ce))
+                    pairs.discard((vf, cf))
+                    pairs.add(new_e)
+                    pairs.add(new_f)
+                    edges_c[e], edges_c[f] = cf, ce
+                    per_var[ve], per_var[vf] = pe, pf
+                    improved = True
+                    break
+                for key in _reference_local_pair_keys(pe) + _reference_local_pair_keys(pf):
+                    pair_mult[key] -= 1
+                for key in _reference_local_pair_keys(per_var[ve]) + \
+                        _reference_local_pair_keys(per_var[vf]):
+                    pair_mult[key] = pair_mult.get(key, 0) + 1
+        if not improved:
+            return
+
+
+def reference_construct_regular_ldpc(n, dv, dc, seed=0, cycle_passes=30):
+    """Parity matrix of the construction with per-edge tuple bookkeeping.
+
+    The same rng calls in the same order as construct_regular_ldpc: one
+    permutation per attempt, then one scalar draw per swap try.
+    """
+    rng = np.random.default_rng(seed)
+    edges_v = np.repeat(np.arange(n), dv)
+    num_edges = edges_v.shape[0]
+    for _ in range(60):
+        edges_c = rng.permutation(num_edges) // dc
+        if _reference_repair_duplicates(edges_v, edges_c, rng):
+            break
+    else:
+        raise RuntimeError("could not remove duplicate edges")
+    _reference_reduce_four_cycles(edges_v, edges_c, n, rng, cycle_passes)
+    h = np.zeros((n * dv // dc, n), dtype=np.uint8)
+    h[edges_c, edges_v] = 1
+    return h
+
+
+ADJACENCY = ("check_adj", "var_adj", "check_slot_of", "var_slot_of")
 
 
 class TestConstruction:
@@ -51,6 +193,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             construct_regular_ldpc(10, 3, 4, seed=0)
 
+    @pytest.mark.parametrize("n, dv, dc, match", [
+        (0, 3, 6, "block length"), (-6, 3, 6, "block length"),
+        (4, 3, 6, "fewer than dv"), (2, 2, 4, "fewer than dv"), (5, 4, 10, "fewer than dv")])
+    def test_impossible_sizes_fail_fast(self, n, dv, dc, match):
+        # no simple (dv, dc)-regular graph exists: raise before any draw
+        with pytest.raises(ValueError, match=match):
+            construct_regular_ldpc(n, dv, dc, seed=0)
+
+    def test_as_many_checks_as_dv_connects_everything(self):
+        code = construct_regular_ldpc(6, 3, 6, seed=0)
+        assert np.all(code.parity_matrix == 1)
+
+    def test_pinned_digest(self):
+        # every BER digest of the benchmark builds this code
+        h = construct_regular_ldpc(1000, 3, 6, seed=7).parity_matrix
+        assert h.shape == (500, 1000) and h.dtype == np.uint8
+        assert hashlib.sha256(h.tobytes()).hexdigest() == (
+            "e675765dc64030249d588cce8f95a4e445aea217da0657ac9e298e778f541b5b")
+
     def test_adjacency_cross_references(self):
         code = construct_regular_ldpc(60, 3, 6, seed=3)
         for c in range(code.num_checks):
@@ -59,6 +220,55 @@ class TestConstruction:
         for v in range(code.block_length):
             for j, c in enumerate(code.var_adj[v]):
                 assert code.check_adj[c, code.var_slot_of[v, j]] == v
+
+
+@st.composite
+def code_sizes(draw):
+    """(n, dv, dc) with n * dv a multiple of dc and at least dv checks."""
+    dv = draw(st.integers(1, 4))
+    dc = draw(st.integers(2, 8))
+    step = dc // gcd(dv, dc)
+    n = step * draw(st.integers(1, max(1, 160 // (step * dv))))
+    assume(n * dv // dc >= dv)
+    return n, dv, dc
+
+
+class TestConstructionMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=code_sizes(), seed=st.integers(0, 2**32 - 1),
+           cycle_passes=st.integers(0, 30))
+    @example(sizes=(3, 3, 3), seed=2, cycle_passes=30)  # a second permutation
+    @example(sizes=(12, 3, 6), seed=0, cycle_passes=30)  # 4-cycles left over
+    @example(sizes=(16, 4, 8), seed=5, cycle_passes=30)
+    @example(sizes=(120, 4, 8), seed=1, cycle_passes=30)
+    @example(sizes=(60, 3, 6), seed=3, cycle_passes=1)
+    def test_same_matrix_and_adjacency(self, sizes, seed, cycle_passes):
+        n, dv, dc = sizes
+        want = reference_construct_regular_ldpc(n, dv, dc, seed, cycle_passes)
+        code = construct_regular_ldpc(n, dv, dc, seed, cycle_passes)
+        h = code.parity_matrix
+        assert h.dtype == want.dtype and h.shape == want.shape
+        assert h.tobytes() == want.tobytes()
+        for name, ref in zip(ADJACENCY, reference_adjacency(want)):
+            got = getattr(code, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+    def test_examples_reach_the_rare_paths(self):
+        # (3, 3, 3) seed 2: the first permutation's duplicates cannot be repaired
+        rng = np.random.default_rng(2)
+        edges_c = rng.permutation(9) // 3
+        assert not _reference_repair_duplicates(np.repeat(np.arange(3), 3), edges_c, rng)
+        for n, dv, dc, seed in ((12, 3, 6, 0), (16, 4, 8, 5)):
+            assert count_four_cycles(construct_regular_ldpc(n, dv, dc, seed).parity_matrix) > 0
+
+    @pytest.mark.parametrize("h, dv, dc", [
+        (np.eye(4, dtype=np.uint8), 1, 1),
+        (np.ones((3, 5), dtype=np.uint8), 3, 5),
+        (np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]), 2, 2)])
+    def test_adjacency_of_hand_made_matrices(self, h, dv, dc):
+        code = LdpcCode(h, dv, dc, seed=0)
+        for name, ref in zip(ADJACENCY, reference_adjacency(np.asarray(h))):
+            assert np.array_equal(getattr(code, name), ref), name
 
 
 class TestSyndrome:
@@ -172,6 +382,17 @@ class TestLdpcCodeValidation:
         h[1, 1:] = 1
         with pytest.raises(ValueError):
             LdpcCode(h, 2, 3, seed=0)
+
+    @pytest.mark.parametrize("h, degree", [([[2, 0], [0, 2]], 2), ([[1, 0], [0, 1.5]], 1),
+                                           ([[-1, 0], [0, 1]], 1), ([[1, 0], [0, np.nan]], 1)])
+    def test_rejects_non_binary_entries(self, h, degree):
+        with pytest.raises(ValueError, match="0 or 1"):
+            LdpcCode(h, degree, degree, seed=0)
+
+    def test_accepts_boolean_matrix(self):
+        code = LdpcCode(np.eye(3, dtype=bool), 1, 1, seed=0)
+        assert code.parity_matrix.dtype == np.uint8
+        assert np.array_equal(code.check_adj, [[0], [1], [2]])
 
     def test_design_rate(self):
         code = construct_regular_ldpc(60, 3, 6, seed=3)
