@@ -71,15 +71,12 @@ class LdpcCode:
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Parity of each check; bits may carry extra leading axes.
 
-        A contiguous variable axis takes one (..., m, dc) gather.  Other
-        layouts, such as the decoders' transposed slot-major (n, frames)
-        rows, XOR dc gathers of whole variable rows.  Parity is bitwise, so
-        bytes that pack several frames' bits give every frame's parity.
+        An XOR of dc gathers of variable rows, the variable axis moved to the
+        front: a transposed view of slot-major (n, frames) rows gathers whole
+        contiguous rows.  Parity is bitwise, so bytes that pack several
+        frames' bits give every frame's parity at its bit.
         """
-        bits = np.asarray(bits)
-        if bits.strides[-1] == bits.itemsize:
-            return np.bitwise_xor.reduce(bits[..., self.check_adj], axis=-1)
-        rows = np.moveaxis(bits, -1, 0)
+        rows = np.moveaxis(np.asarray(bits), -1, 0)
         slots = self.check_adj.T
         parity = rows.take(slots[0], axis=0)
         for slot in slots[1:]:
