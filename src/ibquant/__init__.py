@@ -22,20 +22,15 @@ from .dde import LdpcEnsembleDesign, design_bpsk_decoder, design_decoder, load_d
 from .decoders import (
     BerPoint,
     ber_sweep,
-    decode_bp,
-    decode_lut,
-    decode_min_sum,
     write_ber_csv,
 )
 from .ib import (
     IbDesign,
-    ItIbState,
     Quantizer,
     agglomerative_ib,
     dp_optimal_quantizer,
     ib_curve,
     ib_objective,
-    it_ib_update,
     iterative_ib,
     kl_means_ib,
 )
@@ -56,9 +51,9 @@ __all__ = [
     "AwgnDiscretization", "DmcSpec", "build_ask_awgn", "build_bpsk_awgn",
     "build_bpsk_awgn_sigma", "build_bsc", "ebn0_db_to_noise_std", "load_dmc", "save_dmc",
     "LdpcEnsembleDesign", "design_bpsk_decoder", "design_decoder", "load_design", "save_design",
-    "BerPoint", "ber_sweep", "decode_bp", "decode_lut", "decode_min_sum", "write_ber_csv",
-    "IbDesign", "ItIbState", "Quantizer", "agglomerative_ib", "dp_optimal_quantizer",
-    "ib_curve", "ib_objective", "it_ib_update", "iterative_ib", "kl_means_ib",
+    "BerPoint", "ber_sweep", "write_ber_csv",
+    "IbDesign", "Quantizer", "agglomerative_ib", "dp_optimal_quantizer",
+    "ib_curve", "ib_objective", "iterative_ib", "kl_means_ib",
     "ConditionalDist", "JointXY", "Pmf", "avg_kl_distortion", "entropy",
     "kl_divergence", "mutual_information", "push_through_quantizer",
     "LdpcCode", "construct_regular_ldpc", "count_four_cycles",

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .info import ConditionalDist, JointXY, Pmf, mutual_information
+from . import _text
+from .info import ConditionalDist, JointXY, Pmf
 
 LLR_CLAMP = 25.0
 
@@ -108,9 +109,6 @@ class DmcSpec:
 
     def joint(self) -> JointXY:
         return JointXY.from_channel(self.input_prior, self.transition)
-
-    def input_output_information(self) -> float:
-        return mutual_information(self.joint())
 
 
 def _gaussian_bin_row(mean: float, sigma: float, edges: np.ndarray) -> np.ndarray:
@@ -217,31 +215,17 @@ def binary_llrs(dmc: DmcSpec, clamp: float = LLR_CLAMP) -> np.ndarray:
 
 def save_dmc(dmc: DmcSpec, path, comment: str | None = None) -> None:
     """Plain-text matrix file: header, prior row, then one transition row per input."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("# alphabet " + " ".join(f"{x:.17g}" for x in dmc.input_alphabet))
-    lines.append(f"dmc {dmc.num_inputs} {dmc.num_outputs}")
-    lines.append(" ".join(f"{p:.17g}" for p in dmc.input_prior.probs))
-    for row in dmc.transition.rows:
-        lines.append(" ".join(f"{p:.17g}" for p in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = ["# alphabet " + _text.row(dmc.input_alphabet),
+             f"dmc {dmc.num_inputs} {dmc.num_outputs}",
+             _text.row(dmc.input_prior.probs)]
+    _text.write_lines(path, lines + [_text.row(row) for row in dmc.transition.rows], comment)
 
 
 def load_dmc(path) -> DmcSpec:
-    alphabet = None
-    with open(path) as fh:
-        lines = []
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# alphabet "):  # the last one: a comment may start so too
-                    alphabet = line.split()[2:]
-                continue
-            lines.append(line)
+    comments, lines = _text.read_lines(path)
+    # the last "# alphabet" line: a header comment may start so too
+    alphabet = next((c.split()[2:] for c in reversed(comments)
+                     if c.startswith("# alphabet ")), None)
     tag, num_in, num_out = lines[0].split()
     if tag != "dmc":
         raise ValueError(f"not a dmc file: header {lines[0]!r}")

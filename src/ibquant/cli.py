@@ -12,9 +12,7 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import channels, decoders, ib, ldpc, maxlut
+from . import _text, channels, decoders, ib, ldpc, maxlut
 from .dde import design_bpsk_decoder, load_design, save_design
 from .info import entropy, mutual_information
 
@@ -93,12 +91,9 @@ def _cmd_quantize(parser, args) -> int:
 
 
 def _write_mapping(path, quantizer: ib.Quantizer, comment: str) -> None:
-    lines = [f"# {comment}",
-             f"quantizer {quantizer.num_inputs} {quantizer.num_clusters}"]
-    for row in quantizer.mapping.rows:
-        lines.append(" ".join(f"{p:.17g}" for p in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [f"quantizer {quantizer.num_inputs} {quantizer.num_clusters}"]
+    _text.write_lines(path, lines + [_text.row(row) for row in quantizer.mapping.rows],
+                      comment)
 
 
 def _cmd_maxlut(parser, args) -> int:
@@ -125,11 +120,9 @@ def _cmd_ldpc_design(parser, args) -> int:
                                  args.iters, args.bins, args.clip, rate)
     save_design(design, args.out, comment=_header(args, "n/a"))
     if args.trace_out:
-        lines = [f"# {_header(args, 'n/a')}", "iteration,error_prob"]
-        for t, err in enumerate(design.error_prob_trace):
-            lines.append(f"{t},{err:.17g}")
-        with open(args.trace_out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines = ["iteration,error_prob"] + [
+            _text.row([t, err], ",") for t, err in enumerate(design.error_prob_trace)]
+        _text.write_lines(args.trace_out, lines, _header(args, "n/a"))
     return 0
 
 

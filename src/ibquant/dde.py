@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .channels import DmcSpec, build_bpsk_awgn, build_bpsk_awgn_sigma
 from .ib import Quantizer, dp_optimal_quantizer
 from .info import ConditionalDist
@@ -24,7 +25,7 @@ from .maxlut import (
     _build_cascade,
     _cascade_plan,
     _lut_from_lines,
-    _lut_text,
+    _lut_lines,
     quantized_message,
 )
 
@@ -198,38 +199,32 @@ def design_bpsk_decoder(ebn0_db: float, dv: int, dc: int, message_bits: int = 4,
 # plain-text serialization
 
 
-def _write_cascade(lines: list[str], tag: str, cascade: LutCascade) -> None:
-    lines.append(f"{tag} {cascade.schedule} {cascade.num_inputs} {len(cascade.stages)}")
+def _cascade_lines(tag: str, cascade: LutCascade) -> list[str]:
+    lines = [f"{tag} {cascade.schedule} {cascade.num_inputs} {len(cascade.stages)}"]
     for stage in cascade.stages:
-        for row in _lut_text(stage.lut).strip().splitlines():
-            lines.append(row)
+        lines.extend(_lut_lines(stage.lut))
+    return lines
 
 
 def save_design(design: LdpcEnsembleDesign, path, comment: str | None = None) -> None:
     disc = design.dmc.discretization
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"design {design.message_bits} {design.max_iter} "
-                 f"{design.var_degree} {design.check_degree}")
     if disc is None:
         raise ValueError("only AWGN-discretized designs can be serialized")
-    lines.append(f"channel {disc.noise_std:.17g} {disc.clip_multiplier:.17g} {disc.num_bins}")
-    labels = design.channel_lut.labels
-    lines.append(f"channel_lut {design.channel_lut.num_inputs} {design.alphabet_size}")
-    lines.append(" ".join(str(int(v)) for v in labels))
-    for row in design.channel_message.rows:
-        lines.append(" ".join(f"{p:.17g}" for p in row))
+    lines = [f"design {design.message_bits} {design.max_iter} "
+             f"{design.var_degree} {design.check_degree}",
+             _text.row(["channel", disc.noise_std, disc.clip_multiplier, disc.num_bins]),
+             f"channel_lut {design.channel_lut.num_inputs} {design.alphabet_size}",
+             _text.row(design.channel_lut.labels)]
+    lines += [_text.row(row) for row in design.channel_message.rows]
     for t in range(design.max_iter):
+        rule = design.decision_luts[t]
         lines.append(f"iteration {t}")
-        _write_cascade(lines, "check_chain", design.check_luts[t])
-        _write_cascade(lines, "var_chain", design.var_luts[t])
-        _write_cascade(lines, "decision_chain", design.decision_luts[t].cascade)
-        lines.append("decision_map " + " ".join(
-            str(int(b)) for b in design.decision_luts[t].bit_map))
-        lines.append(f"trace {design.error_prob_trace[t]:.17g}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += _cascade_lines("check_chain", design.check_luts[t])
+        lines += _cascade_lines("var_chain", design.var_luts[t])
+        lines += _cascade_lines("decision_chain", rule.cascade)
+        lines.append(_text.row(["decision_map", *rule.bit_map]))
+        lines.append(_text.row(["trace", design.error_prob_trace[t]]))
+    _text.write_lines(path, lines, comment)
 
 
 def _read_cascade(lines: list[str], pos: int, node: NodeFunction) -> tuple[LutCascade, int]:
@@ -249,8 +244,7 @@ def _read_cascade(lines: list[str], pos: int, node: NodeFunction) -> tuple[LutCa
 
 def load_design(path) -> LdpcEnsembleDesign:
     """Read a save_design file; a missing or malformed section raises ValueError."""
-    with open(path) as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
+    lines = _text.read_lines(path)[1]
     section = "design header"
     try:
         header = lines[0].split()

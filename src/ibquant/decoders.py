@@ -52,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DmcSpec, binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
+from . import _text
+from .channels import binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
 from .dde import LdpcEnsembleDesign, design_decoder
 from .ldpc import LdpcCode, encode, generator_matrix
 from .maxlut import LutCascade
@@ -235,8 +236,9 @@ class _Lookups:
                   inputs: list[int]) -> int:
         """Add a cascade over the given values; returns its output value."""
         ids = list(inputs)
-        for (left, right), table in zip(cascade.operand_plan(), tables):
-            ids.append(self._lookup(table, ids[left], ids[right] if right >= 0 else -1))
+        for stage, table in zip(cascade.stages, tables):
+            right = ids[stage.right] if stage.right >= 0 else -1
+            ids.append(self._lookup(table, ids[stage.left], right))
         return ids[-1]
 
     def _lookup(self, table: np.ndarray, left: int, right: int) -> int:
@@ -261,9 +263,9 @@ class _Lookups:
 def _stage_tables(cascade: LutCascade, levels: int) -> list[np.ndarray]:
     """The uint8 stage tables of a cascade, (levels, 1) for a constant right operand."""
     tables = []
-    for (_, right), stage in zip(cascade.operand_plan(), cascade.stages):
+    for stage in cascade.stages:
         lut = stage.lut
-        if (lut.table.shape != (levels, levels if right >= 0 else 1)
+        if (lut.table.shape != (levels, levels if stage.right >= 0 else 1)
                 or lut.out_alphabet_size != levels):
             raise ValueError("design table does not match the message alphabet")
         tables.append(lut.table.astype(np.uint8))
@@ -363,18 +365,6 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         active = active[order]
         chan, v2c = state[:n], state[n:]
     return out_bits, iters_used, converged
-
-
-def decode_lut(code: LdpcCode, design: LdpcEnsembleDesign, channel_bins,
-               max_iter: int = 50):
-    """Decode one frame with the lookup-table decoder.
-
-    Returns (bits, iterations_used, converged); converged means the returned
-    word satisfies every parity check.
-    """
-    bins = np.asarray(channel_bins)
-    bits, iters, conv = decode_lut_batch(code, design, bins[None, :], max_iter)
-    return bits[0], int(iters[0]), bool(conv[0])
 
 
 _SIGN_BIT = np.int64(-2**63)
@@ -548,13 +538,6 @@ class _FloatIteration:
         return v2c.reshape(c2v.shape)
 
 
-def _llr_rows(code: LdpcCode, llrs) -> np.ndarray:
-    llr = np.asarray(llrs, dtype=float)
-    if llr.ndim != 2 or llr.shape[1] != code.block_length:
-        raise ValueError("llrs must be (batch, n)")
-    return np.ascontiguousarray(llr.T)
-
-
 def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
                      engine: str):
     """Float message passing shared by the min-sum variants and BP.
@@ -563,7 +546,10 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     """
     if engine not in _CHECK_UPDATES:
         raise ValueError(f"unknown engine {engine!r}")
-    chan = _llr_rows(code, llrs)
+    llr = np.asarray(llrs, dtype=float)
+    if llr.ndim != 2 or llr.shape[1] != code.block_length:
+        raise ValueError("llrs must be (batch, n)")
+    chan = np.ascontiguousarray(llr.T)
     step = _FloatIteration(code, engine)
     n, batch = chan.shape
     out_bits = np.zeros((batch, n), dtype=np.uint8)
@@ -592,51 +578,6 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
             c2v = c2v[:, keep]
         v2c = step.extrinsic(posterior, c2v)
     return out_bits, iters_used, converged
-
-
-def decode_min_sum(code: LdpcCode, dmc: DmcSpec, channel_bins, max_iter: int = 50,
-                   correction: str = "plain"):
-    """Min-sum decoding of one frame; correction is "plain" or "table".
-
-    Per-bin LLRs come from the discrete channel's transition matrix.
-    """
-    engine = {"plain": "minsum", "table": "minsum-corrected"}.get(correction)
-    if engine is None:
-        raise ValueError(f"unknown correction {correction!r}")
-    llr = _frame_llrs(code, dmc, channel_bins)
-    bits, iters, conv = decode_llr_batch(code, llr, max_iter, engine)
-    return bits[0], int(iters[0]), bool(conv[0])
-
-
-def decode_bp(code: LdpcCode, dmc: DmcSpec, channel_bins, max_iter: int = 50):
-    """Log-domain sum-product decoding of one frame."""
-    llr = _frame_llrs(code, dmc, channel_bins)
-    bits, iters, conv = decode_llr_batch(code, llr, max_iter, "bp")
-    return bits[0], int(iters[0]), bool(conv[0])
-
-
-def bp_posteriors(code: LdpcCode, dmc: DmcSpec, channel_bins,
-                  max_iter: int = 50) -> np.ndarray:
-    """Posterior LLR per bit after max_iter full BP sweeps (no early stop)."""
-    chan = _llr_rows(code, _frame_llrs(code, dmc, channel_bins))
-    step = _FloatIteration(code, "bp")
-    posterior = chan
-    v2c = np.tile(chan, (code.var_degree, 1))
-    for _ in range(max_iter):
-        posterior, c2v = step(chan, v2c)
-        v2c = step.extrinsic(posterior, c2v)
-    return posterior[:, 0]
-
-
-def _frame_llrs(code: LdpcCode, dmc: DmcSpec, channel_bins) -> np.ndarray:
-    bins = np.asarray(channel_bins)
-    if bins.ndim == 1:
-        bins = bins[None, :]
-    if bins.shape[1] != code.block_length:
-        raise ValueError("frame length does not match the code")
-    if bins.min() < 0 or bins.max() >= dmc.num_outputs:
-        raise ValueError("bin index out of range")
-    return binary_llrs(dmc)[bins]
 
 
 DECODERS = ("lut", "minsum", "minsum-corrected", "bp")
@@ -715,14 +656,8 @@ def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
 
 def write_ber_csv(path, points: list[BerPoint], decoder: str, block_length: int,
                   comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("decoder,ebn0_db,frames,bit_errors,frame_errors,ber,fer,avg_iterations")
+    lines = ["decoder,ebn0_db,frames,bit_errors,frame_errors,ber,fer,avg_iterations"]
     for p in points:
-        lines.append(
-            f"{decoder},{p.ebn0_db:.17g},{p.frames},{p.bit_errors},{p.frame_errors},"
-            f"{p.ber(block_length):.17g},{p.fer():.17g},{p.avg_iterations:.17g}"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(_text.row([decoder, p.ebn0_db, p.frames, p.bit_errors, p.frame_errors,
+                                p.ber(block_length), p.fer(), p.avg_iterations], ","))
+    _text.write_lines(path, lines, comment)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import xlogy
 
+from . import _text
 from .info import (
     LN2,
     ConditionalDist,
@@ -144,38 +145,6 @@ def design_from_quantizer(j: JointXY, quantizer: Quantizer, beta: float = math.i
     )
 
 
-@dataclass(frozen=True)
-class ItIbState:
-    """State of the fixed-point iteration after one full update sweep."""
-
-    mapping: ConditionalDist
-    cluster_prior: Pmf
-    cluster_posteriors: ConditionalDist
-    row_normalizers: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.row_normalizers, dtype=float)
-        psi.setflags(write=False)
-        object.__setattr__(self, "row_normalizers", psi)
-
-
-def it_ib_update(j: JointXY, quantizer, beta: float) -> ItIbState:
-    """One stationary-condition sweep from the given mapping.
-
-    Recomputes the cluster prior and posteriors induced by the mapping, then
-    the mapping itself; the returned row normalizers are the per-observation
-    partition functions that make each updated row a distribution.
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    rows = _quantizer_rows(j, quantizer)
-    m = j.matrix
-    cposts = np.full((rows.shape[1], j.num_x), 1.0 / j.num_x)
-    pz, (mapping, psi) = _SweepData(m, m.sum(axis=0)).sweep(rows, cposts, beta,
-                                                            with_normalizers=True)
-    return ItIbState(ConditionalDist(mapping), Pmf(pz), ConditionalDist(cposts), psi)
-
-
 class _SweepData:
     """Joint columns m = p(x, y) and marginal py, with the terms every sweep reuses."""
 
@@ -201,8 +170,7 @@ class _SweepData:
         cross = np.where(violation > 0, -np.inf, cross_vals)
         return self.self_term[:, None] - cross
 
-    def sweep(self, mapping: np.ndarray, cposts: np.ndarray, beta: float,
-              with_normalizers: bool = False):
+    def sweep(self, mapping: np.ndarray, cposts: np.ndarray, beta: float):
         """Cluster prior of ``mapping`` and the stationary mapping it induces.
 
         Writes the induced posteriors into ``cposts``; dead clusters keep
@@ -212,7 +180,7 @@ class _SweepData:
         pxz = self.m @ mapping
         alive = pz >= DEAD_CLUSTER_EPS
         cposts[alive] = (pxz[:, alive] / pz[alive]).T
-        return pz, _stationary_mapping(pz, self.kl_nats(cposts), beta, with_normalizers)
+        return pz, _stationary_mapping(pz, self.kl_nats(cposts), beta)
 
     def objective(self, mapping: np.ndarray, beta: float) -> float:
         relevant = mutual_information(JointXY(self.m @ mapping))
@@ -234,21 +202,16 @@ def _positive_mass(j: JointXY) -> tuple[np.ndarray, _SweepData]:
 EXP_ZERO_BELOW = -746.0
 
 
-def _stationary_mapping(pz: np.ndarray, dist_nats: np.ndarray, beta: float,
-                        with_normalizers: bool = False):
+def _stationary_mapping(pz: np.ndarray, dist_nats: np.ndarray, beta: float) -> np.ndarray:
     """One stationary-condition update: rows proportional to p(z) exp(-beta D)."""
     penalty = np.zeros_like(dist_nats) if beta == 0 else beta * dist_nats
     with np.errstate(divide="ignore", invalid="ignore"):
         logw = np.subtract(np.log(pz)[None, :], penalty, out=penalty)
     np.fmax(logw, -np.inf, out=logw)   # NaN -> -inf
-    shift = logw.max(axis=1, keepdims=True)
-    logw -= shift
+    logw -= logw.max(axis=1, keepdims=True)
     w = np.zeros_like(logw)
     np.exp(logw, out=w, where=~(logw < EXP_ZERO_BELOW))   # NaN stays NaN
-    totals = w.sum(axis=1, keepdims=True)
-    if with_normalizers:
-        return w / totals, (totals * np.exp(shift))[:, 0]
-    return np.divide(w, totals, out=w)
+    return np.divide(w, w.sum(axis=1, keepdims=True), out=w)
 
 
 def iterative_ib(j: JointXY, num_clusters: int, beta: float,
@@ -771,14 +734,8 @@ def ib_curve(j: JointXY, algorithm: str, n_values, beta: float = 400.0,
 
 def write_curve_csv(path, points: list[CurvePoint], algorithm: str, beta: float,
                     restarts: int, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("algorithm,beta,n,restarts,info_loss_bits,compression_rate_bits,objective")
+    lines = ["algorithm,beta,n,restarts,info_loss_bits,compression_rate_bits,objective"]
     for p in points:
-        lines.append(
-            f"{algorithm},{beta:.17g},{p.n},{restarts},"
-            f"{p.info_loss:.17g},{p.compression_rate:.17g},{p.objective:.17g}"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(_text.row([algorithm, beta, p.n, restarts, p.info_loss,
+                                p.compression_rate, p.objective], ","))
+    _text.write_lines(path, lines, comment)

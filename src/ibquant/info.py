@@ -98,9 +98,6 @@ class ConditionalDist:
     def alphabet_size(self) -> int:
         return self.rows.shape[1]
 
-    def row(self, i: int) -> Pmf:
-        return Pmf(self.rows[i].copy())
-
     @classmethod
     def identity(cls, size: int) -> "ConditionalDist":
         return cls(np.eye(size))
@@ -144,9 +141,6 @@ class JointXY:
     def posterior_x_given_y(self) -> ConditionalDist:
         """p(x|y) as rows indexed by y.  Zero-mass y rows fall back to uniform."""
         return ConditionalDist(_posterior_rows(self.matrix.T))
-
-    def conditional_y_given_x(self) -> ConditionalDist:
-        return ConditionalDist(_posterior_rows(self.matrix))
 
 
 def _posterior_rows(weighted: np.ndarray) -> np.ndarray:

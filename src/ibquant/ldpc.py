@@ -35,7 +35,7 @@ class LdpcCode:
             raise ValueError("parity matrix must be two-dimensional")
         if not np.all((raw == 0) | (raw == 1)):
             raise ValueError("parity matrix entries must be 0 or 1")
-        h = np.asarray(raw, dtype=np.uint8)
+        h = np.array(raw, dtype=np.uint8)  # a copy: the caller's array stays writable
         if not np.all(h.sum(axis=0) == self.var_degree):
             raise ValueError("column weights are not uniform")
         if not np.all(h.sum(axis=1) == self.check_degree):
@@ -88,11 +88,15 @@ class LdpcCode:
 
 
 def count_four_cycles(h: np.ndarray) -> int:
-    """Number of length-4 cycles: variable pairs sharing two or more checks."""
-    h = np.asarray(h, dtype=np.int64)
+    """Number of length-4 cycles: the check pairs shared by each pair of variables.
+
+    The overlap counts are small integers, so the float64 product, which
+    BLAS computes, holds them exactly, as does every sum below 2**53.
+    """
+    h = np.asarray(h, dtype=np.float64)
     overlap = h.T @ h
     np.fill_diagonal(overlap, 0)
-    return int((overlap * (overlap - 1) // 2).sum() // 2)
+    return int((overlap * (overlap - 1)).sum()) // 4
 
 
 def construct_regular_ldpc(n: int, dv: int, dc: int, seed: int = 0,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .ib import _antisymmetric_pairing, dp_optimal_quantizer
 from .info import ConditionalDist, JointXY, mutual_information, push_through_quantizer
 
@@ -166,10 +167,14 @@ def _labels_mirror(matrix: np.ndarray, labels: np.ndarray, out_size: int) -> boo
 
 @dataclass(frozen=True)
 class CascadeStage:
-    """One two-input stage; sources are ("input", k), ("stage", j) or ("const", 0)."""
+    """One two-input stage of a cascade over num_inputs messages.
 
-    left: tuple[str, int]
-    right: tuple[str, int]
+    Operands are integers: input k is k, the output of stage j is
+    num_inputs + j, and the constant zero is -1.
+    """
+
+    left: int
+    right: int
     lut: NodeLut
 
 
@@ -188,43 +193,27 @@ class LutCascade:
         if len(inputs) != self.num_inputs:
             raise ValueError(f"expected {self.num_inputs} inputs, got {len(inputs)}")
         values = list(inputs)
-        for (left, right), stage in zip(self.operand_plan(), self.stages):
-            rhs = values[right] if right >= 0 else np.zeros_like(inputs[0])
-            values.append(stage.lut.table[values[left], rhs])
+        for stage in self.stages:
+            rhs = values[stage.right] if stage.right >= 0 else np.zeros_like(inputs[0])
+            values.append(stage.lut.table[values[stage.left], rhs])
         return values[-1]
 
-    def operand_plan(self) -> list[tuple[int, int]]:
-        """(left, right) of every stage as integers.
 
-        Input k is k, the output of stage j is num_inputs + j, and the
-        constant zero operand is -1.
-        """
-        offset = {"input": 0, "stage": self.num_inputs}
-
-        def number(source) -> int:
-            kind, idx = source
-            return -1 if kind == "const" else offset[kind] + idx
-
-        return [(number(s.left), number(s.right)) for s in self.stages]
-
-
-def _cascade_plan(schedule: str, num_inputs: int) -> list[tuple[tuple, tuple]]:
+def _cascade_plan(schedule: str, num_inputs: int) -> list[tuple[int, int]]:
+    """The (left, right) operands of every stage, numbered as in CascadeStage."""
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
     if num_inputs == 1:
-        return [(("input", 0), ("const", 0))]
+        return [(0, -1)]
     if schedule == "left_fold":
-        plan = [(("input", 0), ("input", 1))]
-        for k in range(2, num_inputs):
-            plan.append((("stage", k - 2), ("input", k)))
-        return plan
+        return [(0, 1)] + [(num_inputs + k - 2, k) for k in range(2, num_inputs)]
     plan = []
-    work: list[tuple] = [("input", i) for i in range(num_inputs)]
+    work = list(range(num_inputs))
     while len(work) > 1:
         nxt = []
         for i in range(0, len(work) - 1, 2):
             plan.append((work[i], work[i + 1]))
-            nxt.append(("stage", len(plan) - 1))
+            nxt.append(num_inputs + len(plan) - 1)
         if len(work) % 2 == 1:
             nxt.append(work[-1])
         work = nxt
@@ -251,46 +240,38 @@ def _build_cascade(f: NodeFunction, inputs, out_size: int, schedule: str,
         raise ValueError("cascade needs at least one input message")
     if out_size < 2:
         raise ValueError("out_size must be >= 2")
-    plan = _cascade_plan(schedule, len(inputs))
-    dists: dict[tuple, MessageDist] = {("input", i): d for i, d in enumerate(inputs)}
-    dists[("const", 0)] = MessageDist.constant()
+    dists = list(inputs)  # indexed by operand number
     stages = []
-    for left, right in plan:
+    for left, right in _cascade_plan(schedule, len(inputs)):
         # A constant second operand only requantizes, so equality semantics apply.
-        func = NodeFunction.VARIABLE_EQUAL if right[0] == "const" else f
-        a, b = dists[left], dists[right]
+        if right < 0:
+            func, b = NodeFunction.VARIABLE_EQUAL, MessageDist.constant()
+        else:
+            func, b = f, dists[right]
+        a = dists[left]
         key = (func, a.rows.tobytes(), b.rows.tobytes(), out_size)  # rows are (2, k)
         lut = tables.get(key)
         if lut is None:
             lut = tables[key] = build_max_lut(func, a, b, out_size)
         stages.append(CascadeStage(left, right, lut))
-        dists[("stage", len(stages) - 1)] = lut.out_cond
+        dists.append(lut.out_cond)
     return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
 
 
 def save_node_lut(lut: NodeLut, path, comment: str | None = None) -> None:
     """Plain-text table: header, one line of labels per l, then p(v|x) rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_lut_text(lut, comment))
+    _text.write_lines(path, _lut_lines(lut), comment)
 
 
-def _lut_text(lut: NodeLut, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+def _lut_lines(lut: NodeLut) -> list[str]:
     nl, nz = lut.table.shape
-    lines.append(f"lut {nl} {nz} {lut.out_alphabet_size}")
-    for row in lut.table:
-        lines.append(" ".join(str(int(v)) for v in row))
-    for row in lut.out_cond.rows:
-        lines.append(" ".join(f"{p:.17g}" for p in row))
-    return "\n".join(lines) + "\n"
+    return ([f"lut {nl} {nz} {lut.out_alphabet_size}"]
+            + [_text.row(row) for row in lut.table]
+            + [_text.row(row) for row in lut.out_cond.rows])
 
 
 def load_node_lut(path) -> NodeLut:
-    with open(path) as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-    return _lut_from_lines(lines)[0]
+    return _lut_from_lines(_text.read_lines(path)[1])[0]
 
 
 def _lut_from_lines(lines, start: int = 0) -> tuple[NodeLut, int]:

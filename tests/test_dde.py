@@ -127,6 +127,18 @@ class TestSerialization:
             assert np.array_equal(got.bit_map, want.bit_map)
             assert len(got.cascade.stages) == len(want.cascade.stages)
 
+    def test_indented_comment_line(self, tmp_path):
+        design = small_design(iters=2)
+        path = tmp_path / "design.txt"
+        save_design(design, path, comment="unit test")
+        lines = path.read_text().splitlines()
+        lines.insert(3, "   # an indented note")
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_design(path)
+        second = tmp_path / "again.txt"
+        save_design(loaded, second, comment="unit test")
+        assert second.read_text().splitlines() == lines[:3] + lines[4:]
+
     def test_header_line(self, tmp_path):
         design = small_design(bits=4, iters=2)
         path = tmp_path / "design.txt"
@@ -159,14 +171,15 @@ class TestSerialization:
 
 def reference_cascade(f, inputs, out_size, schedule):
     """cascade_node with every stage built by its own build_max_lut call."""
-    dists = {("input", i): d for i, d in enumerate(inputs)}
-    dists[("const", 0)] = maxlut.MessageDist.constant()
+    dists = list(inputs)  # input k is k, stage j's output num_inputs + j
     stages = []
     for left, right in maxlut._cascade_plan(schedule, len(inputs)):
-        func = NodeFunction.VARIABLE_EQUAL if right[0] == "const" else f
-        lut = maxlut.build_max_lut(func, dists[left], dists[right], out_size)
+        constant = right < 0  # the constant zero operand
+        func = NodeFunction.VARIABLE_EQUAL if constant else f
+        rhs = maxlut.MessageDist.constant() if constant else dists[right]
+        lut = maxlut.build_max_lut(func, dists[left], rhs, out_size)
         stages.append(CascadeStage(left, right, lut))
-        dists[("stage", len(stages) - 1)] = lut.out_cond
+        dists.append(lut.out_cond)
     return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
 
 

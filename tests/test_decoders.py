@@ -21,12 +21,8 @@ from ibquant.decoders import (
     _frame_rng,
     _FramePacking,
     ber_sweep,
-    bp_posteriors,
-    decode_bp,
     decode_llr_batch,
-    decode_lut,
     decode_lut_batch,
-    decode_min_sum,
     write_ber_csv,
 )
 from ibquant.ldpc import LdpcCode, construct_regular_ldpc
@@ -58,16 +54,16 @@ class TestLutDecoder:
     def test_noiseless_converges_immediately(self, setup_2db):
         code, dmc, design = setup_2db
         bins = dmc.discretization.bin_of(np.ones(code.block_length))
-        bits, iters, conv = decode_lut(code, design, bins, 50)
-        assert conv and iters <= 1 and bits.sum() == 0
+        bits, iters, conv = decode_lut_batch(code, design, bins[None], 50)
+        assert conv[0] and iters[0] <= 1 and bits[0].sum() == 0
 
     def test_corrects_single_flipped_bin(self, setup_2db):
         code, dmc, design = setup_2db
         bins = dmc.discretization.bin_of(np.ones(code.block_length))
         bins = np.array(bins)
         bins[137] = 0  # opposite extreme bin
-        bits, _, conv = decode_lut(code, design, bins, 50)
-        assert conv and bits.sum() == 0
+        bits, _, conv = decode_lut_batch(code, design, bins[None], 50)
+        assert conv[0] and bits[0].sum() == 0
 
     def test_converged_means_parity_satisfied(self, setup_2db):
         code, dmc, design = setup_2db
@@ -92,11 +88,11 @@ class TestLutDecoder:
     def test_rejects_bad_input(self, setup_2db):
         code, dmc, design = setup_2db
         with pytest.raises(ValueError):
-            decode_lut(code, design, np.zeros(17, dtype=int), 10)
+            decode_lut_batch(code, design, np.zeros((1, 17), dtype=int), 10)
         with pytest.raises(ValueError):
-            decode_lut(code, design, np.full(code.block_length, 500), 10)
+            decode_lut_batch(code, design, np.full((1, code.block_length), 500), 10)
         with pytest.raises(ValueError):
-            decode_lut(code, design, np.zeros(code.block_length), 10)  # float bins
+            decode_lut_batch(code, design, np.zeros((1, code.block_length)), 10)  # float bins
 
     def test_first_iteration_matches_density_evolution(self, setup_2db):
         # girth >= 6, so the first decoding iteration is exactly tree-like and
@@ -269,6 +265,19 @@ def reference_decode_llr_batch(code, llrs, max_iter, engine):
         if t == max_iter - 1:
             out_bits[active] = bits
     return out_bits, iters_used, converged
+
+
+def bp_posteriors(code, dmc, channel_bins, max_iter):
+    """Posterior LLR per bit of one frame after max_iter full BP sweeps of the
+    slot-major float iteration, with no early stop."""
+    chan = binary_llrs(dmc)[np.asarray(channel_bins)][:, None]
+    step = decoders._FloatIteration(code, "bp")
+    posterior = chan
+    v2c = np.tile(chan, (code.var_degree, 1))
+    for _ in range(max_iter):
+        posterior, c2v = step(chan, v2c)
+        v2c = step.extrinsic(posterior, c2v)
+    return posterior[:, 0]
 
 
 def reference_bp_posteriors(code, dmc, channel_bins, max_iter):
@@ -601,11 +610,10 @@ class TestBaselineDecoders:
     def test_noiseless(self, setup_2db):
         code, dmc, _ = setup_2db
         bins = dmc.discretization.bin_of(np.ones(code.block_length))
-        for fn in (lambda: decode_min_sum(code, dmc, bins, 50),
-                   lambda: decode_min_sum(code, dmc, bins, 50, correction="table"),
-                   lambda: decode_bp(code, dmc, bins, 50)):
-            bits, iters, conv = fn()
-            assert conv and bits.sum() == 0 and iters <= 1
+        llr = binary_llrs(dmc)[bins[None]]
+        for engine in ("minsum", "minsum-corrected", "bp"):
+            bits, iters, conv = decode_llr_batch(code, llr, 50, engine)
+            assert conv[0] and bits[0].sum() == 0 and iters[0] <= 1
 
     def test_deterministic_trajectories(self, setup_2db):
         code, dmc, _ = setup_2db
@@ -615,12 +623,6 @@ class TestBaselineDecoders:
         a = decode_llr_batch(code, llr, 30, "minsum")
         b = decode_llr_batch(code, llr, 30, "minsum")
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_unknown_correction(self, setup_2db):
-        code, dmc, _ = setup_2db
-        bins = dmc.discretization.bin_of(np.ones(code.block_length))
-        with pytest.raises(ValueError):
-            decode_min_sum(code, dmc, bins, 10, correction="offset")
 
 
 class TestBpAgainstExactMap:
@@ -651,8 +653,8 @@ class TestBpAgainstExactMap:
             exact_llr = np.log(post0) - np.log(post1)
             bp_llr = bp_posteriors(code, dmc, bins, max_iter=3)
             assert np.allclose(bp_llr, exact_llr, atol=1e-6)
-            bits, _, _ = decode_bp(code, dmc, bins, 10)
-            assert np.array_equal(bits, (exact_llr < 0).astype(np.uint8))
+            bits, _, _ = decode_llr_batch(code, binary_llrs(dmc)[bins[None]], 10, "bp")
+            assert np.array_equal(bits[0], (exact_llr < 0).astype(np.uint8))
 
 
 class TestBerSweep:

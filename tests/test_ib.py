@@ -16,6 +16,7 @@ from ibquant.ib import (
     _antisymmetric_pairing,
     _nearest_positive_labels,
     _restart_rng,
+    _SweepData,
     agglomerative_ib,
     design_from_quantizer,
     dp_contiguous_partition,
@@ -23,7 +24,6 @@ from ibquant.ib import (
     fixed_point_residual,
     ib_curve,
     ib_objective,
-    it_ib_update,
     iterative_ib,
     kl_means_ib,
     write_curve_csv,
@@ -524,19 +524,23 @@ class TestIterativeIb:
         j = random_joint(rng, 3, 6)
         q = Quantizer.random_stochastic(6, 3, rng)
         beta = 20.0
-        state = it_ib_update(j, q, beta)
-        # normalizers make every updated row an exact distribution
-        assert np.allclose(state.mapping.rows.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(state.row_normalizers > 0)
+        m = j.matrix
+        cposts = np.full((3, 3), 1.0 / 3)
+        prior, mapping = _SweepData(m, m.sum(axis=0)).sweep(q.mapping.rows, cposts, beta)
+        # every updated row is an exact distribution
+        assert np.allclose(mapping.sum(axis=1), 1.0, atol=1e-12)
         pz = j.y_marginal().probs @ q.mapping.rows
-        assert np.allclose(state.cluster_prior.probs, pz, atol=1e-12)
-        # the normalizer is the row's partition function: check one entry
+        assert np.allclose(prior, pz, atol=1e-12)
+        # row y is p(z) exp(-beta D(p(x|y) || p(x|z))) over its partition function
         posts = j.posterior_x_given_y().rows
-        kl_bits = sum(
-            posts[0, x] * np.log(posts[0, x] / state.cluster_posteriors.rows[0, x])
-            for x in range(3) if posts[0, x] > 0)
-        expected = pz[0] * np.exp(-beta * kl_bits) / state.row_normalizers[0]
-        assert state.mapping.rows[0, 0] == pytest.approx(expected, rel=1e-9)
+        kl_nats = np.array([[sum(posts[y, x] * np.log(posts[y, x] / cposts[z, x])
+                                 for x in range(3) if posts[y, x] > 0)
+                             for z in range(3)] for y in range(6)])
+        weights = pz * np.exp(-beta * kl_nats)
+        partition = weights.sum(axis=1)
+        assert np.all(partition > 0)
+        assert mapping[0, 0] == pytest.approx(weights[0, 0] / partition[0], rel=1e-9)
+        assert np.allclose(mapping, weights / partition[:, None], rtol=1e-9, atol=0)
 
 
 class TestAgglomerativeIb:

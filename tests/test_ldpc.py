@@ -1,10 +1,12 @@
 import hashlib
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ibquant.decoders import _FramePacking
 from ibquant.ldpc import (
@@ -375,6 +377,19 @@ class TestGenerator:
         assert np.array_equal(reduced, h)
 
 
+class TestFourCycles:
+    @settings(max_examples=80, deadline=None)
+    @given(h=st.tuples(st.integers(1, 7), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))))
+    @example(h=np.ones((4, 5), dtype=np.uint8))  # every pair shares all four checks
+    def test_matches_brute_force(self, h):
+        # each pair of variables closes one 4-cycle per pair of checks it shares
+        want = sum(comb(int(np.sum(h[:, a] & h[:, b])), 2)
+                   for a, b in combinations(range(h.shape[1]), 2))
+        got = count_four_cycles(h)
+        assert type(got) is int and got == want
+
+
 class TestLdpcCodeValidation:
     def test_rejects_wrong_column_weight(self):
         h = np.zeros((2, 4), dtype=np.uint8)
@@ -388,6 +403,13 @@ class TestLdpcCodeValidation:
     def test_rejects_non_binary_entries(self, h, degree):
         with pytest.raises(ValueError, match="0 or 1"):
             LdpcCode(h, degree, degree, seed=0)
+
+    def test_leaves_the_callers_matrix_writable(self):
+        h = np.eye(4, dtype=np.uint8)
+        code = LdpcCode(h, 1, 1, 0)
+        h[0, 0] = 0
+        assert code.parity_matrix[0, 0] == 1
+        assert not code.parity_matrix.flags.writeable
 
     def test_accepts_boolean_matrix(self):
         code = LdpcCode(np.eye(3, dtype=bool), 1, 1, seed=0)
