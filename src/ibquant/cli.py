@@ -40,9 +40,11 @@ def _parse_list(parser: argparse.ArgumentParser, flag: str, text: str, kind) -> 
         parser.error(f"{flag} must be a comma-separated list of {kind.__name__} values")
 
 
-def _check_degrees(parser: argparse.ArgumentParser, args) -> None:
+def _check_degrees_and_iters(parser: argparse.ArgumentParser, args) -> None:
     if not 1 <= args.dv < args.dc:
         parser.error("--dv and --dc must satisfy 1 <= dv < dc")
+    if args.iters < 1:
+        parser.error("--iters must be >= 1")
 
 
 def _add_channel_args(sub: argparse.ArgumentParser) -> None:
@@ -114,7 +116,7 @@ def _cmd_maxlut(parser, args) -> int:
 def _cmd_ldpc_design(parser, args) -> int:
     if args.bits < 1:
         parser.error("--bits must be >= 1")
-    _check_degrees(parser, args)
+    _check_degrees_and_iters(parser, args)
     rate = args.rate if args.rate is not None else 1.0 - args.dv / args.dc
     design = design_bpsk_decoder(args.ebn0, args.dv, args.dc, args.bits,
                                  args.iters, args.bins, args.clip, rate)
@@ -128,7 +130,7 @@ def _cmd_ldpc_design(parser, args) -> int:
 
 def _cmd_ldpc_simulate(parser, args) -> int:
     ebn0_list = _parse_list(parser, "--ebn0", args.ebn0, float)
-    _check_degrees(parser, args)
+    _check_degrees_and_iters(parser, args)
     try:
         code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
     except ValueError as exc:
@@ -146,6 +148,8 @@ def _cmd_ldpc_simulate(parser, args) -> int:
             parser.error(f"--bits {args.bits} does not match the design file's "
                          f"{design.message_bits}-bit messages")
         bits = design.message_bits
+    if args.decoder == "lut" and not 1 <= bits <= 8:
+        parser.error(f"the lut decoder holds messages of 1 to 8 bits, not {bits}")
     points = decoders.ber_sweep(
         code, args.decoder, ebn0_list, args.max_frames, args.max_errors,
         args.seed, message_bits=bits, max_iter=args.iters,

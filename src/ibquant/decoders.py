@@ -33,17 +33,19 @@ positions of the last byte.
 
 The float engines share one flooding iteration (``_FloatIteration``) and
 differ only in the check update, which maps the dc check-side slot rows to dc
-exclusive outputs.  Gather, update and clip run on blocks of checks small
-enough that a block's temporaries stay in a per-core L2 cache; the checks
-are independent, so the blocks give the bits of one whole-array update.
-Plain min-sum makes one running pass for the two smallest magnitudes of
-every check instead of sorting it; corrected min-sum chains table-corrected
+exclusive outputs.  They keep only the posteriors and the clipped check
+outputs, in check order: a check forms each v2c message as the posterior minus
+the edge's own last output, clipped (in the first iteration the channel LLR,
+unclipped), on blocks of checks whose temporaries stay in a per-core L2 cache;
+the checks are independent, so the blocks give the bits of one whole-array
+update.  Plain min-sum makes one running pass for the two smallest magnitudes
+of every check instead of sorting it; corrected min-sum chains table-corrected
 boxplus operations from both ends, starting from a large identity value, and
-while every input of a block is below 1e8 the four steps against the
-identity take their exact closed form (x + g) - g, g the last table entry;
-BP multiplies tanh(x/2) from both ends.  The variable update adds the dv
-incoming messages left to right, then the channel LLR.  The hard decision
-goes to the syndrome as the transposed (n, batch) comparison, with no copy.
+while every input of a block is below 1e8 the four steps against the identity
+take their exact closed form (x + g) - g, g the last table entry; BP
+multiplies tanh(x/2) from both ends.  The posterior is the dv check outputs of
+a variable added left to right, then the channel LLR.  The hard decision goes
+to the syndrome as the transposed (n, batch) comparison, with no copy.
 """
 
 from __future__ import annotations
@@ -319,6 +321,8 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         raise ValueError("channel_bins must be (batch, n)")
     if bins.size and (bins.min() < 0 or bins.max() >= design.channel_lut.num_inputs):
         raise ValueError("bin index out of range")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     dv, dc = code.var_degree, code.check_degree
     if dv != design.var_degree or dc != design.check_degree:
         raise ValueError("design degrees do not match the code")
@@ -500,42 +504,34 @@ _BLOCK = 1 << 14
 
 
 class _FloatIteration:
-    """One flooding iteration of float message passing on slot-major rows.
-
-    The check side runs gather, update and clip on blocks of _BLOCK // batch
-    checks at a time; every check's update is independent of the others, so
-    the blocks give the same bits as one whole-array update.
-    """
+    """One flooding iteration on the posteriors (n, batch) and the clipped check
+    outputs cc (dc, m, batch), checks in blocks of _BLOCK // batch."""
 
     def __init__(self, code: LdpcCode, engine: str):
         self.update = _CHECK_UPDATES[engine]
-        to_checks, self.to_vars = _slot_permutations(code)
-        self.check_rows = to_checks.reshape(code.check_degree, code.num_checks)
-        self.dv = code.var_degree
+        self.var_of_row = code.check_adj.T  # the variable of each cc row
+        self.to_vars = _slot_permutations(code)[1].reshape(code.var_degree, -1)
 
-    def __call__(self, chan: np.ndarray, v2c: np.ndarray):
-        """Posterior (n, batch) and c2v (dv * n, batch) from the v2c rows."""
-        dc, m = self.check_rows.shape
-        batch = v2c.shape[1]
-        cc = np.empty((dc, m, batch))
-        rows = max(1, _BLOCK // max(1, batch))
+    def __call__(self, chan: np.ndarray, posterior: np.ndarray, cc: np.ndarray | None):
+        """The next posterior and cc; the first iteration passes chan and None."""
+        dc, m = self.var_of_row.shape
+        last, cc = cc, np.empty((dc, m, chan.shape[1]))
+        rows = max(1, _BLOCK // max(1, chan.shape[1]))
         for start in range(0, m, rows):
-            out = cc[:, start:start + rows]
-            self.update(v2c.take(self.check_rows[:, start:start + rows], axis=0), out)
+            block = slice(start, start + rows)
+            mc = posterior.take(self.var_of_row[:, block], axis=0)
+            if last is not None:  # the v2c messages
+                mc -= last[:, block]
+                np.clip(mc, -LLR_LIMIT, LLR_LIMIT, out=mc)
+            out = cc[:, block]
+            self.update(mc, out)
             np.clip(out, -LLR_LIMIT, LLR_LIMIT, out=out)
-        c2v = cc.reshape(dc * m, batch).take(self.to_vars, axis=0)
-        slots = np.split(c2v, self.dv)
-        total = slots[0].copy()
-        for s in slots[1:]:
-            total += s
-        total += chan  # llr + ((c2v_0 + c2v_1) + c2v_2)
-        return total, c2v
-
-    def extrinsic(self, posterior: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-        """Next v2c rows: the posterior minus each incoming message."""
-        v2c = np.subtract(posterior, c2v.reshape(self.dv, *posterior.shape))
-        np.clip(v2c, -LLR_LIMIT, LLR_LIMIT, out=v2c)
-        return v2c.reshape(c2v.shape)
+        flat = cc.reshape(dc * m, chan.shape[1])
+        posterior = flat.take(self.to_vars[0], axis=0)
+        for slot in self.to_vars[1:]:
+            posterior += flat.take(slot, axis=0)
+        posterior += chan  # llr + ((c2v_0 + c2v_1) + c2v_2)
+        return posterior, cc
 
 
 def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
@@ -549,6 +545,8 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     llr = np.asarray(llrs, dtype=float)
     if llr.ndim != 2 or llr.shape[1] != code.block_length:
         raise ValueError("llrs must be (batch, n)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     chan = np.ascontiguousarray(llr.T)
     step = _FloatIteration(code, engine)
     n, batch = chan.shape
@@ -557,9 +555,9 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     converged = np.zeros(batch, dtype=bool)
 
     active = np.arange(batch)
-    v2c = np.tile(chan, (code.var_degree, 1))
+    posterior, cc = chan, None
     for t in range(max_iter):
-        posterior, c2v = step(chan, v2c)
+        posterior, cc = step(chan, posterior, cc)
         hard = posterior < 0
         ok = code.parity_ok(hard.T)
         if t == max_iter - 1:
@@ -573,10 +571,7 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
             active = active[keep]
             if active.size == 0:
                 break
-            chan = chan[:, keep]
-            posterior = posterior[:, keep]
-            c2v = c2v[:, keep]
-        v2c = step.extrinsic(posterior, c2v)
+            chan, posterior, cc = chan[:, keep], posterior[:, keep], cc[:, :, keep]
     return out_bits, iters_used, converged
 
 
@@ -604,6 +599,8 @@ def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
         raise ValueError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
     if codewords not in ("zero", "random"):
         raise ValueError("codewords must be 'zero' or 'random'")
+    if max_iter < 1 or batch_size < 1:
+        raise ValueError("max_iter and batch_size must be >= 1")
     if max_frames <= 0:
         return []
     n = code.block_length
@@ -625,8 +622,7 @@ def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
             disc = dmc.discretization
             llr_table = binary_llrs(dmc)
 
-        frames = bit_errors = frame_errors = 0
-        iter_total = 0
+        frames = bit_errors = frame_errors = iter_total = 0
         while frames < max_frames and (max_errors <= 0 or frame_errors < max_errors):
             count = min(batch_size, max_frames - frames)
             tx = np.zeros((count, n), dtype=np.uint8)

@@ -182,6 +182,30 @@ class TestLdpcCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["design", "--bits", "3", "--ebn0", "2.0", "--bins", "32"],
+        ["simulate", "--decoder", "bp", "--ebn0", "1.0", "--max-frames", "5",
+         "--n", "48", "--bins", "32"]])
+    @pytest.mark.parametrize("iters", ["0", "-2"])
+    def test_fewer_than_one_iteration_is_usage_error(self, tmp_path, command, iters,
+                                                     capsys):
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc"] + command + ["--iters", iters, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bits", ["0", "9"])
+    def test_lut_bits_outside_a_byte_are_usage_errors(self, tmp_path, bits, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "simulate", "--decoder", "lut", "--ebn0", "2.0",
+                 "--max-frames", "5", "--n", "48", "--bits", bits, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "1 to 8 bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_design_mismatch_is_usage_error(self, tmp_path):
         design_file = tmp_path / "design.txt"
         assert run(["ldpc", "design", "--dv", "3", "--dc", "6", "--bits", "3",

@@ -93,6 +93,10 @@ class TestLutDecoder:
             decode_lut_batch(code, design, np.full((1, code.block_length), 500), 10)
         with pytest.raises(ValueError):
             decode_lut_batch(code, design, np.zeros((1, code.block_length)), 10)  # float bins
+        for max_iter in (0, -2):
+            with pytest.raises(ValueError, match="max_iter"):
+                decode_lut_batch(code, design, np.zeros((1, code.block_length), int),
+                                 max_iter)
 
     def test_first_iteration_matches_density_evolution(self, setup_2db):
         # girth >= 6, so the first decoding iteration is exactly tree-like and
@@ -272,11 +276,9 @@ def bp_posteriors(code, dmc, channel_bins, max_iter):
     slot-major float iteration, with no early stop."""
     chan = binary_llrs(dmc)[np.asarray(channel_bins)][:, None]
     step = decoders._FloatIteration(code, "bp")
-    posterior = chan
-    v2c = np.tile(chan, (code.var_degree, 1))
+    posterior, cc = chan, None
     for _ in range(max_iter):
-        posterior, c2v = step(chan, v2c)
-        v2c = step.extrinsic(posterior, c2v)
+        posterior, cc = step(chan, posterior, cc)
     return posterior[:, 0]
 
 
@@ -585,6 +587,9 @@ class TestSlotMajorFloatDecoder:
         for bad in (llr[0], llr[:, :-1], llr[None]):
             with pytest.raises(ValueError, match=r"\(batch, n\)"):
                 decode_llr_batch(code, bad, 5, "bp")
+        for max_iter in (0, -2):
+            with pytest.raises(ValueError, match="max_iter"):
+                decode_llr_batch(code, llr, max_iter, "bp")
 
 
 class TestEmptyBatch:
@@ -689,6 +694,33 @@ class TestBerSweep:
                             codewords="random", batch_size=size) for size in (7, 200)]
         assert points[0] == points[1]
         assert 0 < points[0][0].frame_errors < 30
+
+    @pytest.mark.parametrize("decoder", ["minsum", "minsum-corrected", "bp"])
+    def test_float_results_do_not_depend_on_batching(self, oracle_designs, decoder):
+        code = oracle_designs["4bit-below"][0]
+        points = [ber_sweep(code, decoder, [1.0], max_frames=30, seed=12,
+                            codewords="random", num_bins=64, batch_size=size)
+                  for size in (7, 200)]
+        assert points[0] == points[1]
+        assert 0 < points[0][0].frame_errors < 30
+
+    @pytest.mark.parametrize("decoder", decoders.DECODERS)
+    @pytest.mark.parametrize("max_iter", [0, -2])
+    def test_rejects_fewer_than_one_iteration(self, oracle_designs, decoder, max_iter):
+        # no iteration leaves the all-zero start, which would count as decoded
+        code, design = oracle_designs["4bit-below"]
+        with pytest.raises(ValueError, match="max_iter"):
+            ber_sweep(code, decoder, [1.0], max_frames=4, design=design,
+                      max_iter=max_iter)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_empty_batches_before_sampling(self, batch_size):
+        # a batch of no frames never reaches max_frames
+        code = make_code()
+        with mock.patch.object(decoders, "decode_llr_batch",
+                               side_effect=AssertionError("sampled a batch")):
+            with pytest.raises(ValueError, match="batch_size"):
+                ber_sweep(code, "bp", [2.0], max_frames=4, batch_size=batch_size)
 
     def test_unknown_decoder(self):
         code = make_code()
