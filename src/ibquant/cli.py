@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import _text, channels, decoders, ib, ldpc, maxlut
-from .dde import design_bpsk_decoder, load_design, save_design
+from .dde import MAX_MESSAGE_BITS, design_bpsk_decoder, load_design, save_design
 from .info import entropy, mutual_information
 
 
@@ -114,8 +114,8 @@ def _cmd_maxlut(parser, args) -> int:
 
 
 def _cmd_ldpc_design(parser, args) -> int:
-    if args.bits < 1:
-        parser.error("--bits must be >= 1")
+    if not 1 <= args.bits <= MAX_MESSAGE_BITS:
+        parser.error(f"--bits must be 1 to {MAX_MESSAGE_BITS}, not {args.bits}")
     _check_degrees_and_iters(parser, args)
     rate = args.rate if args.rate is not None else 1.0 - args.dv / args.dc
     design = design_bpsk_decoder(args.ebn0, args.dv, args.dc, args.bits,
@@ -148,8 +148,9 @@ def _cmd_ldpc_simulate(parser, args) -> int:
             parser.error(f"--bits {args.bits} does not match the design file's "
                          f"{design.message_bits}-bit messages")
         bits = design.message_bits
-    if args.decoder == "lut" and not 1 <= bits <= 8:
-        parser.error(f"the lut decoder holds messages of 1 to 8 bits, not {bits}")
+    if args.decoder == "lut" and not 1 <= bits <= MAX_MESSAGE_BITS:
+        parser.error(f"the lut decoder holds messages of 1 to {MAX_MESSAGE_BITS} bits, "
+                     f"not {bits}")
     points = decoders.ber_sweep(
         code, args.decoder, ebn0_list, args.max_frames, args.max_errors,
         args.seed, message_bits=bits, max_iter=args.iters,

@@ -37,6 +37,10 @@ from .maxlut import (
 # and decoding reuses that iteration's tables from then on.
 SATURATION_FLOOR = 1e-12
 
+# Widest message a design may have: no decoder in the package runs wider
+# messages, and the 9-bit channel quantizer's DP alone needs a 128 GiB matrix.
+MAX_MESSAGE_BITS = 8
+
 # Per-level probability floor applied to the evolving message distributions.
 # Without it the weak-message table cells of late iterations are placed by
 # underflowed noise, and hard frames hitting those cells can be amplified
@@ -132,10 +136,10 @@ def design_decoder(dmc: DmcSpec, dv: int, dc: int, message_bits: int = 4,
     message plus all dv check messages.  Every intermediate alphabet has
     2**message_bits levels.
     """
+    if not 1 <= message_bits <= MAX_MESSAGE_BITS:
+        raise ValueError(f"message_bits must be 1 to {MAX_MESSAGE_BITS}, got {message_bits}")
     if dmc.num_inputs != 2:
         raise ValueError("decoder design requires a binary-input channel")
-    if message_bits < 1:
-        raise ValueError("message_bits must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     levels = 2 ** message_bits

@@ -156,31 +156,40 @@ class _SweepData:
         self.self_term = xlogy(self.posts, self.posts).sum(axis=1)
         self.support = (self.posts > 0).astype(float)
 
-    def kl_nats(self, cposts: np.ndarray) -> np.ndarray:
-        """Pairwise D(posts_row || cposts_row) in nats; +inf where support is violated."""
+    def kl_nats(self, cposts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Pairwise D(posts_row || cposts_row) in nats; +inf where support is violated.
+
+        ``cposts`` is (Z, X) or a stack (..., Z, X); the result is (..., Y, Z),
+        written into ``out`` when given.
+        """
         with np.errstate(divide="ignore"):
             log_c = np.log(cposts)
         finite_cols = np.isfinite(log_c)
         if finite_cols.all():
-            return self.self_term[:, None] - self.posts @ log_c.T
-        # posts @ log_c.T is only valid where no (p > 0, c == 0) pairing occurs;
-        # -inf entries in log_c flag those columns per cluster.
-        cross_vals = self.posts @ np.where(finite_cols, log_c, 0.0).T
-        violation = self.support @ (~finite_cols).T.astype(float)
-        cross = np.where(violation > 0, -np.inf, cross_vals)
-        return self.self_term[:, None] - cross
+            cross = np.matmul(self.posts, np.swapaxes(log_c, -1, -2), out=out)
+        else:
+            # posts @ log_c^T is only valid where no (p > 0, c == 0) pairing
+            # occurs; -inf entries in log_c flag those columns per cluster.
+            cross = np.matmul(self.posts, np.swapaxes(np.where(finite_cols, log_c, 0.0), -1, -2),
+                              out=out)
+            violation = self.support @ np.swapaxes(~finite_cols, -1, -2).astype(float)
+            cross[violation > 0] = -np.inf
+        return np.subtract(self.self_term[:, None], cross, out=cross)
 
-    def sweep(self, mapping: np.ndarray, cposts: np.ndarray, beta: float):
-        """Cluster prior of ``mapping`` and the stationary mapping it induces.
+    def sweep(self, mapping: np.ndarray, cposts: np.ndarray, beta: float,
+              out: np.ndarray | None = None):
+        """Cluster priors of ``mapping`` (..., Y, Z) and the stationary mappings they induce.
 
-        Writes the induced posteriors into ``cposts``; dead clusters keep
-        their row instead of dividing by ~0.
+        Writes the induced posteriors into ``cposts`` (..., Z, X), and the
+        new mappings into ``out`` when given; dead clusters keep their
+        posterior row instead of dividing by ~0.
         """
         pz = self.py @ mapping
         pxz = self.m @ mapping
         alive = pz >= DEAD_CLUSTER_EPS
-        cposts[alive] = (pxz[:, alive] / pz[alive]).T
-        return pz, _stationary_mapping(pz, self.kl_nats(cposts), beta)
+        np.copyto(cposts, np.swapaxes(pxz / np.where(alive, pz, 1.0)[..., None, :], -1, -2),
+                  where=alive[..., None])
+        return pz, _stationary_mapping(pz, self.kl_nats(cposts, out), beta)
 
     def objective(self, mapping: np.ndarray, beta: float) -> float:
         relevant = mutual_information(JointXY(self.m @ mapping))
@@ -197,21 +206,36 @@ def _positive_mass(j: JointXY) -> tuple[np.ndarray, _SweepData]:
     return keep, _SweepData(j.matrix[:, keep], py[keep])
 
 
-# exp(x) is +0.0 in IEEE double for every x below about -745.13.  numpy takes
-# a slow path for such arguments, so the stationary mapping skips them.
+# exp(x) is +0.0 in IEEE double for every x below about -745.13.  numpy's exp
+# is slow for arguments whose result is zero or denormal, and a masked exp
+# (where=) is slower again, so the stationary mapping gathers the arguments at
+# or above this cut into one contiguous array for exp and writes +0.0 for the
+# rest.  In a contiguous array an element's exp bits do not depend on its
+# position or neighbours, so the gather changes none.
 EXP_ZERO_BELOW = -746.0
 
 
 def _stationary_mapping(pz: np.ndarray, dist_nats: np.ndarray, beta: float) -> np.ndarray:
-    """One stationary-condition update: rows proportional to p(z) exp(-beta D)."""
-    penalty = np.zeros_like(dist_nats) if beta == 0 else beta * dist_nats
+    """One stationary-condition update: rows proportional to p(z) exp(-beta D).
+
+    Works on a mapping (Y, Z) or a stack (..., Y, Z) with priors (..., Z),
+    in place: the new mapping is written over ``dist_nats``.
+    """
+    if beta == 0:
+        dist_nats.fill(0.0)
+    else:
+        dist_nats *= beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.subtract(np.log(pz)[None, :], penalty, out=penalty)
+        logw = np.subtract(np.log(pz)[..., None, :], dist_nats, out=dist_nats)
     np.fmax(logw, -np.inf, out=logw)   # NaN -> -inf
-    logw -= logw.max(axis=1, keepdims=True)
-    w = np.zeros_like(logw)
-    np.exp(logw, out=w, where=~(logw < EXP_ZERO_BELOW))   # NaN stays NaN
-    return np.divide(w, w.sum(axis=1, keepdims=True), out=w)
+    # Row maxima as elementwise maxima over the rows of each transposed slab.
+    logw -= np.swapaxes(logw, -1, -2).copy().max(axis=-2)[..., None]
+    live = np.flatnonzero(~(logw < EXP_ZERO_BELOW))   # NaN stays NaN
+    weights = np.exp(logw.take(live))
+    w = logw   # the weights replace the log-weights
+    w.fill(0.0)
+    w.ravel()[live] = weights
+    return np.divide(w, w.sum(axis=-1, keepdims=True), out=w)
 
 
 def iterative_ib(j: JointXY, num_clusters: int, beta: float,
@@ -226,6 +250,20 @@ def iterative_ib(j: JointXY, num_clusters: int, beta: float,
     symbols with zero marginal probability are dropped before iterating.  The
     design reports the sweeps run and whether the stop test passed.
     """
+    traces = None if objective_trace is None else [objective_trace]
+    return _iterative_ib_runs(j, num_clusters, beta, [init], max_sweeps, tol, traces)[0]
+
+
+def _iterative_ib_runs(j: JointXY, num_clusters: int, beta: float, inits,
+                       max_sweeps: int = 500, tol: float = 1e-10,
+                       traces: list | None = None) -> list[IbDesign]:
+    """``iterative_ib`` from each start in ``inits``, run as one (R, Y, Z) stack.
+
+    Every step of a sweep is elementwise or a per-restart matrix product, so
+    each restart gets the mapping, sweeps and stop decision it gets alone.  A
+    restart leaves the stack when it stops.  ``traces`` holds one objective
+    list per restart.
+    """
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
     if not math.isfinite(beta):
@@ -233,40 +271,70 @@ def iterative_ib(j: JointXY, num_clusters: int, beta: float,
     if beta < 0:
         raise ValueError("beta must be non-negative")
     keep, data = _positive_mass(j)
+    mapping = np.stack([_start_mapping(j, keep, num_clusters, init) for init in inits])
 
+    runs = mapping.shape[0]
+    final = np.empty_like(mapping)
+    sweeps = np.full(runs, max(max_sweeps, 0))
+    converged = np.zeros(runs, dtype=bool)
+    live = np.arange(runs)   # the restart of each stack slice
+    traces = None if traces is None else list(traces)
+    prev_obj = [None] * runs  # objective of each mapping, when already evaluated
+    cposts = np.full((runs, num_clusters, j.num_x), 1.0 / j.num_x)
+    new_mapping = np.empty_like(mapping)
+    scratch = np.empty_like(mapping)
+    for sweep in range(1, max_sweeps + 1):
+        data.sweep(mapping, cposts, beta, out=new_mapping)
+        # The stop test needs both objectives only once the mapping has settled.
+        can_stop = np.zeros(live.shape[0], dtype=bool)
+        if sweep > 1:
+            diff = np.subtract(new_mapping, mapping, out=scratch)
+            can_stop = np.abs(diff, out=diff).max(axis=(1, 2)) < MAPPING_TOL
+        stop = np.zeros_like(can_stop)
+        obj = [None] * live.shape[0]
+        for k in np.flatnonzero(can_stop) if traces is None else range(live.shape[0]):
+            obj[k] = data.objective(new_mapping[k], beta)
+            if traces is not None:
+                traces[k].append(obj[k])
+            if can_stop[k]:
+                if prev_obj[k] is None:
+                    prev_obj[k] = data.objective(mapping[k], beta)
+                stop[k] = prev_obj[k] - obj[k] < tol
+        mapping, new_mapping, prev_obj = new_mapping, mapping, obj
+        if stop.any():
+            done = live[stop]
+            final[done] = mapping[stop]
+            sweeps[done] = sweep
+            converged[done] = True
+            go = ~stop
+            live, mapping, cposts = live[go], mapping[go], cposts[go]
+            new_mapping, scratch = new_mapping[:live.shape[0]], scratch[:live.shape[0]]
+            prev_obj = [p for p, g in zip(prev_obj, go) if g]
+            if traces is not None:
+                traces = [t for t, g in zip(traces, go) if g]
+            if not live.shape[0]:
+                break
+    final[live] = mapping
+
+    designs = []
+    full = np.empty((j.num_y, num_clusters))
+    full[~keep] = 1.0 / num_clusters
+    for r in range(runs):
+        full[keep] = final[r]
+        design = design_from_quantizer(j, Quantizer(ConditionalDist(full)), beta)
+        designs.append(replace(design, sweeps=int(sweeps[r]), converged=bool(converged[r])))
+    return designs
+
+
+def _start_mapping(j: JointXY, keep: np.ndarray, num_clusters: int, init) -> np.ndarray:
+    """The kept rows of a Quantizer start, or a random row-stochastic start seeded by init."""
     if isinstance(init, Quantizer):
         if init.num_inputs != j.num_y or init.num_clusters != num_clusters:
             raise ValueError("init quantizer shape mismatch")
-        mapping = init.mapping.rows[keep].copy()
-    else:
-        rng = np.random.default_rng(0 if init is None else init)
-        raw = rng.uniform(size=(data.py.shape[0], num_clusters))
-        mapping = raw / raw.sum(axis=1, keepdims=True)
-
-    cposts = np.full((num_clusters, j.num_x), 1.0 / j.num_x)
-    prev_obj = None  # objective of `mapping`, when already evaluated
-    sweeps, converged = 0, False
-    tracing = objective_trace is not None
-    for sweeps in range(1, max_sweeps + 1):
-        _, new_mapping = data.sweep(mapping, cposts, beta)
-        # The stop test needs both objectives only once the mapping has settled.
-        can_stop = sweeps > 1 and float(np.abs(new_mapping - mapping).max()) < MAPPING_TOL
-        obj = data.objective(new_mapping, beta) if can_stop or tracing else None
-        if tracing:
-            objective_trace.append(obj)
-        if can_stop and prev_obj is None:
-            prev_obj = data.objective(mapping, beta)
-        mapping = new_mapping
-        if can_stop and prev_obj - obj < tol:
-            converged = True
-            break
-        prev_obj = obj
-
-    full = np.empty((j.num_y, num_clusters))
-    full[keep] = mapping
-    full[~keep] = 1.0 / num_clusters
-    design = design_from_quantizer(j, Quantizer(ConditionalDist(full)), beta)
-    return replace(design, sweeps=sweeps, converged=converged)
+        return init.mapping.rows[keep]
+    rng = np.random.default_rng(0 if init is None else init)
+    raw = rng.uniform(size=(int(keep.sum()), num_clusters))
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def fixed_point_residual(j: JointXY, quantizer: Quantizer, beta: float) -> float:
@@ -703,7 +771,9 @@ def ib_curve(j: JointXY, algorithm: str, n_values, beta: float = 400.0,
 
     Deterministic algorithms (agg-ib, dp) run once per n; the stochastic ones
     take the lowest-information-loss design over ``restarts`` independent,
-    seeded initializations.
+    seeded initializations, the first one on a tie.  The it-ib restarts of one
+    n run together as one stack of mappings; each gives the same design as
+    ``iterative_ib`` run on its own.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -718,15 +788,12 @@ def ib_curve(j: JointXY, algorithm: str, n_values, beta: float = 400.0,
         elif algorithm == "dp":
             best = dp_optimal_quantizer(j, n)
         else:
-            best = None
-            for r in range(max(1, restarts)):
-                rng = _restart_rng(seed, idx, r)
-                if algorithm == "it-ib":
-                    cand = iterative_ib(j, n, beta, init=rng)
-                else:
-                    cand = kl_means_ib(j, n, lam=lam, init=rng)
-                if best is None or cand.info_loss < best.info_loss:
-                    best = cand
+            rngs = [_restart_rng(seed, idx, r) for r in range(max(1, restarts))]
+            if algorithm == "it-ib":
+                cands = _iterative_ib_runs(j, n, beta, rngs)
+            else:
+                cands = (kl_means_ib(j, n, lam=lam, init=rng) for rng in rngs)
+            best = min(cands, key=lambda d: d.info_loss)   # the first of equal minima
         points.append(CurvePoint(n, best.info_loss, best.compression_rate,
                                  best.objective, best))
     return points

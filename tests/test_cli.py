@@ -206,6 +206,20 @@ class TestLdpcCommands:
         assert "1 to 8 bits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bits", ["0", "9"])
+    def test_design_bits_outside_a_byte_are_usage_errors(self, tmp_path, bits, capsys,
+                                                         monkeypatch):
+        def no_design(*args, **kwargs):
+            raise AssertionError("ldpc design reached the decoder design")
+
+        monkeypatch.setattr("ibquant.cli.design_bpsk_decoder", no_design)
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "design", "--ebn0", "2.0", "--bits", bits, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--bits must be 1 to 8, not {bits}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_design_mismatch_is_usage_error(self, tmp_path):
         design_file = tmp_path / "design.txt"
         assert run(["ldpc", "design", "--dv", "3", "--dc", "6", "--bits", "3",

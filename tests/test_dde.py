@@ -65,6 +65,17 @@ class TestDesign:
         with pytest.raises(ValueError):
             design_decoder(dmc, 3, 6, 4, 5)
 
+    @pytest.mark.parametrize("bits", [0, 9, 17])
+    def test_rejects_message_bits_outside_a_byte(self, bits, monkeypatch):
+        # the check must come before the channel quantizer: a 9-bit DP needs 128 GiB
+        def no_dp(*args, **kwargs):
+            raise AssertionError("design_decoder reached the DP quantizer")
+
+        monkeypatch.setattr(dde, "dp_optimal_quantizer", no_dp)
+        dmc = build_bpsk_awgn(2.0, 0.5, 16)
+        with pytest.raises(ValueError, match="message_bits must be 1 to 8"):
+            design_decoder(dmc, 3, 6, bits, 5)
+
     def test_decision_bits_split_alphabet(self):
         design = small_design()
         rule = design.decision_luts[0]

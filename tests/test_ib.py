@@ -14,8 +14,10 @@ from ibquant.ib import (
     MAPPING_TOL,
     Quantizer,
     _antisymmetric_pairing,
+    _iterative_ib_runs,
     _nearest_positive_labels,
     _restart_rng,
+    _stationary_mapping,
     _SweepData,
     agglomerative_ib,
     design_from_quantizer,
@@ -297,6 +299,20 @@ def reference_iterative_ib(j, num_clusters, beta, init, max_sweeps=500, tol=1e-1
     full[~keep] = 1.0 / num_clusters
     design = design_from_quantizer(j, Quantizer(ConditionalDist(full)), beta)
     return design, sweeps, converged
+
+
+def reference_it_ib_curve(j, n_values, beta, restarts, seed):
+    """ib_curve("it-ib") as it was: the restarts one by one, the first lowest loss wins."""
+    points = []
+    for idx, n in enumerate(n_values):
+        best = None
+        for r in range(restarts):
+            cand, sweeps, converged = reference_iterative_ib(
+                j, n, beta, _restart_rng(seed, idx, r))
+            if best is None or cand.info_loss < best[0].info_loss:
+                best = (cand, sweeps, converged)
+        points.append(best)
+    return points
 
 
 def reference_merge_cost(weights, posts):
@@ -627,6 +643,84 @@ class TestItIbMatchesReference:
                 assert np.all(out.view(np.int64) == 0)   # +0.0, not -0.0
         assert np.exp(np.float64(-745.13)) > 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(args=st.lists(st.one_of(st.floats(-708.39, 0.0),       # normal results
+                                   st.floats(-746.0, -708.4),     # denormal or zero
+                                   st.floats(-1e300, EXP_ZERO_BELOW),
+                                   st.just(-np.inf)),
+                         min_size=1, max_size=70),
+           lead=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
+    def test_exp_bits_do_not_depend_on_the_array(self, args, lead, seed):
+        # the stationary mapping calls exp on the gathered entries at or above
+        # the cut: each result must be the one exp gives in the full array.
+        # Only contiguous arrays are compared; on a strided view numpy may
+        # leave its vector exp, whose bits can differ by an ulp.
+        x = np.array(args)
+        alone = np.array([np.exp(x[i:i + 1])[0] for i in range(x.size)])
+        rng = np.random.default_rng(seed)
+        pad = rng.uniform(-800.0, 0.0, size=lead + x.size + 9)
+        pad[lead:lead + x.size] = x
+        masked = np.zeros_like(x)
+        np.exp(x, out=masked, where=~(x < EXP_ZERO_BELOW))
+        for got in (np.exp(x), np.exp(pad)[lead:lead + x.size], np.exp(pad[lead:])[:x.size],
+                    np.exp(x[::-1].copy())[::-1]):
+            assert got.tobytes() == alone.tobytes()
+        kept = ~(x < EXP_ZERO_BELOW)
+        assert masked[kept].tobytes() == alone[kept].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.integers(1, 4), ny=st.integers(1, 9), nz=st.integers(1, 6),
+           beta=st.sampled_from([0.0, 1.0, 10.0, 400.0]), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_stationary_mapping_matches_reference(self, runs, ny, nz, beta, seed):
+        rng = np.random.default_rng(seed)
+        pz = rng.uniform(size=(runs, nz))
+        pz[rng.uniform(size=pz.shape) < 0.3] = 0.0                 # dead clusters
+        pz[np.arange(runs), rng.integers(0, nz, size=runs)] = rng.uniform(0.1, 1.0, runs)
+        dist = rng.exponential(rng.choice([0.01, 1.0, 5.0]), size=(runs, ny, nz))
+        dist[rng.uniform(size=dist.shape) < 0.2] = np.inf         # support violations
+        # rows with a single entry at or above the exp cut: one live cluster close
+        # by, every other one far (or dead)
+        lone = rng.uniform(size=(runs, ny)) < 0.3
+        dist[lone] = 1e4
+        r, y = np.nonzero(lone)
+        dist[r, y, np.argmax(pz, axis=1)[r]] = 0.0
+        with np.errstate(invalid="ignore"):   # a row with no finite weight is NaN
+            got = _stationary_mapping(pz, dist.copy(), beta)
+            for k in range(runs):
+                want = reference_stationary_mapping(pz[k], dist[k], beta)
+                assert got[k].tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=sparse_joints(), beta=st.sampled_from([0.0, 10.0, 400.0]),
+           max_sweeps=st.integers(1, 80), tol=st.sampled_from([1e-10, 0.0]),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6),
+           data=st.data())
+    def test_stacked_restarts_match_separate_calls(self, m, beta, max_sweeps, tol, seeds,
+                                                   data):
+        j = joint_of(m)
+        n = data.draw(st.integers(1, j.num_y + 1))
+        traces = [[] for _ in seeds]
+        got = _iterative_ib_runs(j, n, beta, seeds, max_sweeps, tol, traces)
+        for design, trace, seed in zip(got, traces, seeds):
+            want_trace = []
+            want = iterative_ib(j, n, beta, init=seed, max_sweeps=max_sweeps, tol=tol,
+                                objective_trace=want_trace)
+            assert design.quantizer.mapping.rows.tobytes() == want.quantizer.mapping.rows.tobytes()
+            assert float_bits(design.info_loss) == float_bits(want.info_loss)
+            assert (design.sweeps, design.converged) == (want.sweeps, want.converged)
+            assert [float_bits(v) for v in trace] == [float_bits(v) for v in want_trace]
+
+    def test_stacked_restarts_stop_at_different_sweeps(self):
+        # the 20 restarts of the 4-ASK curve at n = 32 leave the stack one by one
+        j = build_ask_awgn(4, 1.0, 128, 3.0).joint()
+        got = _iterative_ib_runs(j, 32, 400.0, [_restart_rng(404, 3, r) for r in range(20)])
+        assert len({d.sweeps for d in got}) > 5
+        for r, design in enumerate(got):
+            want = iterative_ib(j, 32, 400.0, init=_restart_rng(404, 3, r))
+            assert design.quantizer.mapping.rows.tobytes() == want.quantizer.mapping.rows.tobytes()
+            assert float_bits(design.info_loss) == float_bits(want.info_loss)
+            assert (design.sweeps, design.converged) == (want.sweeps, want.converged)
+
 
 class TestAgglomerativeMatchesReference:
     """Incremental merge costs against rebuilding the whole cost matrix."""
@@ -904,6 +998,36 @@ class TestIbCurve:
         with pytest.raises(ValueError):
             ib_curve(j, "det-ib", [2])
 
+    @settings(max_examples=25, deadline=None)
+    @given(m=sparse_joints(), beta=st.sampled_from([0.0, 10.0, 400.0]),
+           restarts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(m=np.array([[0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 0.3, 0.4]]), beta=400.0,
+             restarts=6, seed=0)
+    def test_it_ib_matches_serial_restarts(self, m, beta, restarts, seed):
+        j = joint_of(m)
+        n_values = list(range(1, min(j.num_y, 3) + 1)) + [j.num_y + 1]
+        got = ib_curve(j, "it-ib", n_values, beta=beta, restarts=restarts, seed=seed)
+        want = reference_it_ib_curve(j, n_values, beta, restarts, seed)
+        for point, (design, sweeps, converged) in zip(got, want):
+            rows = point.design.quantizer.mapping.rows
+            assert rows.tobytes() == design.quantizer.mapping.rows.tobytes()
+            assert (point.design.sweeps, point.design.converged) == (sweeps, converged)
+            for a, b in ((point.info_loss, design.info_loss),
+                         (point.compression_rate, design.compression_rate),
+                         (point.objective, design.objective)):
+                assert float_bits(a) == float_bits(b)
+
+    def test_first_restart_wins_a_tie(self):
+        # a noiseless joint: every restart finds the same partition, with either
+        # labelling, and the same information loss to the bit
+        j = JointXY(np.array([[0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 0.3, 0.4]]))
+        designs = _iterative_ib_runs(j, 2, 400.0, [_restart_rng(0, 0, r) for r in range(6)])
+        assert len({float_bits(d.info_loss) for d in designs}) == 1
+        assert len({tuple(d.quantizer.labels) for d in designs}) == 2
+        point = ib_curve(j, "it-ib", [2], beta=400.0, restarts=6, seed=0)[0]
+        assert point.design.quantizer.mapping.rows.tobytes() == \
+            designs[0].quantizer.mapping.rows.tobytes()
+
     def test_csv_deterministic(self, tmp_path):
         rng = np.random.default_rng(25)
         j = random_joint(rng, 2, 6)
@@ -913,6 +1037,36 @@ class TestIbCurve:
         points2 = ib_curve(j, "it-ib", [2, 3], beta=100.0, restarts=5, seed=7)
         write_curve_csv(p2, points2, "it-ib", 100.0, 5, comment="run")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestNoRuntimeWarnings:
+    """Zero-mass symbols and starved clusters are handled without floating-point warnings."""
+
+    def test_sparse_joint_and_starved_cluster(self):
+        # symbol 1 has no mass, and only symbol 1 maps into cluster 2
+        j = joint_of(np.array([[0.3, 0.0, 0.2, 0.0, 0.1], [0.0, 0.0, 0.1, 0.3, 0.0]]))
+        starved = Quantizer(ConditionalDist(np.array(
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0],
+             [1.0, 0.0, 0.0]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (0.0, 10.0, 400.0):
+                iterative_ib(j, 3, beta, init=starved, objective_trace=[])
+                iterative_ib(j, 6, beta, init=1, max_sweeps=50)
+                fixed_point_residual(j, starved, beta)
+                ib_objective(j, starved, beta)
+                ib_curve(j, "it-ib", [2, 6], beta=beta, restarts=3)
+            ib_objective(j, starved, math.inf)
+            kl_means_ib(j, 4, init=2)
+            kl_means_ib(j, 3, lam=0.5, init=3, objective_trace=[])
+
+    def test_denormal_starved_cluster(self):
+        j = build_ask_awgn(4, 1.0, 128, 3.0).joint()
+        rng = np.random.default_rng(np.random.SeedSequence((1599525336001, 2, 11)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = iterative_ib(j, 16, 400.0, init=rng)
+        assert np.any((design.cluster_prior.probs > 0) & (design.cluster_prior.probs < 1e-300))
 
 
 class TestDesignInvariants:
