@@ -8,10 +8,10 @@ Gaussian CDF differences, not quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _text
 from .info import ConditionalDist, JointXY, Pmf
@@ -111,8 +111,72 @@ class DmcSpec:
         return JointXY.from_channel(self.input_prior, self.transition)
 
 
+# The standard normal CDF is a port of Cephes ndtr, erf and erfc, the code
+# behind scipy.special.ndtr, with the same coefficients, branch tests and
+# Horner order, so every bin mass has scipy's bits.  With a = x / sqrt(2):
+# |a| < sqrt(1/2) takes 0.5 + 0.5 erf(a); else y = 0.5 erfc(|a|), with
+# erfc = 1 - erf below 1, exp(-a^2) P(|a|) / Q(|a|) (one fraction below 8,
+# another from 8 on) up to -a^2 < -MAXLOG and 0 beyond, and x > 0 takes
+# 1 - y.  exp is the C library's (math.exp): numpy's vectorized exp can
+# differ from it in the last bit.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner_steps(coefs: tuple, monic: bool = False) -> tuple:
+    """Nine Horner coefficients: leading zeros (and a 1 for a monic
+    denominator) change no bit of the value at a finite argument >= 0."""
+    coefs = (1.0,) * monic + coefs
+    return (0.0,) * (9 - len(coefs)) + coefs
+
+
+# Row 2k + d holds step k of the numerator (d = 0) or denominator (d = 1);
+# column b is the branch: erf, erfc below 8, erfc from 8 on.
+_NDTR_COEFS = np.array([
+    [_horner_steps(_ERF_T), _horner_steps(_ERFC_P), _horner_steps(_ERFC_R)],
+    [_horner_steps(_ERF_U, True), _horner_steps(_ERFC_Q, True), _horner_steps(_ERFC_S, True)],
+]).transpose(2, 0, 1).reshape(18, 3)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each entry of a 1-d array; NaN gives NaN."""
+    a = np.asarray(x, dtype=float) * _SQRT1_2
+    z = np.abs(a)
+    center = z < _SQRT1_2
+    tail = z >= 1.0
+    with np.errstate(over="ignore"):
+        sq = z * z
+    live = tail & (sq <= _MAXLOG)
+    coefs = _NDTR_COEFS.take(tail.astype(np.intp) + (z >= 8.0), axis=1).reshape(9, 2, -1)
+    arg = np.where(tail, np.where(live, z, 0.0), sq)
+    poly = coefs[0] * arg
+    for step in coefs[1:-1]:
+        poly += step
+        poly *= arg
+    poly += coefs[-1]
+    scale = np.where(tail, 0.0, np.where(center, a, z))
+    scale[live] = np.fromiter(map(math.exp, (-sq[live]).tolist()), float, int(live.sum()))
+    val = scale * poly[0] / poly[1]
+    half = 0.5 * np.where(tail | center, val, 1.0 - val)
+    return np.where(center, 0.5 + half, np.where(a > 0, 1.0 - half, half))
+
+
 def _gaussian_bin_row(mean: float, sigma: float, edges: np.ndarray) -> np.ndarray:
-    cdf = ndtr((edges - mean) / sigma)
+    cdf = _ndtr((edges - mean) / sigma)
     cdf[0] = 0.0       # saturate the lower tail into the first bin
     cdf[-1] = 1.0      # and the upper tail into the last bin
     return np.diff(cdf)

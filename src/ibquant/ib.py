@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import _text
 from .info import (
@@ -20,6 +19,7 @@ from .info import (
     JointXY,
     Pmf,
     _mapping_rows,
+    _xlogx,
     mutual_information,
 )
 
@@ -153,7 +153,7 @@ class _SweepData:
         self.py = py
         self.posts = np.where(py[None, :] > 0, m / np.where(py > 0, py, 1.0),
                               1.0 / m.shape[0]).T
-        self.self_term = xlogy(self.posts, self.posts).sum(axis=1)
+        self.self_term = _xlogx(self.posts).sum(axis=1)
         self.support = (self.posts > 0).astype(float)
 
     def kl_nats(self, cposts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -347,13 +347,15 @@ def fixed_point_residual(j: JointXY, quantizer: Quantizer, beta: float) -> float
     return float(np.abs(recomputed - mapping).max())
 
 
-def _merge_cost(weights: np.ndarray, posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _merge_cost(weights: np.ndarray, posts: np.ndarray, xlogx: np.ndarray,
+                rows: np.ndarray) -> np.ndarray:
     """Exact increase of the information loss for merging clusters i in rows with each j.
 
     Merging clusters i and j replaces both posteriors by their weighted
-    mixture; the drop in I(x;z) is w_i D(p_i||mix) + w_j D(p_j||mix).  Every
-    entry is computed alone, so a row comes out the same whichever other
-    rows are computed with it, and the full matrix is exactly symmetric.
+    mixture; the drop in I(x;z) is w_i D(p_i||mix) + w_j D(p_j||mix).
+    ``xlogx`` is ``_xlogx(posts)``.  Every entry is computed alone, so a row
+    comes out the same whichever other rows are computed with it, and the
+    full matrix is exactly symmetric.
     """
     wi = weights[rows, None, None]
     wj = weights[None, :, None]
@@ -363,11 +365,19 @@ def _merge_cost(weights: np.ndarray, posts: np.ndarray, rows: np.ndarray) -> np.
     with np.errstate(divide="ignore", invalid="ignore"):
         mix = np.where(tot > 0, (wi * pi + wj * pj) / np.where(tot > 0, tot, 1.0), 0.0)
         log_mix = np.where(mix > 0, np.log(np.where(mix > 0, mix, 1.0)), 0.0)
-        term_i = xlogy(pi, pi) - pi * log_mix
-        term_j = xlogy(pj, pj) - pj * log_mix
+        term_i = xlogx[rows, None, :] - pi * log_mix
+        term_j = xlogx[None, :, :] - pj * log_mix
     cost = (wi[..., 0] * term_i.sum(axis=2) + wj[..., 0] * term_j.sum(axis=2)) / LN2
     cost[np.arange(rows.shape[0]), rows] = np.inf
     return np.maximum(cost, 0.0)
+
+
+def _drop(arr: np.ndarray, b: int, axis: int = 0) -> np.ndarray:
+    """``np.delete(arr, b, axis)`` without its argument handling, which costs
+    more than the copy at the sizes the merge loop sees."""
+    lead = (slice(None),) * axis
+    return np.concatenate((arr[lead + (slice(None, b),)], arr[lead + (slice(b + 1, None),)]),
+                          axis=axis)
 
 
 def agglomerative_ib(j: JointXY, num_clusters: int) -> IbDesign:
@@ -385,10 +395,11 @@ def agglomerative_ib(j: JointXY, num_clusters: int) -> IbDesign:
     py = m.sum(axis=0)
     weights = py.astype(float)
     cluster_posts = _SweepData(m, py).posts.copy()
+    cluster_xlogx = _xlogx(cluster_posts)
     # Merging b into a < b keeps the clusters ordered by their smallest symbol.
     labels = np.arange(j.num_y)
 
-    cost = _merge_cost(weights, cluster_posts, np.arange(j.num_y))
+    cost = _merge_cost(weights, cluster_posts, cluster_xlogx, np.arange(j.num_y))
     while weights.shape[0] > num_clusters:
         a, b = divmod(int(np.argmin(cost)), weights.shape[0])
         if a > b:
@@ -400,14 +411,16 @@ def agglomerative_ib(j: JointXY, num_clusters: int) -> IbDesign:
             mix = 0.5 * (cluster_posts[a] + cluster_posts[b])
         weights[a] = tot
         cluster_posts[a] = mix
+        cluster_xlogx[a] = _xlogx(mix)
         labels[labels == b] = a
         labels[labels > b] -= 1
-        weights = np.delete(weights, b)
-        cluster_posts = np.delete(cluster_posts, b, axis=0)
+        weights = _drop(weights, b)
+        cluster_posts = _drop(cluster_posts, b)
+        cluster_xlogx = _drop(cluster_xlogx, b)
         # Only pairs with cluster a change; deleting b keeps the row-major
         # order of the others, so argmin still finds the first minimum.
-        cost = np.delete(np.delete(cost, b, axis=0), b, axis=1)
-        cost[a] = _merge_cost(weights, cluster_posts, np.array([a]))[0]
+        cost = _drop(_drop(cost, b), b, axis=1)
+        cost[a] = _merge_cost(weights, cluster_posts, cluster_xlogx, np.array([a]))[0]
         cost[:, a] = cost[a]
 
     quantizer = Quantizer.from_labels(labels, num_clusters)
@@ -499,14 +512,17 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
         new_labels, costs = assign(centroids, lengths)
         # Conditional empty-cluster repair: steal the worst-cost symbol only
         # if the refreshed configuration actually improves the objective.
+        sizes = np.bincount(new_labels, minlength=n).tolist()
         for c in range(n):
-            if np.any(new_labels == c):
+            if sizes[c]:
                 continue
             worst = int(np.argmax(costs))
             trial = new_labels.copy()
             trial[worst] = c
             t_cent, _, t_lens = refresh(trial)
             if objective(trial, t_cent, t_lens) < obj - 1e-15:
+                sizes[new_labels[worst]] -= 1
+                sizes[c] += 1
                 new_labels = trial
                 _, costs = assign(t_cent, t_lens)
 

@@ -8,10 +8,10 @@ dust cannot produce spurious infinite divergences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 LN2 = float(np.log(2.0))
 
@@ -161,9 +161,20 @@ def _mapping_rows(quantizer) -> np.ndarray:
     return ConditionalDist(quantizer).rows
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p entrywise in nats: 0 where p == 0, NaN where p < 0 or NaN.
+
+    log is the C library's (math.log), so the bits are those of
+    scipy.special.xlogy(p, p); numpy's vectorized log can differ in the last bit.
+    """
+    terms = [v * math.log(v) if v > 0 else 0.0 if v == 0 else math.nan
+             for v in p.ravel().tolist()]
+    return np.fromiter(terms, float, p.size).reshape(p.shape)
+
+
 def entropy(p: Pmf) -> float:
     """Shannon entropy of p in bits."""
-    return max(0.0, float(-xlogy(p.probs, p.probs).sum() / LN2))
+    return max(0.0, float(-_xlogx(p.probs).sum() / LN2))
 
 
 def kl_divergence(p: Pmf, q: Pmf) -> float:
@@ -221,7 +232,7 @@ def avg_kl_distortion(j: JointXY, quantizer) -> float:
     # D[y, z] = sum_x p(x|y) log2( p(x|y) / p(x|z) ).  Where p(y,z) > 0 the
     # cluster posterior dominates the member posterior, so the masked logs
     # below are only ever wrong at positions that get weight zero.
-    self_term = xlogy(post_y, post_y).sum(axis=1)
+    self_term = _xlogx(post_y).sum(axis=1)
     log_post_z = np.where(post_z > 0, np.log(np.where(post_z > 0, post_z, 1.0)), 0.0)
     cross = post_y @ log_post_z.T
     dist = (self_term[:, None] - cross) / LN2

@@ -1,3 +1,4 @@
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
+from ibquant import channels
 from ibquant.channels import (
     AwgnDiscretization,
     DmcSpec,
@@ -119,6 +122,55 @@ class TestBpskAwgn:
             build_bpsk_awgn(2.0, 0.0, 16)
         with pytest.raises(ValueError):
             build_bpsk_awgn(2.0, 1.5, 16)
+
+
+def around(x):
+    """x and its two float neighbours, with both signs."""
+    near = [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return near + [-v for v in near]
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
+
+
+# |x| at which Cephes ndtr changes branch: the erf series, erf through erfc,
+# the erfc fraction below 8 and from 8 on (in x / sqrt(2)), then the
+# underflow of exp(-x^2 / 2).
+NDTR_BRANCH_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                     math.sqrt(2.0 * 7.09782712893383996843e2))
+
+
+class TestNdtrMatchesScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-40.0, 40.0)), min_size=1, max_size=40))
+    @example(around(NDTR_BRANCH_EDGES[0]))
+    @example(around(NDTR_BRANCH_EDGES[1]))
+    @example(around(NDTR_BRANCH_EDGES[2]))
+    @example(around(NDTR_BRANCH_EDGES[3]) + [38.0, -38.0, 1e300, -1e300])
+    @example([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324])
+    @example([math.nan])
+    def test_bitwise_equal(self, xs):
+        x = np.array(xs)
+        assert_same_bits(channels._ndtr(x), ndtr(x))
+
+    def test_dense_draws_bitwise_equal(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.standard_normal(20_000) * scale
+                            for scale in (0.5, 1.0, 2.0, 5.0, 12.0, 30.0)])
+        assert_same_bits(channels._ndtr(x), ndtr(x))
+
+    def test_channel_rows_equal_scipy_rows(self, monkeypatch):
+        def builds():
+            return [build_bpsk_awgn(db, 0.5, 128, 3.0).transition.rows
+                    for db in (0.2, 2.0, 2.5)] + [build_ask_awgn(4, 1.0, 128, 3.0).transition.rows]
+
+        ours = builds()
+        monkeypatch.setattr(channels, "_ndtr", ndtr)
+        for got, want in zip(ours, builds()):
+            assert np.array_equal(got, want)
 
 
 class TestBsc:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ibquant
 from ibquant.cli import main
 from ibquant.dde import load_design
 from ibquant.maxlut import load_node_lut
@@ -40,6 +45,24 @@ class TestInfo:
             run(["info", "--channel", spec])
         assert exc.value.code == 2
         assert "channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--sigma", "--clip"])
+    def test_nan_awgn_parameter_is_usage_error(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["info", "--channel", "ask4", option, "nan"])
+        assert exc.value.code == 2
+        assert "probabilities must be finite" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ibquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import ibquant, ibquant.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestQuantize:

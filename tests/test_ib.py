@@ -15,7 +15,9 @@ from ibquant.ib import (
     Quantizer,
     _antisymmetric_pairing,
     _iterative_ib_runs,
+    _kmeans_pp_seeds,
     _nearest_positive_labels,
+    _positive_mass,
     _restart_rng,
     _stationary_mapping,
     _SweepData,
@@ -358,6 +360,75 @@ def reference_agglomerative_ib(j, num_clusters):
     for new_label, c in enumerate(order):
         labels[members[c]] = new_label
     return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
+
+
+def reference_kl_means(j, num_clusters, lam, init, objective_trace=None):
+    """kl_means_ib's Lloyd loop as it was: each empty cluster is found by
+    np.any(labels == c) against the labels as the repair leaves them."""
+    keep, data = _positive_mass(j)
+    posts, py = data.posts, data.py
+    ny = posts.shape[0]
+    n = min(num_clusters, ny)
+    centroids = _kmeans_pp_seeds(data, n, np.random.default_rng(init))
+    lengths = np.full(n, math.log2(n) if n > 1 else 0.0)
+
+    def assign(cent, lens):
+        cost = data.kl_nats(cent) / LN2
+        if lam > 0:
+            cost = cost + lam * lens[None, :]
+        lbl = np.argmin(cost, axis=1)
+        return lbl, cost[np.arange(ny), lbl]
+
+    def refresh(lbl):
+        cent = np.empty((n, posts.shape[1]))
+        pz = np.zeros(n)
+        for c in range(n):
+            mask = lbl == c
+            w = py[mask].sum()
+            pz[c] = w
+            if w > 0:
+                cent[c] = (py[mask, None] * posts[mask]).sum(axis=0) / w
+            else:
+                cent[c] = 1.0 / posts.shape[1]
+        with np.errstate(divide="ignore"):
+            lens = np.where(pz > 0, -np.log2(np.where(pz > 0, pz, 1.0)), np.inf)
+        return cent, pz, lens
+
+    def objective(lbl, cent, lens):
+        per = (data.kl_nats(cent) / LN2)[np.arange(ny), lbl]
+        if lam > 0:
+            per = per + lam * lens[lbl]
+        return float(np.sum(py * per))
+
+    labels, _ = assign(centroids, lengths)
+    sweeps, converged = 0, False
+    for sweeps in range(1, 501):
+        centroids, pz, lengths = refresh(labels)
+        obj = objective(labels, centroids, lengths)
+        new_labels, costs = assign(centroids, lengths)
+        for c in range(n):
+            if np.any(new_labels == c):
+                continue
+            worst = int(np.argmax(costs))
+            trial = new_labels.copy()
+            trial[worst] = c
+            t_cent, _, t_lens = refresh(trial)
+            if objective(trial, t_cent, t_lens) < obj - 1e-15:
+                new_labels = trial
+                _, costs = assign(t_cent, t_lens)
+        if objective_trace is not None:
+            objective_trace.append(obj)
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+
+    full_labels = np.zeros(j.num_y, dtype=int)
+    full_labels[keep] = labels
+    if np.any(~keep):
+        full_labels[~keep] = _nearest_positive_labels(keep, full_labels)
+    design = design_from_quantizer(j, Quantizer.from_labels(full_labels, num_clusters), math.inf)
+    return design, sweeps, converged
 
 
 def float_bits(x) -> int:
@@ -742,6 +813,33 @@ class TestAgglomerativeMatchesReference:
             want = reference_agglomerative_ib(j, n)
             assert np.array_equal(got.quantizer.labels, want.quantizer.labels)
             assert float_bits(got.info_loss) == float_bits(want.info_loss)
+
+
+class TestKlMeansMatchesReference:
+    """The empty-cluster repair reads cluster sizes kept beside the labels."""
+
+    @staticmethod
+    def assert_matches(j, n, lam, init):
+        trace, want_trace = [], []
+        got = kl_means_ib(j, n, lam=lam, init=init, objective_trace=trace)
+        want, sweeps, converged = reference_kl_means(j, n, lam, init, want_trace)
+        assert np.array_equal(got.quantizer.labels, want.quantizer.labels)
+        assert float_bits(got.info_loss) == float_bits(want.info_loss)
+        assert (got.sweeps, got.converged) == (sweeps, converged)
+        assert [float_bits(v) for v in trace] == [float_bits(v) for v in want_trace]
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=tied_matrices(max_symbols=24, max_x=4), data=st.data())
+    def test_matches_reference(self, m, data):
+        n = data.draw(st.integers(1, m.shape[1] + 2))
+        lam = data.draw(st.sampled_from([0.0, 0.05, 0.5, 5.0, 1e6]))
+        self.assert_matches(joint_of(m), n, lam, data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("sigma, bins, n, lam, init", [
+        (0.5, 16, 8, 0.5, 81), (0.5, 128, 16, 0.05, 1161), (1.0, 16, 16, 0.5, 2160)])
+    def test_steal_that_empties_a_later_cluster(self, sigma, bins, n, lam, init):
+        # in these runs a repair steals the last member of a cluster not yet visited
+        self.assert_matches(build_ask_awgn(4, sigma, bins, 3.0).joint(), n, lam, init)
 
 
 class TestKlMeans:

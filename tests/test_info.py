@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from ibquant.info import (
     ConditionalDist,
     JointXY,
     Pmf,
+    _xlogx,
     avg_kl_distortion,
     entropy,
     kl_divergence,
@@ -97,6 +101,25 @@ class TestEntropy:
             raw = rng.uniform(size=k)
             h = entropy(Pmf(raw / raw.sum()))
             assert 0.0 <= h <= np.log2(k) + 1e-12
+
+
+class TestXlogx:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    @example([0.0, -0.0])
+    @example([5e-324, 1e-310, 2.2250738585072014e-308])
+    @example([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+    @example([math.nan, -math.nan, -1.0, math.inf, -math.inf])
+    def test_bitwise_equal_to_xlogy(self, ps):
+        p = np.array(ps)
+        got, want = _xlogx(p), xlogy(p, p)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
+
+    def test_dense_draws_bitwise_equal_to_xlogy(self):
+        p = np.random.default_rng(13).uniform(size=(200, 500))
+        assert np.array_equal(_xlogx(p).view(np.int64), xlogy(p, p).view(np.int64))
 
 
 class TestKlDivergence:
