@@ -16,7 +16,8 @@ import numpy as np
 from . import _text
 from .info import ConditionalDist, JointXY, Pmf
 
-LLR_CLAMP = 25.0
+# Channel LLRs and the float decoders' messages are clipped to +-LLR_LIMIT
+LLR_LIMIT = 25.0
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,6 @@ class AwgnDiscretization:
             found = np.searchsorted(edges, x[unsettled], side="right") - 1
             idx[unsettled] = np.clip(found, 0, last)
         return idx
-
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
 @dataclass(frozen=True)
@@ -265,8 +263,8 @@ def build_bsc(eps: float) -> DmcSpec:
     return DmcSpec(np.array([0.0, 1.0]), ConditionalDist(rows), Pmf.uniform(2))
 
 
-def binary_llrs(dmc: DmcSpec, clamp: float = LLR_CLAMP) -> np.ndarray:
-    """Per-bin natural-log LLR log p(y|bit 0) / p(y|bit 1) from the transition matrix."""
+def binary_llrs(dmc: DmcSpec) -> np.ndarray:
+    """Per-bin natural-log LLR log p(y|bit 0) / p(y|bit 1), clipped to +-LLR_LIMIT."""
     if dmc.num_inputs != 2:
         raise ValueError("LLRs are defined for binary-input channels only")
     p0 = dmc.transition.rows[0]
@@ -274,7 +272,7 @@ def binary_llrs(dmc: DmcSpec, clamp: float = LLR_CLAMP) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.log(p0) - np.log(p1)
     llr = np.where(np.isnan(llr), 0.0, llr)   # 0/0 bins carry no information
-    return np.clip(llr, -clamp, clamp)
+    return np.clip(llr, -LLR_LIMIT, LLR_LIMIT)
 
 
 def save_dmc(dmc: DmcSpec, path, comment: str | None = None) -> None:

@@ -2,9 +2,10 @@
 
 The integer lookup-table (LUT) decoder runs a density-evolution design; plain
 and table-corrected min-sum and log-domain belief propagation are the float
-baselines.  All decoders stop early once the hard decision satisfies every
-parity check.  Frames are independent streams seeded by (seed, frame_index),
-so results do not depend on batching.
+baselines.  One loop (``_decode``) drives every decoder's engine: it runs the
+iterations, stops a frame once its hard decision satisfies every parity
+check, and drops the frames that stopped.  Frames are independent streams
+seeded by (seed, frame_index), so results do not depend on batching.
 
 Every engine holds its messages slot-major: one contiguous (nodes, batch) row
 block per node slot, so moving them between the variable and the check view
@@ -31,20 +32,21 @@ byte: bytes whose frames all continue are kept, the others' frames are
 unpacked and packed anew, and copies of the last of them fill the free
 positions of the last byte.
 
-The float engines share one flooding iteration (``_FloatIteration``) and
-differ only in the check update, which maps the dc check-side slot rows to dc
-exclusive outputs.  They keep only the posteriors and the clipped check
-outputs, in check order: a check forms each v2c message as the posterior minus
-the edge's own last output, clipped (in the first iteration the channel LLR,
-unclipped), on blocks of checks whose temporaries stay in a per-core L2 cache;
-the checks are independent, so the blocks give the bits of one whole-array
-update.  Plain min-sum makes one running pass for the two smallest magnitudes
-of every check instead of sorting it; corrected min-sum chains table-corrected
-boxplus operations from both ends, starting from a large identity value, and
-while every input of a block is below 1e8 the four steps against the identity
-take their exact closed form (x + g) - g, g the last table entry; BP
-multiplies tanh(x/2) from both ends.  The posterior is the dv check outputs of
-a variable added left to right, then the channel LLR.  The hard decision goes
+The float engine (``_FloatEngine``) runs one flooding iteration for all three
+baselines, which differ only in the check update, mapping the dc check-side
+slot rows to dc exclusive outputs.  It keeps only the posteriors and the
+clipped check outputs, in check order: a check forms each v2c message as the
+posterior minus the edge's own last output, clipped (in the first iteration
+the channel LLR, unclipped), on blocks of checks whose temporaries stay in a
+per-core L2 cache; the checks are independent, so the blocks give the bits of
+one whole-array update.  Plain min-sum makes one running pass for the two
+smallest magnitudes of every check instead of sorting it; corrected min-sum
+chains table-corrected boxplus operations from both ends, starting from
+certainty, each step against it the closed form (x + g) - g, g the last table
+entry, which is exact for inputs below 1e8: corrected min-sum rejects channel
+LLRs that are not finite and below 1e8 in magnitude.  BP multiplies
+tanh(x/2) from both ends.  The posterior is the dv check outputs of a
+variable added left to right, then the channel LLR.  The hard decision goes
 to the syndrome as the transposed (n, batch) comparison, with no copy.
 """
 
@@ -55,12 +57,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .channels import binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
+from .channels import LLR_LIMIT, binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
 from .dde import LdpcEnsembleDesign, design_decoder
 from .ldpc import LdpcCode, encode, generator_matrix
 from .maxlut import LutCascade
-
-LLR_LIMIT = 25.0
 
 # Jacobian-logarithm correction g(t) = log(1 + exp(-t)), tabulated on [0, 16)
 CORRECTION_TABLE_SIZE = 64
@@ -307,6 +307,71 @@ def _compile_iteration(design: LdpcEnsembleDesign, t: int,
     return check, node
 
 
+class _LutEngine:
+    """The LUT decoder's programs and its packed state: the channel messages,
+    then the v2c messages, n rows each."""
+
+    def __init__(self, code: LdpcCode, design: LdpcEnsembleDesign, bins: np.ndarray,
+                 max_iter: int):
+        self.code, self.frames = code, bins.shape[0]
+        self.packing = _FramePacking(design.message_bits)
+        self.plans = [_compile_iteration(design, t, self.packing)
+                      for t in range(min(max_iter, design.max_iter))]
+        to_checks, self.to_vars = _slot_permutations(code)
+        self.to_checks = code.block_length + to_checks  # past the channel rows
+        chan = self.packing.pack(design.channel_lut.labels.astype(np.uint8).take(bins.T))
+        self.state = np.tile(chan, (1 + code.var_degree, 1))
+
+    def step(self, t: int) -> np.ndarray:
+        check, node = self.plans[min(t, len(self.plans) - 1)]
+        n, m = self.code.block_length, self.code.num_checks
+        mc = self.state.take(self.to_checks, axis=0)
+        c2v = np.concatenate(check.run([mc[i * m:(i + 1) * m]
+                                        for i in range(self.code.check_degree)]))
+        c2v = c2v.take(self.to_vars, axis=0)
+        chan = self.state[:n]
+        *var_out, self.decision = node.run(
+            [chan] + [c2v[j * n:(j + 1) * n] for j in range(self.code.var_degree)])
+        self.state = np.concatenate([chan] + var_out)
+        failed = np.bitwise_or.reduce(self.code.syndrome(self.decision.T), axis=-1)
+        return self.packing.unpack(failed[None], self.frames)[0] == 0
+
+    def bits(self) -> np.ndarray:
+        return self.packing.unpack(self.decision, self.frames).T
+
+    def keep(self, live: np.ndarray) -> np.ndarray:
+        # the frames left are paired again, so no byte carries a finished one
+        self.state, order = self.packing.repack(self.state, live)
+        self.frames = order.size
+        return order
+
+
+def _decode(engine, batch: int, max_iter: int):
+    """The message-passing loop: (bits, iterations, converged) of batch frames.
+
+    engine.step(t) runs iteration t and returns which live frames pass their
+    syndrome, engine.bits() is the (live, n) hard decision, and
+    engine.keep(live) drops the other frames and returns the old position of
+    each frame that stays.
+    """
+    out_bits = np.zeros((batch, engine.code.block_length), dtype=np.uint8)
+    iters_used = np.full(batch, max_iter, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+    active = np.arange(batch)
+    for t in range(max_iter):
+        ok = engine.step(t)
+        done = active[ok]
+        iters_used[done] = t + 1
+        converged[done] = True
+        if t == max_iter - 1 or done.size == active.size:
+            out_bits[active] = engine.bits()
+            break
+        if done.size:
+            out_bits[done] = engine.bits()[ok]
+            active = active[engine.keep(~ok)]
+    return out_bits, iters_used, converged
+
+
 def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
                      channel_bins: np.ndarray, max_iter: int):
     """Integer-only LUT decoding of a batch of frames.
@@ -323,52 +388,11 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         raise ValueError("bin index out of range")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    dv, dc = code.var_degree, code.check_degree
-    if dv != design.var_degree or dc != design.check_degree:
+    if code.var_degree != design.var_degree or code.check_degree != design.check_degree:
         raise ValueError("design degrees do not match the code")
     if design.channel_lut.num_clusters != design.alphabet_size:
         raise ValueError("channel quantizer does not match the message alphabet")
-    packing = _FramePacking(design.message_bits)
-    depth = design.max_iter
-    plans = [_compile_iteration(design, t, packing) for t in range(min(max_iter, depth))]
-    n, m = code.block_length, code.num_checks
-    to_checks, to_vars = _slot_permutations(code)
-
-    batch = bins.shape[0]
-    out_bits = np.zeros((batch, n), dtype=np.uint8)
-    iters_used = np.full(batch, max_iter, dtype=np.int64)
-    converged = np.zeros(batch, dtype=bool)
-
-    active = np.arange(batch)
-    chan = packing.pack(design.channel_lut.labels.astype(np.uint8).take(bins.T))
-    v2c = np.tile(chan, (dv, 1))
-    for t in range(max_iter):
-        check, node = plans[min(t, depth - 1)]
-        mc = v2c.take(to_checks, axis=0)
-        c2v = np.concatenate(check.run([mc[i * m:(i + 1) * m] for i in range(dc)]))
-        c2v = c2v.take(to_vars, axis=0)
-        *var_out, decision = node.run([chan] + [c2v[j * n:(j + 1) * n] for j in range(dv)])
-        failed = np.bitwise_or.reduce(code.syndrome(decision.T), axis=-1)
-        ok = packing.unpack(failed[None], active.size)[0] == 0
-        last = t == max_iter - 1
-        if last or np.any(ok):
-            bits = packing.unpack(decision, active.size).T
-        if last:
-            out_bits[active] = bits
-        if not np.any(ok):
-            v2c = np.concatenate(var_out)
-            continue
-        done = active[ok]
-        out_bits[done] = bits[ok]
-        iters_used[done] = t + 1
-        converged[done] = True
-        if done.size == active.size:
-            break
-        # the frames left are paired again, so no byte carries a finished one
-        state, order = packing.repack(np.concatenate([chan] + var_out), ~ok)
-        active = active[order]
-        chan, v2c = state[:n], state[n:]
-    return out_bits, iters_used, converged
+    return _decode(_LutEngine(code, design, bins, max_iter), bins.shape[0], max_iter)
 
 
 _SIGN_BIT = np.int64(-2**63)
@@ -405,67 +429,48 @@ def _minsum_check_update(mc: np.ndarray, out: np.ndarray) -> None:
 
 
 def _correction(t: np.ndarray) -> np.ndarray:
-    """g(t) for t >= 0; clipping before the integer cast truncates the same."""
-    idx = np.minimum(t / CORRECTION_STEP, CORRECTION_TABLE_SIZE - 1)
-    return _CORRECTION_TABLE[idx.astype(np.intp)]
-
-
-def _bounded_correction(t: np.ndarray) -> np.ndarray:
     """g(t) for 0 <= t < 2**60, where the integer cast is exact and may come first."""
     return _CORRECTION_TABLE.take((t / CORRECTION_STEP).astype(np.intp), mode="clip")
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray, abs_b: np.ndarray, correction,
+def _boxplus(a: np.ndarray, b: np.ndarray, abs_b: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     mag = np.minimum(np.abs(a), abs_b, out=out)
     # a signed zero here is harmless: the correction term added next is > 0
     np.copysign(mag, a * b, out=mag)
-    mag += correction(np.abs(a + b))
-    mag -= correction(np.abs(a - b))
+    mag += _correction(np.abs(a + b))
+    mag -= _correction(np.abs(a - b))
     return mag
 
 
-_BOXPLUS_IDENTITY = 1e9  # acts as certainty: boxplus(identity, x) = x
-# Below this magnitude boxplus(identity, x) is exactly (x + g63) - g63: the
-# min picks |x|, the sign is x's, and both correction indices clip to 63.
+# Corrected min-sum takes channel LLRs below this magnitude.  Below it
+# boxplus(1e9, x), 1e9 standing for certainty, is exactly (x + g63) - g63:
+# the min picks |x|, the sign is x's, and both correction indices clip to 63.
 _CLOSED_FORM_BOUND = 1e8
 
 
 def _corrected_check_update(mc: np.ndarray, out: np.ndarray) -> None:
     """Boxplus with a tabulated Jacobian correction over prefix/suffix chains.
 
-    Both chains start from _BOXPLUS_IDENTITY, whose x + g - g rounding is part
-    of the result, and output i is boxplus(prefix[i], suffix[i + 1]).  While
-    every |input| is below _CLOSED_FORM_BOUND the four steps against the
-    identity take their closed form, and every correction index fits the
-    integer cast.
+    Output i is boxplus(prefix[i], suffix[i + 1]); both chains start from
+    certainty, and each step against it is (x + g) - g, g the last table
+    entry.  Every |input| must be below _CLOSED_FORM_BOUND.
     """
     dc = len(mc)
+    if dc == 1:  # no other input: certainty
+        out.fill(np.inf)
+        return
+    g = _CORRECTION_TABLE[-1]
     mags = np.abs(mc)
-    if dc > 1 and mags.max(initial=0.0) < _CLOSED_FORM_BOUND:
-        g = _CORRECTION_TABLE[-1]
-        correction = _bounded_correction
-
-        def with_identity(x):
-            return (x + g) - g
-    else:
-        identity = np.full_like(mc[0], _BOXPLUS_IDENTITY)
-        correction = _correction
-
-        def with_identity(x):
-            return _boxplus(x, identity, identity, correction)
-        if dc == 1:  # the one output combines the two empty chains
-            out[0] = with_identity(identity)
-            return
-    prefix = [None, with_identity(mc[0])]
+    prefix = [None, (mc[0] + g) - g]
     for i in range(1, dc - 1):
-        prefix.append(_boxplus(prefix[i], mc[i], mags[i], correction))
-    out[dc - 1] = with_identity(prefix[dc - 1])
-    suffix = with_identity(mc[dc - 1])
+        prefix.append(_boxplus(prefix[i], mc[i], mags[i]))
+    out[dc - 1] = (prefix[dc - 1] + g) - g
+    suffix = (mc[dc - 1] + g) - g
     for i in range(dc - 2, 0, -1):
-        _boxplus(prefix[i], suffix, np.abs(suffix), correction, out=out[i])
-        suffix = _boxplus(suffix, mc[i], mags[i], correction)
-    out[0] = with_identity(suffix)
+        _boxplus(prefix[i], suffix, np.abs(suffix), out=out[i])
+        suffix = _boxplus(suffix, mc[i], mags[i])
+    out[0] = (suffix + g) - g
 
 
 def _bp_check_update(mc: np.ndarray, out: np.ndarray) -> None:
@@ -503,35 +508,46 @@ _CHECK_UPDATES = {
 _BLOCK = 1 << 14
 
 
-class _FloatIteration:
-    """One flooding iteration on the posteriors (n, batch) and the clipped check
+class _FloatEngine:
+    """Flooding iterations on the posteriors (n, batch) and the clipped check
     outputs cc (dc, m, batch), checks in blocks of _BLOCK // batch."""
 
-    def __init__(self, code: LdpcCode, engine: str):
-        self.update = _CHECK_UPDATES[engine]
+    def __init__(self, code: LdpcCode, llr: np.ndarray, update: str):
+        self.code = code
+        self.update = _CHECK_UPDATES[update]
         self.var_of_row = code.check_adj.T  # the variable of each cc row
         self.to_vars = _slot_permutations(code)[1].reshape(code.var_degree, -1)
+        self.chan = self.posterior = np.ascontiguousarray(llr.T)
 
-    def __call__(self, chan: np.ndarray, posterior: np.ndarray, cc: np.ndarray | None):
-        """The next posterior and cc; the first iteration passes chan and None."""
+    def step(self, t: int) -> np.ndarray:
         dc, m = self.var_of_row.shape
-        last, cc = cc, np.empty((dc, m, chan.shape[1]))
-        rows = max(1, _BLOCK // max(1, chan.shape[1]))
+        batch = self.chan.shape[1]
+        cc = np.empty((dc, m, batch))
+        rows = max(1, _BLOCK // max(1, batch))
         for start in range(0, m, rows):
             block = slice(start, start + rows)
-            mc = posterior.take(self.var_of_row[:, block], axis=0)
-            if last is not None:  # the v2c messages
-                mc -= last[:, block]
+            mc = self.posterior.take(self.var_of_row[:, block], axis=0)
+            if t:  # the v2c messages; in the first iteration the channel LLRs
+                mc -= self.cc[:, block]
                 np.clip(mc, -LLR_LIMIT, LLR_LIMIT, out=mc)
             out = cc[:, block]
             self.update(mc, out)
             np.clip(out, -LLR_LIMIT, LLR_LIMIT, out=out)
-        flat = cc.reshape(dc * m, chan.shape[1])
+        flat = cc.reshape(dc * m, batch)
         posterior = flat.take(self.to_vars[0], axis=0)
         for slot in self.to_vars[1:]:
             posterior += flat.take(slot, axis=0)
-        posterior += chan  # llr + ((c2v_0 + c2v_1) + c2v_2)
-        return posterior, cc
+        posterior += self.chan  # llr + ((c2v_0 + c2v_1) + c2v_2)
+        self.posterior, self.cc = posterior, cc
+        return self.code.parity_ok(self.bits())
+
+    def bits(self) -> np.ndarray:
+        return (self.posterior < 0).T
+
+    def keep(self, live: np.ndarray) -> np.ndarray:
+        self.chan, self.posterior = self.chan[:, live], self.posterior[:, live]
+        self.cc = self.cc[:, :, live]
+        return np.flatnonzero(live)
 
 
 def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
@@ -539,6 +555,7 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     """Float message passing shared by the min-sum variants and BP.
 
     llrs has shape (batch, n); returns (bits, iterations, converged).
+    Corrected min-sum takes finite LLRs below 1e8 in magnitude.
     """
     if engine not in _CHECK_UPDATES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -547,32 +564,9 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
         raise ValueError("llrs must be (batch, n)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    chan = np.ascontiguousarray(llr.T)
-    step = _FloatIteration(code, engine)
-    n, batch = chan.shape
-    out_bits = np.zeros((batch, n), dtype=np.uint8)
-    iters_used = np.full(batch, max_iter, dtype=np.int64)
-    converged = np.zeros(batch, dtype=bool)
-
-    active = np.arange(batch)
-    posterior, cc = chan, None
-    for t in range(max_iter):
-        posterior, cc = step(chan, posterior, cc)
-        hard = posterior < 0
-        ok = code.parity_ok(hard.T)
-        if t == max_iter - 1:
-            out_bits[active] = hard.T
-        if np.any(ok):
-            done = active[ok]
-            out_bits[done] = hard[:, ok].T
-            iters_used[done] = t + 1
-            converged[done] = True
-            keep = ~ok
-            active = active[keep]
-            if active.size == 0:
-                break
-            chan, posterior, cc = chan[:, keep], posterior[:, keep], cc[:, :, keep]
-    return out_bits, iters_used, converged
+    if engine == "minsum-corrected" and not np.all(np.abs(llr) < _CLOSED_FORM_BOUND):
+        raise ValueError("corrected min-sum takes finite LLRs below 1e8")
+    return _decode(_FloatEngine(code, llr, engine), llr.shape[0], max_iter)
 
 
 DECODERS = ("lut", "minsum", "minsum-corrected", "bp")

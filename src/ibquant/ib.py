@@ -57,14 +57,6 @@ class Quantizer:
         return np.argmax(self.mapping.rows, axis=1)
 
     @classmethod
-    def identity(cls, size: int) -> "Quantizer":
-        return cls(ConditionalDist.identity(size))
-
-    @classmethod
-    def single_cluster(cls, num_inputs: int) -> "Quantizer":
-        return cls(ConditionalDist(np.ones((num_inputs, 1))))
-
-    @classmethod
     def from_labels(cls, labels, num_clusters: int) -> "Quantizer":
         labels = np.asarray(labels, dtype=int)
         if labels.ndim != 1:
@@ -74,11 +66,6 @@ class Quantizer:
         rows = np.zeros((labels.shape[0], num_clusters))
         rows[np.arange(labels.shape[0]), labels] = 1.0
         return cls(ConditionalDist(rows))
-
-    @classmethod
-    def random_stochastic(cls, num_inputs: int, num_clusters: int, rng) -> "Quantizer":
-        raw = rng.uniform(size=(num_inputs, num_clusters))
-        return cls(ConditionalDist(raw / raw.sum(axis=1, keepdims=True)))
 
 
 @dataclass(frozen=True)
@@ -96,10 +83,6 @@ class IbDesign:
     # sweeps run and whether the stop test passed; one-pass designs: 0, True
     sweeps: int = 0
     converged: bool = True
-
-    @property
-    def occupied_clusters(self) -> int:
-        return int(np.sum(self.cluster_prior.probs > DEAD_CLUSTER_EPS))
 
 
 def ib_objective(j: JointXY, quantizer, beta: float) -> float:
@@ -335,16 +318,6 @@ def _start_mapping(j: JointXY, keep: np.ndarray, num_clusters: int, init) -> np.
     rng = np.random.default_rng(0 if init is None else init)
     raw = rng.uniform(size=(int(keep.sum()), num_clusters))
     return raw / raw.sum(axis=1, keepdims=True)
-
-
-def fixed_point_residual(j: JointXY, quantizer: Quantizer, beta: float) -> float:
-    """Max row-wise deviation between a mapping and its stationary recomputation."""
-    rows = _quantizer_rows(j, quantizer)
-    keep, data = _positive_mass(j)
-    mapping = rows[keep]
-    cposts = np.full((mapping.shape[1], j.num_x), 1.0 / j.num_x)
-    _, recomputed = data.sweep(mapping, cposts, beta)
-    return float(np.abs(recomputed - mapping).max())
 
 
 def _merge_cost(weights: np.ndarray, posts: np.ndarray, xlogx: np.ndarray,

@@ -66,12 +66,6 @@ class Pmf:
     def uniform(cls, size: int) -> "Pmf":
         return cls(np.full(size, 1.0 / size))
 
-    @classmethod
-    def point_mass(cls, index: int, size: int) -> "Pmf":
-        probs = np.zeros(size)
-        probs[index] = 1.0
-        return cls(probs)
-
 
 @dataclass(frozen=True)
 class ConditionalDist:
@@ -97,10 +91,6 @@ class ConditionalDist:
     @property
     def alphabet_size(self) -> int:
         return self.rows.shape[1]
-
-    @classmethod
-    def identity(cls, size: int) -> "ConditionalDist":
-        return cls(np.eye(size))
 
 
 @dataclass(frozen=True)
@@ -137,10 +127,6 @@ class JointXY:
 
     def y_marginal(self) -> Pmf:
         return Pmf(self.matrix.sum(axis=0))
-
-    def posterior_x_given_y(self) -> ConditionalDist:
-        """p(x|y) as rows indexed by y.  Zero-mass y rows fall back to uniform."""
-        return ConditionalDist(_posterior_rows(self.matrix.T))
 
 
 def _posterior_rows(weighted: np.ndarray) -> np.ndarray:

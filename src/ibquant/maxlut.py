@@ -47,22 +47,9 @@ class MessageDist:
         return self.cond.rows
 
     @classmethod
-    def from_rows(cls, row0, row1) -> "MessageDist":
-        return cls(ConditionalDist(np.array([row0, row1], dtype=float)))
-
-    @classmethod
-    def noiseless(cls) -> "MessageDist":
-        return cls(ConditionalDist(np.eye(2)))
-
-    @classmethod
     def constant(cls) -> "MessageDist":
         """Single-symbol message carrying no information; cascade padding only."""
         return cls(ConditionalDist(np.ones((2, 1))))
-
-    def hard_decision_error(self) -> float:
-        """Error rate of the bitwise MAP decision under equiprobable symbols."""
-        joint = 0.5 * self.rows
-        return float(np.sum(np.minimum(joint[0], joint[1])))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from ibquant.ib import (
     Quantizer,
     agglomerative_ib,
     dp_optimal_quantizer,
-    fixed_point_residual,
     ib_curve,
     iterative_ib,
     kl_means_ib,
@@ -38,7 +37,12 @@ from ibquant.info import (
 from ibquant.ldpc import construct_regular_ldpc
 from ibquant.maxlut import NodeFunction, build_max_lut, node_joint, quantized_message
 
-from test_ib import batch_relevant_info, enumerate_assignments
+from test_ib import (
+    batch_relevant_info,
+    enumerate_assignments,
+    fixed_point_residual,
+    random_stochastic_quantizer,
+)
 from test_maxlut import random_message
 
 
@@ -65,7 +69,7 @@ def test_criterion_1_information_identities():
         if deterministic:
             q = Quantizer.from_labels(rng.integers(0, nz, size=ny), nz)
         else:
-            q = Quantizer.random_stochastic(ny, nz, rng)
+            q = random_stochastic_quantizer(ny, nz, rng)
         pushed = push_through_quantizer(j, q)
         gap = mutual_information(j) - mutual_information(pushed)
         assert abs(avg_kl_distortion(j, q) - gap) < 1e-9

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibquant import decoders
-from ibquant.channels import binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
+from ibquant.channels import LLR_LIMIT, binary_llrs, build_bpsk_awgn, ebn0_db_to_noise_std
 from ibquant.dde import design_decoder, load_design, save_design
 from ibquant.decoders import (
     CORRECTION_STEP,
     CORRECTION_TABLE_SIZE,
-    LLR_LIMIT,
     _BLOCK,
     _CHECK_UPDATES,
     _CLOSED_FORM_BOUND,
@@ -109,6 +108,28 @@ class TestLutDecoder:
         mean = per_frame.mean()
         stderr = per_frame.std(ddof=1) / np.sqrt(frames)
         assert abs(mean - design.error_prob_trace[0]) <= 3 * stderr + 1e-4
+
+    @pytest.mark.parametrize("ebn0", [1.0, 2.0])
+    def test_one_iteration_bit_error_rate_is_the_density_evolution_error(self, setup_2db,
+                                                                         ebn0):
+        # the code has no 4-cycles, so one iteration sees a tree; the decision
+        # of iteration 0 is mirror-symmetric, so the error rate of the zero
+        # codeword, P(1|0), is the decision error that density evolution tracks
+        code = setup_2db[0]
+        dmc = build_bpsk_awgn(ebn0, code.design_rate, 128)
+        design = design_decoder(dmc, 3, 6, 4, 1)
+        rule = design.decision_luts[0]
+        final = rule.cascade.final.rows
+        assert np.array_equal(final[1], final[0][::-1])
+        assert np.array_equal(rule.bit_map[::-1], 1 - rule.bit_map)
+        frames = 200
+        bins = noisy_frames(code, ebn0, frames, seed=6, disc=dmc.discretization)
+        bits, iters, _ = decode_lut_batch(code, design, bins, 1)
+        assert np.all(iters == 1)
+        per_frame = bits.sum(axis=1)
+        stderr = per_frame.std(ddof=1) / np.sqrt(frames)
+        expected = design.error_prob_trace[0] * code.block_length
+        assert abs(per_frame.mean() - expected) <= 5 * stderr
 
 
 def reference_decode_lut_batch(code, design, channel_bins, max_iter):
@@ -273,13 +294,12 @@ def reference_decode_llr_batch(code, llrs, max_iter, engine):
 
 def bp_posteriors(code, dmc, channel_bins, max_iter):
     """Posterior LLR per bit of one frame after max_iter full BP sweeps of the
-    slot-major float iteration, with no early stop."""
-    chan = binary_llrs(dmc)[np.asarray(channel_bins)][:, None]
-    step = decoders._FloatIteration(code, "bp")
-    posterior, cc = chan, None
-    for _ in range(max_iter):
-        posterior, cc = step(chan, posterior, cc)
-    return posterior[:, 0]
+    float engine, with no early stop."""
+    engine = decoders._FloatEngine(code, binary_llrs(dmc)[np.asarray(channel_bins)][None],
+                                   "bp")
+    for t in range(max_iter):
+        engine.step(t)
+    return engine.posterior[:, 0]
 
 
 def reference_bp_posteriors(code, dmc, channel_bins, max_iter):
@@ -486,6 +506,15 @@ class TestSlotMajorFloatDecoder:
         # smaller blocks split the checks as a large batch does at the default
         code = float_codes[degrees]
         llr = _oracle_llrs(code, kind, batch, sigma, seed)
+        if engine == "minsum-corrected" and kind == "huge" and batch:
+            # rejected, not clamped: every input it accepts decodes as the oracle does
+            for value in (None, np.inf, -np.inf, np.nan):
+                bad = llr.copy()
+                if value is not None:
+                    bad[-1, seed % code.block_length] = value
+                with pytest.raises(ValueError, match="below 1e8"):
+                    decode_llr_batch(code, bad, max_iter, engine)
+            llr = np.clip(llr, -BOUND_NEIGHBOURS[0], BOUND_NEIGHBOURS[0])
         with mock.patch.object(decoders, "_BLOCK", block):
             got = decode_llr_batch(code, llr, max_iter, engine)
         want = reference_decode_llr_batch(code, llr, max_iter, engine)
@@ -503,6 +532,8 @@ class TestSlotMajorFloatDecoder:
         # signed zeros and last-bit rounding do not reach the decoded bits
         code = float_codes[degrees]
         llr = _oracle_llrs(code, kind, batch, 0.8, seed)
+        if engine == "minsum-corrected":  # it takes inputs below the bound only
+            llr = np.clip(llr, -BOUND_NEIGHBOURS[0], BOUND_NEIGHBOURS[0])
         mc = llr[:, code.check_adj]  # (batch, m, dc)
         want = REFERENCE_CHECK_UPDATES[engine](mc).transpose(2, 1, 0)
         got = np.empty_like(want)
@@ -518,8 +549,6 @@ class TestSlotMajorFloatDecoder:
              data=None)
     def test_blocks_of_checks_update_like_the_whole_array(self, float_codes, degrees,
                                                           engine, kind, batch, seed, data):
-        # corrected min-sum takes its closed form in blocks below the bound and
-        # the identity chain elsewhere; both must give the same bits
         code = float_codes[degrees]
         m = code.num_checks
         rng = np.random.default_rng(seed)
@@ -535,6 +564,8 @@ class TestSlotMajorFloatDecoder:
         mc[low] = np.copysign(np.minimum(np.abs(mc[low]), BOUND_NEIGHBOURS[0]), mc[low])
         above = 10.0 ** rng.uniform(9, 300, mc[high].shape)
         mc[high] = np.copysign(np.maximum(np.abs(mc[high]), above), mc[high])
+        if engine == "minsum-corrected":  # it takes inputs below the bound only
+            np.clip(mc, -BOUND_NEIGHBOURS[0], BOUND_NEIGHBOURS[0], out=mc)
         if data is None:
             cuts = list(range(1, m))
         else:
@@ -562,8 +593,9 @@ class TestSlotMajorFloatDecoder:
     @pytest.mark.parametrize("engine", ["minsum", "minsum-corrected", "bp"])
     def test_degree_one_checks_match_reference(self, engine):
         # a degree-1 check has no other input, so it sends certainty: the
-        # minimum of no magnitudes, the product of no tanh values, and
-        # boxplus(identity, identity) of the two empty chains
+        # minimum of no magnitudes, the product of no tanh values, and for
+        # corrected min-sum +inf where the oracle has boxplus(1e9, 1e9); both
+        # clip to LLR_LIMIT
         code = LdpcCode(np.eye(6, dtype=np.uint8), 1, 1, seed=0)
         llr = 1.0 + 0.8 * np.random.default_rng(9).standard_normal((3, 6))
         got = decode_llr_batch(code, llr, 5, engine)

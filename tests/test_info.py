@@ -19,6 +19,8 @@ from ibquant.info import (
 )
 from ibquant.ib import Quantizer
 
+from test_ib import identity_quantizer, random_stochastic_quantizer, single_cluster_quantizer
+
 
 def random_joint(rng, nx, ny):
     m = rng.uniform(size=(nx, ny))
@@ -29,7 +31,7 @@ def random_quantizer(rng, ny, nz, deterministic):
     if deterministic:
         labels = rng.integers(0, nz, size=ny)
         return Quantizer.from_labels(labels, nz)
-    return Quantizer.random_stochastic(ny, nz, rng)
+    return random_stochastic_quantizer(ny, nz, rng)
 
 
 @st.composite
@@ -89,7 +91,7 @@ class TestEntropy:
         assert entropy(Pmf.uniform(4)) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert entropy(Pmf.point_mass(1, 5)) == 0.0
+        assert entropy(Pmf(np.eye(5)[1])) == 0.0
 
     def test_dyadic(self):
         assert entropy(Pmf(np.array([0.5, 0.25, 0.25]))) == pytest.approx(1.5, abs=1e-12)
@@ -188,13 +190,13 @@ class TestPushThrough:
     def test_identity_returns_joint_unchanged(self):
         rng = np.random.default_rng(5)
         j = random_joint(rng, 3, 4)
-        out = push_through_quantizer(j, Quantizer.identity(4))
+        out = push_through_quantizer(j, identity_quantizer(4))
         assert np.array_equal(out.matrix, j.matrix)
 
     def test_single_cluster_collapses(self):
         rng = np.random.default_rng(6)
         j = random_joint(rng, 3, 5)
-        out = push_through_quantizer(j, Quantizer.single_cluster(5))
+        out = push_through_quantizer(j, single_cluster_quantizer(5))
         assert np.allclose(out.matrix[:, 0], j.x_marginal().probs, atol=1e-15)
         assert mutual_information(out) == pytest.approx(0.0, abs=1e-12)
 
@@ -214,7 +216,7 @@ class TestPushThrough:
         rng = np.random.default_rng(9)
         j = random_joint(rng, 2, 4)
         with pytest.raises(ValueError):
-            push_through_quantizer(j, Quantizer.identity(5))
+            push_through_quantizer(j, identity_quantizer(5))
 
     def test_marginal_and_posterior_consistency(self):
         rng = np.random.default_rng(10)
@@ -229,12 +231,12 @@ class TestAvgKlDistortion:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(12)
         j = random_joint(rng, 4, 5)
-        assert avg_kl_distortion(j, Quantizer.identity(5)) == pytest.approx(0.0, abs=1e-12)
+        assert avg_kl_distortion(j, identity_quantizer(5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_cluster_equals_mi(self):
         rng = np.random.default_rng(13)
         j = random_joint(rng, 4, 5)
-        got = avg_kl_distortion(j, Quantizer.single_cluster(5))
+        got = avg_kl_distortion(j, single_cluster_quantizer(5))
         assert got == pytest.approx(mutual_information(j), abs=1e-12)
 
     def test_equals_mi_difference(self):
@@ -277,10 +279,3 @@ class TestInvariants:
         q = random_quantizer(rng, 5, 3, deterministic=False)
         out = push_through_quantizer(j, q)
         assert abs(out.matrix.sum() - 1.0) < 1e-9
-        cond = out.posterior_x_given_y()
-        assert np.allclose(cond.rows.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_conditional_dist_identity():
-    c = ConditionalDist.identity(3)
-    assert np.array_equal(c.rows, np.eye(3))

@@ -26,7 +26,15 @@ from test_ib import batch_relevant_info, enumerate_assignments
 
 
 def bsc_message(eps):
-    return MessageDist.from_rows([1 - eps, eps], [eps, 1 - eps])
+    return MessageDist(ConditionalDist(np.array([[1 - eps, eps], [eps, 1 - eps]])))
+
+
+NOISELESS = MessageDist(ConditionalDist(np.eye(2)))
+
+
+def hard_decision_error(msg):
+    """Error rate of the bitwise MAP decision under equiprobable symbols."""
+    return float(np.sum(np.minimum(msg.rows[0], msg.rows[1])) / 2)
 
 
 def random_message(rng, size):
@@ -64,7 +72,7 @@ def brute_force_node_joint(f, a, b):
 
 class TestNodeJoint:
     def test_variable_noiseless_point_mass(self):
-        a = MessageDist.noiseless()
+        a = NOISELESS
         joint = node_joint(NodeFunction.VARIABLE_EQUAL, a, a)
         # outcome (x, x) in row-major indexing is 2x + x
         assert joint.rows[0, 0] == 1.0
@@ -75,11 +83,11 @@ class TestNodeJoint:
             joint = node_joint(NodeFunction.CHECK_XOR, bsc_message(e1), bsc_message(e2))
             out = MessageDist(joint)
             expected = e1 + e2 - 2 * e1 * e2
-            assert out.hard_decision_error() == pytest.approx(expected, abs=1e-12)
+            assert hard_decision_error(out) == pytest.approx(expected, abs=1e-12)
 
     def test_check_with_perfect_input_reduces_to_other(self):
         other = bsc_message(0.2)
-        joint = node_joint(NodeFunction.CHECK_XOR, MessageDist.noiseless(), other)
+        joint = node_joint(NodeFunction.CHECK_XOR, NOISELESS, other)
         info = mutual_information(JointXY(0.5 * joint.rows))
         ref = mutual_information(JointXY(0.5 * other.rows))
         assert info == pytest.approx(ref, abs=1e-12)
@@ -215,7 +223,7 @@ class TestCascade:
         inputs = [bsc_message(eps)] * 5
         for schedule in ("left_fold", "balanced_tree"):
             cascade = cascade_node(NodeFunction.CHECK_XOR, inputs, 2, schedule)
-            got = cascade.final.hard_decision_error()
+            got = hard_decision_error(cascade.final)
             expected = 0.5 * (1.0 - (1.0 - 2 * eps) ** 5)
             assert got == pytest.approx(expected, abs=1e-12)
 
@@ -226,7 +234,7 @@ class TestCascade:
             if sum(flips) % 2 == 1:
                 expected += np.prod([eps if f else 1 - eps for f in flips])
         cascade = cascade_node(NodeFunction.CHECK_XOR, [bsc_message(eps)] * 5, 2)
-        assert cascade.final.hard_decision_error() == pytest.approx(expected, abs=1e-12)
+        assert hard_decision_error(cascade.final) == pytest.approx(expected, abs=1e-12)
 
     def test_schedules_agree_closely(self):
         msg = quantized_bpsk_message(2.0, 16, num_bins=128)
