@@ -101,15 +101,10 @@ def _floored(msg: MessageDist) -> MessageDist:
     rows = msg.rows
     if rows.min() >= MESSAGE_FLOOR:
         return msg
-    mirrored = bool(np.array_equal(rows[1], rows[0][::-1]))
-    r0 = np.maximum(rows[0], MESSAGE_FLOOR)
-    r0 = r0 / r0.sum()
-    if mirrored:
-        r1 = r0[::-1]
-    else:
-        r1 = np.maximum(rows[1], MESSAGE_FLOOR)
-        r1 = r1 / r1.sum()
-    return MessageDist(ConditionalDist(np.vstack([r0, r1])))
+    if msg.mirrored:
+        return MessageDist.mirror(np.maximum(rows[0], MESSAGE_FLOOR))
+    floored = np.maximum(rows, MESSAGE_FLOOR)
+    return MessageDist(ConditionalDist(floored / floored.sum(axis=1, keepdims=True)))
 
 
 def _decision_bits(final: MessageDist) -> np.ndarray:

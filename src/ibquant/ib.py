@@ -422,7 +422,7 @@ def _kmeans_pp_seeds(data: _SweepData, n: int, rng) -> np.ndarray:
 
 
 def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
-                init=None, max_sweeps: int = 500, tol: float = 1e-10,
+                init=None, max_sweeps: int = 500,
                 objective_trace: list | None = None) -> IbDesign:
     """Rate-penalized Lloyd iteration with KL distortion.
 
@@ -591,7 +591,7 @@ def _antisymmetric_pairing(m: np.ndarray) -> np.ndarray | None:
     """Partner index per symbol such that column(partner) = swap(column), or None.
 
     Detection is exact: swapped columns must match bit for bit, which holds for
-    channels and node joints built from mirror-symmetric inputs.  Columns with
+    the output-symmetric channels that ``channels`` builds.  Columns with
     the same unordered value pair form one class, sorted with the (u < v)
     columns first, each side in column order; the i-th column of one side
     pairs with the i-th of the other.  Zero-LLR columns (u == v) pair first
@@ -673,8 +673,7 @@ def _pair_term(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
     return term
 
 
-def dp_optimal_quantizer(j: JointXY, num_clusters: int,
-                         symmetric: bool | None = None) -> IbDesign:
+def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) -> IbDesign:
     """Optimal deterministic quantizer for a binary source.
 
     Sorts observation symbols by posterior log-likelihood ratio (descending)
@@ -684,30 +683,22 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int,
     keep them together), and zero-mass symbols adopt the label of their nearest
     positive-mass neighbour.
 
-    ``symmetric`` controls the mirror-symmetric construction used for
-    antisymmetric instances (output-symmetric channels and node joints): with
-    the default None it is applied automatically whenever the instance is
-    exactly antisymmetric and the cluster count is even, which makes the label
-    map commute with the symbol-flip relabeling.  That result is optimal among
-    mirror-symmetric quantizers only and can retain less information than the
-    global optimum; ``symmetric=False`` always returns the global optimum.
+    With ``symmetric`` (the default), an exactly antisymmetric instance, such
+    as an output-symmetric channel, with an even cluster count gets the
+    mirror-symmetric construction instead: its label map commutes with the
+    symbol-flip relabeling.  That result is optimal among mirror-symmetric
+    quantizers only and can retain less information than the global optimum,
+    which ``symmetric=False`` always returns.
     """
     if j.num_x != 2:
         raise ValueError("the dynamic program requires a binary source alphabet")
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
     m = j.matrix
-    if symmetric or symmetric is None:
-        partner = None
-        if num_clusters % 2 == 0 and num_clusters > 1:
-            partner = _antisymmetric_pairing(m)
-        if partner is not None:
-            labels = _symmetric_dp_labels(m, num_clusters, partner)
-            quantizer = Quantizer.from_labels(labels, num_clusters)
-            return design_from_quantizer(j, quantizer, math.inf)
-        if symmetric:
-            raise ValueError("symmetric construction needs an antisymmetric "
-                             "instance and an even cluster count")
+    partner = _antisymmetric_pairing(m) if symmetric and num_clusters % 2 == 0 else None
+    if partner is not None:
+        labels = _symmetric_dp_labels(m, num_clusters, partner)
+        return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
     mass = m.sum(axis=0)
     keep = mass > 0
 

@@ -9,13 +9,14 @@ decompose higher-degree nodes into chains of two-input stages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _text
-from .ib import _antisymmetric_pairing, dp_optimal_quantizer
-from .info import ConditionalDist, JointXY, mutual_information, push_through_quantizer
+from .ib import Quantizer, _symmetric_dp_labels, dp_optimal_quantizer
+from .info import (NORM_SKIP, SUM_SLACK, ConditionalDist, JointXY, _prob_array,
+                   mutual_information, push_through_quantizer)
 
 
 class NodeFunction(enum.Enum):
@@ -30,13 +31,20 @@ SCHEDULES = ("left_fold", "balanced_tree")
 
 @dataclass(frozen=True)
 class MessageDist:
-    """Distribution of a discrete message conditioned on the binary symbol it describes."""
+    """Distribution of a discrete message conditioned on the binary symbol it describes.
+
+    Derived ``mirrored``: p(v|1) is exactly the reversal of p(v|0).  Design
+    stages build such messages with ``mirror``, which keeps the reversal exact.
+    """
 
     cond: ConditionalDist
+    mirrored: bool = field(init=False)
 
     def __post_init__(self):
         if self.cond.num_conditions != 2:
             raise ValueError("messages must be conditioned on a binary code symbol")
+        rows = self.cond.rows
+        object.__setattr__(self, "mirrored", bool(np.array_equal(rows[1], rows[0][::-1])))
 
     @property
     def alphabet_size(self) -> int:
@@ -47,9 +55,24 @@ class MessageDist:
         return self.cond.rows
 
     @classmethod
+    def mirror(cls, row0) -> "MessageDist":
+        """The message with p(v|0) = row0 and p(v|1) its exact reversal."""
+        return cls(ConditionalDist(_mirrored_rows(_prob_array(row0, 1), np.s_[::-1])))
+
+    @classmethod
     def constant(cls) -> "MessageDist":
         """Single-symbol message carrying no information; cascade padding only."""
-        return cls(ConditionalDist(np.ones((2, 1))))
+        return cls.mirror([1.0])
+
+
+def _mirrored_rows(row0: np.ndarray, partner) -> np.ndarray:
+    """(row0, row0[partner]), both divided by row 0's total if either total is off 1 by
+    more than NORM_SKIP (up to SUM_SLACK), so row 1 is never renormalized on its own."""
+    rows = np.vstack([row0, row0[partner]])
+    totals = rows.sum(axis=1)
+    if NORM_SKIP < np.abs(totals - 1.0).max() <= SUM_SLACK:
+        rows /= totals[0]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -76,42 +99,40 @@ def node_joint(f: NodeFunction, a: MessageDist, b: MessageDist) -> ConditionalDi
 
     For the parity node the incoming symbol pair is uniform over the two
     solutions of x1 xor x2 = x3; for the equality node both inputs describe
-    x3 itself.
+    x3 itself.  For two mirrored inputs the x3 = 1 row is the x3 = 0 row,
+    normalized first, with its columns permuted by ``_partner``.
     """
-    a0, a1 = a.rows
-    b0, b1 = b.rows
-    mirrored = _is_mirror_symmetric(a) and _is_mirror_symmetric(b)
+    (a0, a1), (b0, b1) = a.rows, b.rows
     if f is NodeFunction.VARIABLE_EQUAL:
-        row0 = np.outer(a0, b0)
-        # for mirror-symmetric inputs the x=1 row is an exact permutation of
-        # the x=0 row; building it as such keeps the symmetry bit-exact
-        row1 = row0[::-1, ::-1] if mirrored else np.outer(a1, b1)
+        rows = [np.outer(a0, b0), np.outer(a1, b1)]
     elif f is NodeFunction.CHECK_XOR:
-        row0 = 0.5 * (np.outer(a0, b0) + np.outer(a1, b1))
-        row1 = row0[::-1, :] if mirrored else 0.5 * (np.outer(a0, b1) + np.outer(a1, b0))
+        rows = [0.5 * (np.outer(a0, b0) + np.outer(a1, b1)),
+                0.5 * (np.outer(a0, b1) + np.outer(a1, b0))]
     else:
         raise ValueError(f"unknown node function {f!r}")
-    return ConditionalDist(np.vstack([row0.ravel(), row1.ravel()]))
+    partner = _partner(f, a, b)
+    if partner is not None:
+        return ConditionalDist(_mirrored_rows(rows[0].ravel(), partner))
+    return ConditionalDist(np.vstack([row.ravel() for row in rows]))
 
 
-def _is_mirror_symmetric(msg: MessageDist) -> bool:
-    return bool(np.array_equal(msg.rows[1], msg.rows[0][::-1]))
+def _partner(f: NodeFunction, a: MessageDist, b: MessageDist) -> np.ndarray | None:
+    """For two mirrored inputs, the node_joint column holding each column's rows swapped:
+    both input axes reverse for the equality node, the first for the parity node."""
+    if not (a.mirrored and b.mirrored):
+        return None
+    cols = np.arange(a.alphabet_size * b.alphabet_size).reshape(a.alphabet_size, -1)
+    return (cols[::-1, ::-1] if f is NodeFunction.VARIABLE_EQUAL else cols[::-1]).ravel()
 
 
 def quantized_message(transition_rows: np.ndarray, quantizer) -> MessageDist:
-    """Message statistics p(v|x) after pushing a binary-input channel through a quantizer.
-
-    When the channel is exactly output-symmetric and the quantizer labels are
-    mirror-symmetric, the x=1 row is written as the exact reversal of the x=0
-    row instead of re-summing it, keeping the symmetry bit-exact.
-    """
-    mapping = quantizer.mapping.rows
-    rows = transition_rows @ mapping
+    """Message statistics p(v|x) after pushing a binary-input channel through a quantizer;
+    ``MessageDist.mirror`` builds it when both are exactly mirror-symmetric."""
+    rows = transition_rows @ quantizer.mapping.rows
     labels = quantizer.labels
-    k = mapping.shape[1]
     if (np.array_equal(transition_rows[1], transition_rows[0][::-1])
-            and bool(np.all(labels[::-1] == k - 1 - labels))):
-        rows = np.vstack([rows[0], rows[0][::-1]])
+            and np.array_equal(labels[::-1], quantizer.num_clusters - 1 - labels)):
+        return MessageDist.mirror(rows[0])
     return MessageDist(ConditionalDist(rows))
 
 
@@ -119,37 +140,28 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
                   out_size: int) -> NodeLut:
     """The deterministic LUT of the given output size maximizing I(output; x3).
 
-    Reduces the node to a binary-input channel with |L|*|Z| outputs and runs the
-    optimal dynamic-programming quantizer on it, so the returned table attains
-    the global maximum over all deterministic tables of that size.  Output
-    labels are ordered by posterior log-likelihood ratio, descending.
+    Reduces the node to a binary-input channel with |L|*|Z| outputs and
+    quantizes it by dynamic programming: the mirror-symmetric DP on the column
+    pairs of ``_partner`` for mirrored inputs of an even first alphabet and an
+    even ``out_size`` (the output is then mirrored too), ``dp_optimal_quantizer``
+    otherwise.  Output labels are ordered by posterior LLR, descending.
     """
     if out_size < 1:
         raise ValueError("out_size must be >= 1")
-    cond = node_joint(f, a, b)
-    joint = JointXY(0.5 * cond.rows)
-    design = dp_optimal_quantizer(joint, out_size)
-    labels = design.quantizer.labels
-    table = labels.reshape(a.alphabet_size, b.alphabet_size)
-    pushed = push_through_quantizer(joint, design.quantizer)
-    out_rows = 2.0 * pushed.matrix  # uniform symbol prior by construction
-    if _labels_mirror(joint.matrix, labels, out_size):
-        out_rows = np.vstack([out_rows[0], out_rows[0][::-1]])
-    out_cond = MessageDist(ConditionalDist(out_rows))
-    return NodeLut(table, out_cond, out_size, design.relevant_info)
-
-
-def _labels_mirror(matrix: np.ndarray, labels: np.ndarray, out_size: int) -> bool:
-    """True when swapped-column partners landed in mirrored clusters.
-
-    In that case p(v|1) is mathematically the exact reversal of p(v|0); writing
-    it that way sidesteps summation-order rounding so downstream stages can
-    keep detecting the symmetry exactly.
-    """
-    pairing = _antisymmetric_pairing(matrix)
-    if pairing is None:
-        return False
-    return bool(np.all(labels[pairing] == out_size - 1 - labels))
+    joint = JointXY(0.5 * node_joint(f, a, b).rows)
+    partner = _partner(f, a, b)
+    # with an even first alphabet no column is its own partner
+    mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
+    if mirrored:
+        labels = _symmetric_dp_labels(joint.matrix, out_size, partner)
+        quantizer = Quantizer.from_labels(labels, out_size)
+    else:
+        quantizer = dp_optimal_quantizer(joint, out_size).quantizer
+    pushed = push_through_quantizer(joint, quantizer)
+    rows = 2.0 * pushed.matrix  # uniform symbol prior by construction
+    out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
+    table = quantizer.labels.reshape(a.alphabet_size, b.alphabet_size)
+    return NodeLut(table, out_cond, out_size, mutual_information(pushed))
 
 
 @dataclass(frozen=True)

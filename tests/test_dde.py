@@ -13,6 +13,8 @@ from ibquant.ib import dp_optimal_quantizer
 from ibquant.info import JointXY, mutual_information
 from ibquant.maxlut import CascadeStage, LutCascade, NodeFunction
 
+from test_maxlut import partner_table
+
 
 def small_design(ebn0=2.0, bins=64, bits=3, iters=6):
     dmc = build_bpsk_awgn(ebn0, 0.5, bins)
@@ -259,6 +261,25 @@ class TestSharedTables:
         save_design(design_decoder(dmc, dv, dc, bits, 8), shared)
         save_design(reference_design(dmc, dv, dc, bits, 8), independent)
         assert shared.read_bytes() == independent.read_bytes()
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("ebn0", [0.2, 1.0])
+    def test_every_stage_is_mirrored(self, ebn0):
+        # below the 4-bit threshold DE never saturates: 50 iterations of tables
+        design = design_decoder(build_bpsk_awgn(ebn0, 0.5, 128), 3, 6, 4, 50)
+        assert design.max_iter == 50
+        assert design.channel_message.mirrored
+        levels = design.alphabet_size
+        for t in range(design.max_iter):
+            chains = (design.check_luts[t], design.var_luts[t],
+                      design.decision_luts[t].cascade)
+            for cascade in chains:
+                for stage in cascade.stages:
+                    table = stage.lut.table
+                    assert stage.lut.out_cond.mirrored
+                    assert np.array_equal(partner_table(cascade.node, table),
+                                          levels - 1 - table)
 
 
 class TestTruncatedDesignFile:

@@ -815,3 +815,17 @@ class TestOrderingAndSymmetry:
         lo_z, hi_z = wilson_interval(zero.frame_errors, frames)
         lo_r, hi_r = wilson_interval(rand.frame_errors, frames)
         assert lo_z <= hi_r and lo_r <= hi_z
+
+    def test_all_zero_vs_random_codewords_below_threshold(self, setup_2db):
+        # at 1.0 dB every one of the 50 iterations has its own tables, all
+        # mirror-symmetric, so the codeword choice must not matter there either
+        code = setup_2db[0]
+        design = design_decoder(build_bpsk_awgn(1.0, code.design_rate, 128), 3, 6, 4, 50)
+        frames = 1500
+        zero = ber_sweep(code, "lut", [1.0], max_frames=frames, seed=13,
+                         design=design)[0]
+        rand = ber_sweep(code, "lut", [1.0], max_frames=frames, seed=13,
+                         design=design, codewords="random")[0]
+        lo_z, hi_z = wilson_interval(zero.frame_errors, frames)
+        lo_r, hi_r = wilson_interval(rand.frame_errors, frames)
+        assert lo_z <= hi_r and lo_r <= hi_z

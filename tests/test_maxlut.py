@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ibquant.channels import build_bpsk_awgn
 from ibquant.ib import dp_optimal_quantizer
-from ibquant.info import ConditionalDist, JointXY, mutual_information
+from ibquant.info import NORM_SKIP, ConditionalDist, JointXY, mutual_information
 from ibquant.maxlut import (
     LutCascade,
     MessageDist,
@@ -48,6 +48,22 @@ def quantized_bpsk_message(ebn0_db, levels, num_bins=64):
     pushed = design.quantizer.mapping.rows
     rows = dmc.transition.rows @ pushed
     return MessageDist(ConditionalDist(rows))
+
+
+@st.composite
+def mirrored_messages(draw, sizes):
+    """MessageDist.mirror of a random row; integer weights give tied levels."""
+    size = draw(sizes)
+    weight = st.integers(0, 3) if draw(st.booleans()) else st.floats(1e-9, 1.0)
+    raw = np.array(draw(st.lists(weight, min_size=size, max_size=size)), dtype=float)
+    if raw.sum() == 0:
+        raw[0] = 1.0
+    return MessageDist.mirror(raw / raw.sum())
+
+
+def partner_table(f, table):
+    """The table at each outcome's mirror image: node_joint's column partner."""
+    return table[::-1, ::-1] if f is NodeFunction.VARIABLE_EQUAL else table[::-1, :]
 
 
 def brute_force_node_joint(f, a, b):
@@ -205,6 +221,60 @@ class TestBuildMaxLut:
                 loss = mutual_information(joint) - lut.relevant_info
                 assert 0.0 <= loss + 1e-12
                 assert loss < 0.01
+
+
+class TestMirrored:
+    def test_derived_from_the_rows(self):
+        assert bsc_message(0.1).mirrored
+        assert MessageDist.constant().mirrored
+        rng = np.random.default_rng(10)
+        assert not random_message(rng, 4).mirrored
+
+    @pytest.mark.parametrize("row0", [[[0.5, 0.5]], [], [0.5, np.nan], [1.5, -0.5], [0.5, 0.6]])
+    def test_mirror_rejects_what_is_not_a_distribution(self, row0):
+        with pytest.raises(ValueError):
+            MessageDist.mirror(row0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           side=st.sampled_from([-1.0, 1.0]), ulps=st.integers(-40, 40))
+    def test_mirror_keeps_rows_near_the_skip_band_exact(self, size, seed, side, ulps):
+        # a total this close to 1 +- NORM_SKIP can fall inside the band in one
+        # summation order and outside it in the reversed one; row 1 must not
+        # then be renormalized on its own
+        raw = np.random.default_rng(seed).uniform(size=size)
+        row = raw / raw.sum() * (1.0 + side * NORM_SKIP + ulps * 2.0 ** -52)
+        msg = MessageDist.mirror(row)
+        assert msg.mirrored
+        assert np.array_equal(msg.rows[1], msg.rows[0][::-1])
+        assert (np.array_equal(msg.rows[0], row)
+                or np.array_equal(msg.rows[0], row / row.sum()))
+        assert np.all(np.abs(msg.rows.sum(axis=1) - 1.0) <= NORM_SKIP)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=mirrored_messages(st.sampled_from([2, 4, 6])),
+           b=mirrored_messages(st.integers(1, 5)), same=st.booleans(),
+           f=st.sampled_from(list(NodeFunction)), half=st.integers(1, 4))
+    def test_mirrored_inputs_give_a_mirrored_table(self, a, b, same, f, half):
+        b = a if same else b
+        out = 2 * half
+        lut = build_max_lut(f, a, b, out)
+        assert lut.out_cond.mirrored
+        assert np.array_equal(partner_table(f, lut.table), out - 1 - lut.table)
+        joint = node_joint(f, a, b)
+        flat = np.arange(joint.alphabet_size).reshape(lut.table.shape)
+        assert np.array_equal(joint.rows[1], joint.rows[0][partner_table(f, flat).ravel()])
+        # the structural pairs reach the optimum that detecting them finds;
+        # tables may differ only where columns tie
+        general = dp_optimal_quantizer(JointXY(0.5 * joint.rows), out)
+        assert lut.relevant_info == pytest.approx(general.relevant_info, abs=1e-12)
+
+    def test_odd_output_size_takes_the_general_path(self):
+        msg = quantized_bpsk_message(2.0, 4)
+        lut = build_max_lut(NodeFunction.CHECK_XOR, msg, msg, 3)
+        joint = JointXY(0.5 * node_joint(NodeFunction.CHECK_XOR, msg, msg).rows)
+        general = dp_optimal_quantizer(joint, 3)
+        assert np.array_equal(lut.table.ravel(), general.quantizer.labels)
 
 
 class TestCascade:
