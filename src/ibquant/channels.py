@@ -43,6 +43,8 @@ class AwgnDiscretization:
             raise ValueError("noise_std must be positive")
         if num_bins < 2:
             raise ValueError("need at least 2 bins")
+        if clip_multiplier < 0:
+            raise ValueError("clip_multiplier must be >= 0")
         amp = max(abs(float(x)) for x in alphabet) + clip_multiplier * noise_std
         edges = np.linspace(-amp, amp, num_bins + 1)
         return cls(noise_std, clip_multiplier, num_bins, edges)
@@ -182,23 +184,11 @@ def _gaussian_bin_row(mean: float, sigma: float, edges: np.ndarray) -> np.ndarra
 
 def _symmetric_awgn_rows(alphabet: np.ndarray, sigma: float,
                          edges: np.ndarray) -> np.ndarray:
-    """Rows for a sign-symmetric alphabet; negative inputs mirror positive ones.
-
-    Mirroring makes the output-symmetry property exact in floating point.
-    """
-    num_bins = edges.shape[0] - 1
-    rows = np.empty((alphabet.shape[0], num_bins))
-    by_value = {float(x): i for i, x in enumerate(alphabet)}
-    for i, x in enumerate(alphabet):
-        x = float(x)
-        if x < 0 and -x in by_value:
-            continue
-        rows[i] = _gaussian_bin_row(x, sigma, edges)
-    for i, x in enumerate(alphabet):
-        x = float(x)
-        if x < 0 and -x in by_value:
-            rows[i] = rows[by_value[-x]][::-1]
-    return rows
+    """Rows for a sign-symmetric alphabet without 0; each negative point's row is
+    the reversal of its positive mirror's, which makes output symmetry exact."""
+    positive = {x: _gaussian_bin_row(x, sigma, edges) for x in alphabet.tolist() if x > 0}
+    return np.array([positive[x] if x > 0 else positive[-x][::-1]
+                     for x in alphabet.tolist()])
 
 
 def build_ask_awgn(levels: int, noise_std: float, num_bins: int,

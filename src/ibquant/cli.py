@@ -40,11 +40,23 @@ def _parse_list(parser: argparse.ArgumentParser, flag: str, text: str, kind) -> 
         parser.error(f"{flag} must be a comma-separated list of {kind.__name__} values")
 
 
-def _check_degrees_and_iters(parser: argparse.ArgumentParser, args) -> None:
+def _check_ldpc_args(parser: argparse.ArgumentParser, args, ebn0_values,
+                     code_rate: float | None) -> None:
+    """Degrees, iterations and the BPSK channel at every Eb/N0 (at the design
+    rate 1 - dv/dc unless ``code_rate`` is given), checked before any work so
+    that an invalid value is a usage error."""
     if not 1 <= args.dv < args.dc:
         parser.error("--dv and --dc must satisfy 1 <= dv < dc")
     if args.iters < 1:
         parser.error("--iters must be >= 1")
+    rate = 1.0 - args.dv / args.dc if code_rate is None else code_rate
+    for ebn0 in ebn0_values:
+        if not math.isfinite(ebn0):
+            parser.error(f"--ebn0 must be finite, got {ebn0}")
+        try:
+            channels.build_bpsk_awgn(ebn0, rate, args.bins, args.clip)
+        except ValueError as exc:
+            parser.error(f"invalid channel at --ebn0 {ebn0}: {exc}")
 
 
 def _add_channel_args(sub: argparse.ArgumentParser) -> None:
@@ -80,13 +92,17 @@ def _cmd_quantize(parser, args) -> int:
         parser.error("cluster counts must be >= 1")
     if args.alg == "it-ib" and not math.isfinite(args.beta):
         parser.error(f"--beta must be finite for it-ib, got {args.beta}")
+    if args.mapping_out and len(n_values) != 1:
+        parser.error("--mapping-out needs exactly one value in --n")
+    if args.restarts < 1:
+        parser.error(f"--restarts must be >= 1, got {args.restarts}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     points = ib.ib_curve(dmc.joint(), args.alg, n_values, beta=args.beta,
                          lam=args.lam, restarts=args.restarts, seed=args.seed)
     ib.write_curve_csv(args.out, points, args.alg, args.beta, args.restarts,
                        comment=_header(args, args.seed))
     if args.mapping_out:
-        if len(points) != 1:
-            parser.error("--mapping-out needs exactly one value in --n")
         _write_mapping(args.mapping_out, points[0].design.quantizer,
                        _header(args, args.seed))
     return 0
@@ -104,11 +120,10 @@ def _cmd_maxlut(parser, args) -> int:
     dmc = _parse_channel(parser, args)
     if dmc.num_inputs != 2:
         parser.error("maxlut needs a binary-input channel")
-    design = ib.dp_optimal_quantizer(dmc.joint(), 2 ** args.in_bits)
-    msg = maxlut.quantized_message(dmc.transition.rows, design.quantizer)
-    node = {"check": maxlut.NodeFunction.CHECK_XOR,
-            "variable": maxlut.NodeFunction.VARIABLE_EQUAL}[args.node]
-    lut = maxlut.build_max_lut(node, msg, msg, 2 ** args.out_bits)
+    msg = maxlut.build_max_lut(maxlut.NodeFunction.VARIABLE_EQUAL,
+                               maxlut.MessageDist(dmc.transition),
+                               maxlut.MessageDist.constant(), 2 ** args.in_bits).out_cond
+    lut = maxlut.build_max_lut(maxlut.NodeFunction(args.node), msg, msg, 2 ** args.out_bits)
     maxlut.save_node_lut(lut, args.out, comment=_header(args, "n/a"))
     return 0
 
@@ -116,10 +131,9 @@ def _cmd_maxlut(parser, args) -> int:
 def _cmd_ldpc_design(parser, args) -> int:
     if not 1 <= args.bits <= MAX_MESSAGE_BITS:
         parser.error(f"--bits must be 1 to {MAX_MESSAGE_BITS}, not {args.bits}")
-    _check_degrees_and_iters(parser, args)
-    rate = args.rate if args.rate is not None else 1.0 - args.dv / args.dc
+    _check_ldpc_args(parser, args, [args.ebn0], args.rate)
     design = design_bpsk_decoder(args.ebn0, args.dv, args.dc, args.bits,
-                                 args.iters, args.bins, args.clip, rate)
+                                 args.iters, args.bins, args.clip, args.rate)
     save_design(design, args.out, comment=_header(args, "n/a"))
     if args.trace_out:
         lines = ["iteration,error_prob"] + [
@@ -130,7 +144,10 @@ def _cmd_ldpc_design(parser, args) -> int:
 
 def _cmd_ldpc_simulate(parser, args) -> int:
     ebn0_list = _parse_list(parser, "--ebn0", args.ebn0, float)
-    _check_degrees_and_iters(parser, args)
+    _check_ldpc_args(parser, args, ebn0_list, None)
+    for flag, seed in (("--seed", args.seed), ("--code-seed", args.code_seed)):
+        if seed < 0:
+            parser.error(f"{flag} must be >= 0, got {seed}")
     try:
         code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
     except ValueError as exc:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _text
+from . import _text, maxlut
 from .channels import DmcSpec, build_bpsk_awgn, build_bpsk_awgn_sigma
-from .ib import Quantizer, dp_optimal_quantizer
+from .ib import Quantizer
 from .info import ConditionalDist
 from .maxlut import (
     CascadeStage,
@@ -26,7 +26,6 @@ from .maxlut import (
     _cascade_plan,
     _lut_from_lines,
     _lut_lines,
-    quantized_message,
 )
 
 
@@ -124,11 +123,12 @@ def design_decoder(dmc: DmcSpec, dv: int, dc: int, message_bits: int = 4,
                    max_iter: int = 50) -> LdpcEnsembleDesign:
     """Design all decoder lookup tables for a (dv, dc)-regular ensemble.
 
-    The channel output is first quantized to 2**message_bits levels by the
-    optimal quantizer; each iteration then builds a balanced-tree check chain
-    over dc-1 incoming messages, a left-fold variable chain over the channel
-    message plus dv-1 check messages, and a decision chain over the channel
-    message plus all dv check messages.  Every intermediate alphabet has
+    The channel output is first requantized to 2**message_bits levels by a
+    one-input stage (the equality node with the constant message); each
+    iteration then builds a balanced-tree check chain over dc-1 incoming
+    messages, a left-fold variable chain over the channel message plus dv-1
+    check messages, and a decision chain over the channel message plus all dv
+    check messages.  Every intermediate alphabet has
     2**message_bits levels.
     """
     if not 1 <= message_bits <= MAX_MESSAGE_BITS:
@@ -138,8 +138,9 @@ def design_decoder(dmc: DmcSpec, dv: int, dc: int, message_bits: int = 4,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     levels = 2 ** message_bits
-    chan_design = dp_optimal_quantizer(dmc.joint(), levels)
-    chan_msg = _floored(quantized_message(dmc.transition.rows, chan_design.quantizer))
+    chan_lut = maxlut.build_max_lut(NodeFunction.VARIABLE_EQUAL, MessageDist(dmc.transition),
+                                    MessageDist.constant(), levels)
+    chan_msg = _floored(chan_lut.out_cond)
 
     check_luts = []
     var_luts = []
@@ -171,7 +172,7 @@ def design_decoder(dmc: DmcSpec, dv: int, dc: int, message_bits: int = 4,
         v2c = _floored(var.final)
 
     return LdpcEnsembleDesign(
-        channel_lut=chan_design.quantizer,
+        channel_lut=Quantizer.from_labels(chan_lut.table[:, 0], levels),
         channel_message=chan_msg,
         check_luts=tuple(check_luts),
         var_luts=tuple(var_luts),

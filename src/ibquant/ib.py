@@ -8,7 +8,7 @@ dynamic-programming quantizer that is optimal for binary sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .info import (
     mutual_information,
 )
 
-DETERMINISTIC_EPS = 1e-12
 DEAD_CLUSTER_EPS = 1e-12
 
 # Extra stop criterion for the fixed-point iteration: the objective is flat
@@ -37,11 +36,6 @@ class Quantizer:
     """Mapping from an observation alphabet to a cluster alphabet, p(z|y)."""
 
     mapping: ConditionalDist
-    deterministic: bool = field(init=False)
-
-    def __post_init__(self):
-        det = bool(np.all(self.mapping.rows.max(axis=1) >= 1.0 - DETERMINISTIC_EPS))
-        object.__setattr__(self, "deterministic", det)
 
     @property
     def num_inputs(self) -> int:

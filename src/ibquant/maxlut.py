@@ -125,17 +125,6 @@ def _partner(f: NodeFunction, a: MessageDist, b: MessageDist) -> np.ndarray | No
     return (cols[::-1, ::-1] if f is NodeFunction.VARIABLE_EQUAL else cols[::-1]).ravel()
 
 
-def quantized_message(transition_rows: np.ndarray, quantizer) -> MessageDist:
-    """Message statistics p(v|x) after pushing a binary-input channel through a quantizer;
-    ``MessageDist.mirror`` builds it when both are exactly mirror-symmetric."""
-    rows = transition_rows @ quantizer.mapping.rows
-    labels = quantizer.labels
-    if (np.array_equal(transition_rows[1], transition_rows[0][::-1])
-            and np.array_equal(labels[::-1], quantizer.num_clusters - 1 - labels)):
-        return MessageDist.mirror(rows[0])
-    return MessageDist(ConditionalDist(rows))
-
-
 def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
                   out_size: int) -> NodeLut:
     """The deterministic LUT of the given output size maximizing I(output; x3).

@@ -35,7 +35,7 @@ from ibquant.info import (
     push_through_quantizer,
 )
 from ibquant.ldpc import construct_regular_ldpc
-from ibquant.maxlut import NodeFunction, build_max_lut, node_joint, quantized_message
+from ibquant.maxlut import NodeFunction, build_max_lut, node_joint
 
 from test_ib import (
     batch_relevant_info,
@@ -43,7 +43,7 @@ from test_ib import (
     fixed_point_residual,
     random_stochastic_quantizer,
 )
-from test_maxlut import random_message
+from test_maxlut import quantized_message, random_message
 
 
 def _report(number: int, name: str, started: float, budget: float) -> None:

@@ -205,6 +205,13 @@ class TestDiscretization:
         centers = 0.5 * (disc.bin_edges[:-1] + disc.bin_edges[1:])
         assert np.array_equal(disc.bin_of(centers), np.arange(8))
 
+    def test_rejects_negative_clip(self):
+        with pytest.raises(ValueError, match="clip_multiplier must be >= 0"):
+            AwgnDiscretization.for_alphabet([1.0, -1.0], 0.5, 8, -0.5)
+        with pytest.raises(ValueError, match="clip_multiplier must be >= 0"):
+            build_bpsk_awgn(2.0, 0.5, 8, -1.0)
+        assert AwgnDiscretization.for_alphabet([1.0, -1.0], 0.5, 8, 0.0).bin_edges[-1] == 1.0
+
 
 @st.composite
 def discretizations(draw):

@@ -108,6 +108,32 @@ class TestQuantize:
         lines = [l for l in mapping.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "quantizer 2 2"
 
+    def test_mapping_out_with_several_n_is_usage_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("quantize reached the curve")
+
+        monkeypatch.setattr("ibquant.ib.ib_curve", no_curve)
+        out, mapping = tmp_path / "q.csv", tmp_path / "map.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["quantize", "--channel", "bsc:0.2", "--alg", "agg-ib", "--n", "2,3",
+                 "--out", str(out), "--mapping-out", str(mapping)])
+        assert exc.value.code == 2
+        assert "--mapping-out" in capsys.readouterr().err
+        assert not out.exists() and not mapping.exists()
+
+    @pytest.mark.parametrize("option, value", [("--restarts", "0"), ("--restarts", "-3"),
+                                               ("--seed", "-1")])
+    def test_invalid_restarts_and_seed_are_usage_errors(self, option, value, tmp_path,
+                                                        capsys):
+        out = tmp_path / "q.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["quantize", "--channel", "ask4", "--bins", "16", "--alg", "kl-means",
+                 "--n", "4", option, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{option} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("beta", ["inf", "nan"])
     def test_non_finite_beta_is_usage_error(self, beta, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -241,6 +267,48 @@ class TestLdpcCommands:
             run(["ldpc", "design", "--ebn0", "2.0", "--bits", bits, "--out", str(out)])
         assert exc.value.code == 2
         assert f"--bits must be 1 to 8, not {bits}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--bins", "1"], "need at least 2 bins"),
+        (["--clip", "-0.5"], "clip_multiplier must be >= 0"),
+        (["--ebn0", "nan"], "--ebn0 must be finite"),
+        (["--ebn0", "inf"], "--ebn0 must be finite"),
+        (["--ebn0=-inf"], "--ebn0 must be finite"),
+        (["--rate", "0"], "code_rate must lie in (0, 1]")])
+    def test_invalid_design_channel_is_usage_error(self, tmp_path, extra, message,
+                                                   capsys, monkeypatch):
+        def no_design(*args, **kwargs):
+            raise AssertionError("ldpc design reached the decoder design")
+
+        monkeypatch.setattr("ibquant.cli.design_bpsk_decoder", no_design)
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "design", "--ebn0", "2.0", "--bits", "3", "--out", str(out)]
+                + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--bins", "1"], "need at least 2 bins"),
+        (["--clip", "-0.5"], "clip_multiplier must be >= 0"),
+        (["--ebn0", "2.0,nan"], "--ebn0 must be finite"),
+        (["--ebn0", "inf"], "--ebn0 must be finite"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+        (["--code-seed", "-1"], "--code-seed must be >= 0")])
+    def test_invalid_simulate_values_are_usage_errors(self, tmp_path, extra, message,
+                                                      capsys, monkeypatch):
+        def no_code(*args, **kwargs):
+            raise AssertionError("ldpc simulate reached the code construction")
+
+        monkeypatch.setattr("ibquant.ldpc.construct_regular_ldpc", no_code)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "simulate", "--decoder", "bp", "--ebn0", "2.0", "--max-frames", "5",
+                 "--n", "48", "--out", str(out)] + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_design_mismatch_is_usage_error(self, tmp_path):

@@ -3,17 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibquant import dde, maxlut
-from ibquant.channels import build_bpsk_awgn
+from ibquant.channels import DmcSpec, build_bpsk_awgn, build_bsc
 from ibquant.dde import design_decoder, load_design, save_design
 from ibquant.ib import dp_optimal_quantizer
-from ibquant.info import JointXY, mutual_information
-from ibquant.maxlut import CascadeStage, LutCascade, NodeFunction
+from ibquant.info import ConditionalDist, JointXY, Pmf, mutual_information
+from ibquant.maxlut import CascadeStage, LutCascade, MessageDist, NodeFunction
 
-from test_maxlut import partner_table
+from test_maxlut import partner_table, quantized_message
 
 
 def small_design(ebn0=2.0, bins=64, bits=3, iters=6):
@@ -71,9 +71,9 @@ class TestDesign:
     def test_rejects_message_bits_outside_a_byte(self, bits, monkeypatch):
         # the check must come before the channel quantizer: a 9-bit DP needs 128 GiB
         def no_dp(*args, **kwargs):
-            raise AssertionError("design_decoder reached the DP quantizer")
+            raise AssertionError("design_decoder reached the channel quantizer")
 
-        monkeypatch.setattr(dde, "dp_optimal_quantizer", no_dp)
+        monkeypatch.setattr(maxlut, "build_max_lut", no_dp)
         dmc = build_bpsk_awgn(2.0, 0.5, 16)
         with pytest.raises(ValueError, match="message_bits must be 1 to 8"):
             design_decoder(dmc, 3, 6, bits, 5)
@@ -196,11 +196,19 @@ def reference_cascade(f, inputs, out_size, schedule):
     return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
 
 
+def dp_route_channel_stage(dmc, levels):
+    """The channel quantizer and message of the DP route: dp_optimal_quantizer
+    on the channel joint, then the quantized message."""
+    quantizer = dp_optimal_quantizer(dmc.joint(), levels).quantizer
+    return quantizer, quantized_message(dmc.transition.rows, quantizer)
+
+
 def reference_design(dmc, dv, dc, message_bits, max_iter):
-    """design_decoder's loop with three independent cascades per iteration."""
+    """design_decoder's loop with three independent cascades per iteration,
+    after the channel stage of the DP route."""
     levels = 2 ** message_bits
-    chan = dp_optimal_quantizer(dmc.joint(), levels)
-    chan_msg = dde._floored(maxlut.quantized_message(dmc.transition.rows, chan.quantizer))
+    chan_lut, chan_msg = dp_route_channel_stage(dmc, levels)
+    chan_msg = dde._floored(chan_msg)
     checks, vars_, decisions, trace = [], [], [], []
     v2c = chan_msg
     for _ in range(max_iter):
@@ -222,7 +230,7 @@ def reference_design(dmc, dv, dc, message_bits, max_iter):
         if err < dde.SATURATION_FLOOR:
             break
         v2c = dde._floored(var.final)
-    return dde.LdpcEnsembleDesign(chan.quantizer, chan_msg, tuple(checks), tuple(vars_),
+    return dde.LdpcEnsembleDesign(chan_lut, chan_msg, tuple(checks), tuple(vars_),
                                   tuple(decisions), message_bits, np.array(trace), dmc,
                                   dv, dc)
 
@@ -243,7 +251,7 @@ class TestSharedTables:
         calls = self.count_builds(monkeypatch)
         design = design_decoder(build_bpsk_awgn(0.2, 0.5, 64), 3, 6, 3, 5)
         assert design.max_iter == 5
-        assert len(calls) == 6 * 5
+        assert len(calls) == 1 + 6 * 5  # the channel stage, then six per iteration
 
     @pytest.mark.parametrize("dv,dc", [(2, 4), (3, 6), (4, 8)])
     def test_variable_stages_are_decision_prefix(self, dv, dc):
@@ -261,6 +269,57 @@ class TestSharedTables:
         save_design(design_decoder(dmc, dv, dc, bits, 8), shared)
         save_design(reference_design(dmc, dv, dc, bits, 8), independent)
         assert shared.read_bytes() == independent.read_bytes()
+
+
+@st.composite
+def binary_channels(draw):
+    """BPSK/AWGN over a wide range of SNR, bins and clip; BSC; and random
+    asymmetric binary-input channels, some with zero-mass outputs."""
+    kind = draw(st.sampled_from(["bpsk", "bsc", "random"]))
+    if kind == "bpsk":
+        return build_bpsk_awgn(draw(st.floats(-4.0, 10.0)), 0.5, draw(st.integers(2, 300)),
+                               draw(st.floats(0.0, 5.0)))
+    if kind == "bsc":
+        return build_bsc(draw(st.floats(0.0, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_out = draw(st.integers(2, 40))
+    rows = rng.uniform(size=(2, num_out))
+    rows[:, rng.uniform(size=num_out) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    rows[:, 0] += 1e-3  # no all-zero row
+    return DmcSpec(np.array([1.0, -1.0]),
+                   ConditionalDist(rows / rows.sum(axis=1, keepdims=True)), Pmf.uniform(2))
+
+
+class TestChannelStage:
+    """The channel quantizer is a build_max_lut requantization stage with the
+    bits of the DP route."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dmc=binary_channels(), bits=st.integers(1, 8))
+    @example(dmc=build_bsc(5e-324), bits=1)
+    @example(dmc=build_bsc(1e-310), bits=2)
+    def test_stage_matches_dp_route(self, dmc, bits):
+        levels = 2 ** bits
+        lut = maxlut.build_max_lut(NodeFunction.VARIABLE_EQUAL, MessageDist(dmc.transition),
+                                   MessageDist.constant(), levels)
+        quantizer, msg = dp_route_channel_stage(dmc, levels)
+        assert np.array_equal(lut.table[:, 0], quantizer.labels)
+        # build_max_lut works on the joint 0.5 p(v|x) and doubles it back, which
+        # rounds subnormal levels (a BSC with eps = 5e-324, say); every other
+        # level keeps its bits
+        tiny = np.finfo(float).tiny
+        exact = (msg.rows == 0) | (msg.rows >= tiny)
+        assert np.array_equal(lut.out_cond.rows[exact], msg.rows[exact])
+        assert np.all(lut.out_cond.rows[~exact] < tiny)
+        assert dde._floored(lut.out_cond).rows.tobytes() == dde._floored(msg).rows.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dmc=binary_channels(), bits=st.integers(1, 4))
+    def test_design_matches_dp_route(self, dmc, bits):
+        design = design_decoder(dmc, 1, 2, bits, 1)
+        quantizer, msg = dp_route_channel_stage(dmc, 2 ** bits)
+        assert np.array_equal(design.channel_lut.labels, quantizer.labels)
+        assert design.channel_message.rows.tobytes() == dde._floored(msg).rows.tobytes()
 
 
 class TestMirrorSymmetry:

@@ -1023,7 +1023,8 @@ class TestDpMatchesReference:
         assert float_bits(got_info) == float_bits(want_info)
 
     def test_channel_and_node_joints(self):
-        from ibquant.maxlut import NodeFunction, node_joint, quantized_message
+        from ibquant.maxlut import NodeFunction, node_joint
+        from test_maxlut import quantized_message
         dmc = build_ask_awgn(2, 0.8, 64)
         for n in (2, 4, 8, 16):
             self.assert_same_design(dmc.joint(), n)

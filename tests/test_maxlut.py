@@ -50,6 +50,19 @@ def quantized_bpsk_message(ebn0_db, levels, num_bins=64):
     return MessageDist(ConditionalDist(rows))
 
 
+def quantized_message(transition_rows, quantizer):
+    """Message statistics p(v|x) after pushing a binary-input channel through a
+    quantizer; ``MessageDist.mirror`` builds it when both are exactly
+    mirror-symmetric.  The channel stage's route before it became a
+    ``build_max_lut`` table, kept as its oracle."""
+    rows = transition_rows @ quantizer.mapping.rows
+    labels = quantizer.labels
+    if (np.array_equal(transition_rows[1], transition_rows[0][::-1])
+            and np.array_equal(labels[::-1], quantizer.num_clusters - 1 - labels)):
+        return MessageDist.mirror(rows[0])
+    return MessageDist(ConditionalDist(rows))
+
+
 @st.composite
 def mirrored_messages(draw, sizes):
     """MessageDist.mirror of a random row; integer weights give tied levels."""
