@@ -115,8 +115,9 @@ def _write_mapping(path, quantizer: ib.Quantizer, comment: str) -> None:
 
 
 def _cmd_maxlut(parser, args) -> int:
-    if args.in_bits < 1 or args.out_bits < 1:
-        parser.error("--in-bits and --out-bits must be >= 1")
+    for flag, bits in (("--in-bits", args.in_bits), ("--out-bits", args.out_bits)):
+        if not 1 <= bits <= MAX_MESSAGE_BITS:
+            parser.error(f"{flag} must be 1 to {MAX_MESSAGE_BITS}, not {bits}")
     dmc = _parse_channel(parser, args)
     if dmc.num_inputs != 2:
         parser.error("maxlut needs a binary-input channel")
@@ -144,33 +145,41 @@ def _cmd_ldpc_design(parser, args) -> int:
 
 def _cmd_ldpc_simulate(parser, args) -> int:
     ebn0_list = _parse_list(parser, "--ebn0", args.ebn0, float)
-    _check_ldpc_args(parser, args, ebn0_list, None)
-    for flag, seed in (("--seed", args.seed), ("--code-seed", args.code_seed)):
-        if seed < 0:
-            parser.error(f"{flag} must be >= 0, got {seed}")
-    try:
-        code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
-    except ValueError as exc:
-        parser.error(f"--n {args.n} does not fit the degrees: {exc}")
     design = None
-    bits = 4 if args.bits is None else args.bits
+    defaults = {"bits": 4, "bins": 128, "clip": 3.0}
     if args.design:
+        if args.decoder != "lut":
+            parser.error(f"--design holds lookup tables; --decoder {args.decoder} "
+                         "would not use them")
         try:
             design = load_design(args.design)
         except ValueError as exc:
             parser.error(str(exc))
         if design.var_degree != args.dv or design.check_degree != args.dc:
             parser.error("design file degrees do not match --dv/--dc")
-        if args.bits is not None and args.bits != design.message_bits:
-            parser.error(f"--bits {args.bits} does not match the design file's "
-                         f"{design.message_bits}-bit messages")
-        bits = design.message_bits
-    if args.decoder == "lut" and not 1 <= bits <= MAX_MESSAGE_BITS:
+        disc = design.dmc.discretization
+        defaults = {"bits": design.message_bits, "bins": disc.num_bins,
+                    "clip": disc.clip_multiplier}
+    for name, value in defaults.items():
+        given = getattr(args, name)
+        if given is None:
+            setattr(args, name, value)
+        elif design is not None and given != value:
+            parser.error(f"--{name} {given} does not match the design file's {value}")
+    _check_ldpc_args(parser, args, ebn0_list, None)
+    for flag, seed in (("--seed", args.seed), ("--code-seed", args.code_seed)):
+        if seed < 0:
+            parser.error(f"{flag} must be >= 0, got {seed}")
+    if args.decoder == "lut" and not 1 <= args.bits <= MAX_MESSAGE_BITS:
         parser.error(f"the lut decoder holds messages of 1 to {MAX_MESSAGE_BITS} bits, "
-                     f"not {bits}")
+                     f"not {args.bits}")
+    try:
+        code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
+    except ValueError as exc:
+        parser.error(f"--n {args.n} does not fit the degrees: {exc}")
     points = decoders.ber_sweep(
         code, args.decoder, ebn0_list, args.max_frames, args.max_errors,
-        args.seed, message_bits=bits, max_iter=args.iters,
+        args.seed, message_bits=args.bits, max_iter=args.iters,
         num_bins=args.bins, clip_multiplier=args.clip, design=design,
         codewords=args.codewords)
     decoders.write_ber_csv(args.out, points, args.decoder, code.block_length,
@@ -239,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--bits", type=int, default=None,
                        help="message bits (default 4, or the --design file's)")
     p_sim.add_argument("--iters", type=int, default=50)
-    p_sim.add_argument("--bins", type=int, default=128)
-    p_sim.add_argument("--clip", type=float, default=3.0)
+    p_sim.add_argument("--bins", type=int, default=None,
+                       help="output bins (default 128, or the --design file's)")
+    p_sim.add_argument("--clip", type=float, default=None,
+                       help="clip multiplier (default 3.0, or the --design file's)")
     p_sim.add_argument("--codewords", choices=("zero", "random"), default="zero")
     p_sim.add_argument("--out", required=True, help="BER CSV path")
     return parser

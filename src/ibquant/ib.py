@@ -523,29 +523,33 @@ def _nearest_positive_labels(keep: np.ndarray, labels: np.ndarray) -> np.ndarray
 def _best_blocks(merit: np.ndarray, num_blocks: int) -> tuple[np.ndarray, float]:
     """Split positions 0..n-1 into num_blocks contiguous, possibly empty blocks.
 
-    ``merit[b, a]`` is the merit of the block a..b-1; entries with a > b are
-    overwritten with -inf.  Returns the block index of every position and the
-    best total merit.  Ties go to the smallest boundary: argmax takes the
-    first maximum.
+    ``merit[b, a]`` is the merit of the block a..b-1 and must be -inf where
+    a > b.  Returns the block index of every position and the best total
+    merit.  Ties go to the smallest boundary: argmax takes the first maximum.
+    The first block starts at 0 and the last ends at n, so only the layers
+    between them take a pass over the whole square.
     """
     size = merit.shape[0]
     ends = np.arange(size)
-    merit[ends[:, None] < ends[None, :]] = -np.inf
-    score = np.full(size, -np.inf)
-    score[0] = 0.0
-    parent = np.empty((num_blocks, size), dtype=int)
+    parent = np.zeros((num_blocks, size), dtype=int)
+    score = merit[:, 0] + 0.0  # every first block starts at 0, whose score is 0
     cand = np.empty_like(merit)
-    for k in range(num_blocks):
+    for k in range(1, num_blocks - 1):
         np.add(merit, score, out=cand)
         parent[k] = cand.argmax(axis=1)
         score = cand[ends, parent[k]]
+    best = score[-1]
+    if num_blocks > 1:
+        last = merit[-1] + score
+        parent[-1, -1] = last.argmax()
+        best = last[parent[-1, -1]]
     labels = np.empty(size - 1, dtype=int)
     b = size - 1
     for k in range(num_blocks - 1, -1, -1):
         a = parent[k, b]
         labels[a:b] = k
         b = a
-    return labels, float(score[-1])
+    return labels, float(best)
 
 
 def dp_contiguous_partition(j: JointXY, num_clusters: int,
@@ -576,6 +580,7 @@ def dp_contiguous_partition(j: JointXY, num_clusters: int,
         merit = ratio.sum(axis=0)
     merit /= LN2
     merit[~np.isfinite(merit)] = 0.0
+    merit[np.triu_indices(ny + 1, 1)] = -np.inf
     labels, info = _best_blocks(merit, num_clusters)
     # Renumber so labels appear in block order starting at 0.
     return np.unique(labels, return_inverse=True)[1], info
@@ -616,13 +621,14 @@ def _antisymmetric_pairing(m: np.ndarray) -> np.ndarray | None:
 
 
 def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
-                         partner: np.ndarray) -> np.ndarray:
+                         partner: np.ndarray) -> tuple[np.ndarray, float]:
     """Mirror-symmetric contiguous quantizer for an antisymmetric instance.
 
     One representative per symbol pair (the member with non-negative LLR) is
     partitioned contiguously in LLR order into num_clusters/2 blocks; partners
     receive the mirrored label.  The retained information is additive over
-    block pairs, so the same dynamic program applies.
+    block pairs, so the same dynamic program applies.  Returns the labels
+    and the best total merit.
     """
     first = np.flatnonzero(np.arange(m.shape[1]) < partner)
     reps = np.where(m[0, first] >= m[1, first], first, partner[first])
@@ -632,38 +638,45 @@ def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
         llr = np.log(w0) - np.log(w1)
     llr = np.where(np.isnan(llr), 0.0, llr)
     order = np.argsort(-llr, kind="stable")
-    nrep = order.shape[0]
-    s0 = np.zeros(nrep + 1)
-    s1 = np.zeros(nrep + 1)
+    size = order.shape[0] + 1
+    s0 = np.zeros(size)
+    s1 = np.zeros(size)
     np.cumsum(w0[order], out=s0[1:])
     np.cumsum(w1[order], out=s1[1:])
 
     # Paired-block merit: a block at label k mirrors into label K-1-k with the
     # component masses swapped, so each block contributes u log2(2u/(u+v)) +
-    # v log2(2v/(u+v)) twice with the roles of u and v exchanged.
-    u = np.maximum(s0[:, None] - s0[None, :], 0.0)       # (b, a)
-    v = np.maximum(s1[:, None] - s1[None, :], 0.0)
+    # v log2(2v/(u+v)) twice with the roles of u and v exchanged.  Only the
+    # blocks a <= b exist, packed row by row; prefix sums of non-negative
+    # masses never decrease, so u and v are non-negative there.
+    lengths = np.arange(1, size + 1)
+    firsts = np.cumsum(lengths) - lengths
+    starts = np.arange(firsts[-1] + size) - np.repeat(firsts, lengths)
+    u = np.repeat(s0, lengths) - s0[starts]
+    v = np.repeat(s1, lengths) - s1[starts]
     tot = u + v
-    safe = np.where(tot > 0, tot, 1.0)
-    merit = _pair_term(u, safe)
-    merit += _pair_term(v, safe)
-    merit *= 2.0
-    rep_labels, _ = _best_blocks(merit, num_clusters // 2)
+    tot[tot == 0] = 1.0
+    packed = _pair_term(u, tot)
+    packed += _pair_term(v, tot)
+    packed *= 2.0
+    merit = np.full((size, size), -np.inf)
+    merit[np.tri(size, dtype=bool)] = packed
+    rep_labels, best = _best_blocks(merit, num_clusters // 2)
 
     labels = np.empty(m.shape[1], dtype=int)
     ordered = reps[order]
     labels[ordered] = rep_labels
     labels[partner[ordered]] = num_clusters - 1 - rep_labels
-    return labels
+    return labels, best
 
 
 def _pair_term(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """mass * log2(2 mass / total), 0 where mass is 0."""
-    term = np.ones_like(mass)
+    """mass * log2(2 mass / total) for positive totals, 0 where mass is 0."""
+    term = 2.0 * mass / total
+    term += mass == 0  # log2(1) = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(2.0 * mass, total, out=term, where=mass > 0)
         np.log2(term, out=term)
-        term *= mass
+    term *= mass
     return term
 
 
@@ -684,6 +697,12 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) 
     quantizers only and can retain less information than the global optimum,
     which ``symmetric=False`` always returns.
     """
+    labels = _dp_labels(j, num_clusters, symmetric)
+    return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
+
+
+def _dp_labels(j: JointXY, num_clusters: int, symmetric: bool = True) -> np.ndarray:
+    """The label per observation symbol of ``dp_optimal_quantizer``."""
     if j.num_x != 2:
         raise ValueError("the dynamic program requires a binary source alphabet")
     if num_clusters < 1:
@@ -691,8 +710,7 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) 
     m = j.matrix
     partner = _antisymmetric_pairing(m) if symmetric and num_clusters % 2 == 0 else None
     if partner is not None:
-        labels = _symmetric_dp_labels(m, num_clusters, partner)
-        return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
+        return _symmetric_dp_labels(m, num_clusters, partner)[0]
     mass = m.sum(axis=0)
     keep = mass > 0
 
@@ -719,8 +737,7 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) 
     labels[keep] = group_labels[group_of]
     if np.any(~keep):
         labels[~keep] = _nearest_positive_labels(keep, labels)
-    quantizer = Quantizer.from_labels(labels, num_clusters)
-    return design_from_quantizer(j, quantizer, math.inf)
+    return labels
 
 
 ALGORITHMS = ("it-ib", "agg-ib", "kl-means", "dp")

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _text
-from .ib import Quantizer, _symmetric_dp_labels, dp_optimal_quantizer
+from .ib import _dp_labels, _symmetric_dp_labels
 from .info import (NORM_SKIP, SUM_SLACK, ConditionalDist, JointXY, _prob_array,
-                   mutual_information, push_through_quantizer)
+                   mutual_information)
 
 
 class NodeFunction(enum.Enum):
@@ -132,8 +132,9 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
     Reduces the node to a binary-input channel with |L|*|Z| outputs and
     quantizes it by dynamic programming: the mirror-symmetric DP on the column
     pairs of ``_partner`` for mirrored inputs of an even first alphabet and an
-    even ``out_size`` (the output is then mirrored too), ``dp_optimal_quantizer``
-    otherwise.  Output labels are ordered by posterior LLR, descending.
+    even ``out_size`` (the output is then mirrored too), the DP of
+    ``dp_optimal_quantizer`` otherwise.  Output labels are ordered by
+    posterior LLR, descending.
     """
     if out_size < 1:
         raise ValueError("out_size must be >= 1")
@@ -142,14 +143,15 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
     # with an even first alphabet no column is its own partner
     mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
     if mirrored:
-        labels = _symmetric_dp_labels(joint.matrix, out_size, partner)
-        quantizer = Quantizer.from_labels(labels, out_size)
+        labels, _ = _symmetric_dp_labels(joint.matrix, out_size, partner)
     else:
-        quantizer = dp_optimal_quantizer(joint, out_size).quantizer
-    pushed = push_through_quantizer(joint, quantizer)
+        labels = _dp_labels(joint, out_size)
+    onehot = np.zeros((labels.shape[0], out_size))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    pushed = JointXY(joint.matrix @ onehot)
     rows = 2.0 * pushed.matrix  # uniform symbol prior by construction
     out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
-    table = quantizer.labels.reshape(a.alphabet_size, b.alphabet_size)
+    table = labels.reshape(a.alphabet_size, b.alphabet_size)
     return NodeLut(table, out_cond, out_size, mutual_information(pushed))
 
 

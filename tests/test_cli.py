@@ -169,6 +169,23 @@ class TestMaxlut:
                  "--out", str(tmp_path / "x.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, other", [("--in-bits", "--out-bits"),
+                                             ("--out-bits", "--in-bits")])
+    @pytest.mark.parametrize("bits", ["0", "9", "40"])
+    def test_bits_outside_a_byte_are_usage_errors(self, tmp_path, flag, other, bits,
+                                                  capsys, monkeypatch):
+        def no_lut(*args, **kwargs):
+            raise AssertionError("maxlut reached the table construction")
+
+        monkeypatch.setattr("ibquant.maxlut.build_max_lut", no_lut)
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["maxlut", "--node", "check", flag, bits, other, "4",
+                 "--channel", "bpsk:2.0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag} must be 1 to 8, not {bits}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_identical(self, tmp_path):
         args = ["maxlut", "--node", "variable", "--in-bits", "3",
                 "--out-bits", "3", "--channel", "bpsk:1.5", "--bins", "64"]
@@ -322,6 +339,39 @@ class TestLdpcCommands:
                  "--n", "120", "--dv", "4", "--dc", "8",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--bins", "64"], "--bins 64 does not match the design file's 32"),
+        (["--clip", "2.5"], "--clip 2.5 does not match the design file's 3.0"),
+        (["--decoder", "bp"], "--decoder bp would not use them"),
+        (["--decoder", "minsum"], "--decoder minsum would not use them"),
+        (["--decoder", "minsum-corrected"], "--decoder minsum-corrected would not use them")])
+    def test_simulate_arguments_contradicting_design_are_usage_errors(
+            self, tmp_path, extra, message, capsys):
+        design_file = tmp_path / "design.txt"
+        assert run(["ldpc", "design", "--bits", "3", "--iters", "2", "--ebn0", "2.0",
+                    "--bins", "32", "--out", str(design_file)]) == 0
+        argv = ["ldpc", "simulate", "--design", str(design_file), "--ebn0", "2.0",
+                "--max-frames", "5", "--n", "120", "--out", str(tmp_path / "x.csv")]
+        decoder = [] if "--decoder" in extra else ["--decoder", "lut"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(argv + decoder + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_simulate_takes_bins_and_clip_from_the_design(self, tmp_path):
+        design_file = tmp_path / "design.txt"
+        assert run(["ldpc", "design", "--bits", "3", "--iters", "3", "--ebn0", "2.0",
+                    "--bins", "32", "--clip", "2.5", "--out", str(design_file)]) == 0
+        argv = ["ldpc", "simulate", "--design", str(design_file), "--decoder", "lut",
+                "--ebn0", "2.0", "--max-frames", "20", "--n", "120"]
+        assert run(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert run(argv + ["--bins", "32", "--clip", "2.5", "--bits", "3",
+                           "--out", str(tmp_path / "b.csv")]) == 0
+        body = [p.read_text().splitlines()[1:] for p in (tmp_path / "a.csv", tmp_path / "b.csv")]
+        assert body[0] == body[1]
 
     def test_truncated_design_is_usage_error(self, tmp_path, capsys):
         design_file = tmp_path / "design.txt"

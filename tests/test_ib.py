@@ -14,6 +14,7 @@ from ibquant.ib import (
     MAPPING_TOL,
     Quantizer,
     _antisymmetric_pairing,
+    _best_blocks,
     _iterative_ib_runs,
     _kmeans_pp_seeds,
     _nearest_positive_labels,
@@ -22,6 +23,7 @@ from ibquant.ib import (
     _restart_rng,
     _stationary_mapping,
     _SweepData,
+    _symmetric_dp_labels,
     agglomerative_ib,
     design_from_quantizer,
     dp_contiguous_partition,
@@ -250,6 +252,74 @@ def reference_dp_optimal_quantizer(j, num_clusters):
     if np.any(~keep):
         labels[~keep] = _nearest_positive_labels(keep, labels)
     return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters))
+
+
+# ---------------------------------------------------------------------------
+# Full-square DP: the mirror-symmetric merit over every (b, a) pair, clamped at
+# zero, and a pass over the whole square at every DP layer.  The library
+# builds the merit on the a <= b triangle only and solves the first and last
+# layers without a square-wide pass; labels and best merit must agree bit for
+# bit.
+
+
+def square_best_blocks(merit, num_blocks):
+    merit = merit.copy()
+    size = merit.shape[0]
+    ends = np.arange(size)
+    merit[ends[:, None] < ends[None, :]] = -np.inf
+    score = np.full(size, -np.inf)
+    score[0] = 0.0
+    parent = np.empty((num_blocks, size), dtype=int)
+    cand = np.empty_like(merit)
+    for k in range(num_blocks):
+        np.add(merit, score, out=cand)
+        parent[k] = cand.argmax(axis=1)
+        score = cand[ends, parent[k]]
+    labels = np.empty(size - 1, dtype=int)
+    b = size - 1
+    for k in range(num_blocks - 1, -1, -1):
+        a = parent[k, b]
+        labels[a:b] = k
+        b = a
+    return labels, float(score[-1])
+
+
+def square_pair_term(mass, total):
+    term = np.ones_like(mass)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(2.0 * mass, total, out=term, where=mass > 0)
+        np.log2(term, out=term)
+        term *= mass
+    return term
+
+
+def square_symmetric_dp_labels(m, num_clusters, partner):
+    first = np.flatnonzero(np.arange(m.shape[1]) < partner)
+    reps = np.where(m[0, first] >= m[1, first], first, partner[first])
+    w0 = m[0, reps]
+    w1 = m[1, reps]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        llr = np.log(w0) - np.log(w1)
+    llr = np.where(np.isnan(llr), 0.0, llr)
+    order = np.argsort(-llr, kind="stable")
+    nrep = order.shape[0]
+    s0 = np.zeros(nrep + 1)
+    s1 = np.zeros(nrep + 1)
+    np.cumsum(w0[order], out=s0[1:])
+    np.cumsum(w1[order], out=s1[1:])
+    u = np.maximum(s0[:, None] - s0[None, :], 0.0)       # (b, a)
+    v = np.maximum(s1[:, None] - s1[None, :], 0.0)
+    tot = u + v
+    safe = np.where(tot > 0, tot, 1.0)
+    merit = square_pair_term(u, safe)
+    merit += square_pair_term(v, safe)
+    merit *= 2.0
+    rep_labels, best = square_best_blocks(merit, num_clusters // 2)
+    labels = np.empty(m.shape[1], dtype=int)
+    ordered = reps[order]
+    labels[ordered] = rep_labels
+    labels[partner[ordered]] = num_clusters - 1 - rep_labels
+    return labels, best
 
 
 # ---------------------------------------------------------------------------
@@ -1032,6 +1102,69 @@ class TestDpMatchesReference:
                                     dp_optimal_quantizer(dmc.joint(), n).quantizer)
             for f in NodeFunction:
                 self.assert_same_design(JointXY(0.5 * node_joint(f, msg, msg).rows), n)
+
+
+@st.composite
+def mirrored_instances(draw):
+    """(masses, partner, even cluster count) for the mirror-symmetric DP.
+
+    1-100 representative columns, each next to its row-swapped partner, in
+    shuffled order; some columns have zero or subnormal mass, some share
+    their LLR with another column (rounding and scaled copies).  Up to 32
+    clusters, so often more blocks than representatives.
+    """
+    nrep = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = np.round(rng.uniform(size=(2, nrep)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        src = rng.integers(0, nrep, size=nrep // 3)
+        scale = rng.integers(1, 4, size=src.size)
+        base[:, rng.integers(0, nrep, size=src.size)] = base[:, src] * scale
+    if draw(st.booleans()):
+        base[:, rng.integers(0, nrep, size=max(1, nrep // 4))] = 0.0
+    if draw(st.booleans()):
+        base[:, rng.integers(0, nrep, size=max(1, nrep // 4))] *= 1e-310
+    if base.sum() == 0:
+        base[0, 0] = 1.0
+    m = np.hstack([base, base[::-1]])
+    if draw(st.booleans()):
+        m /= m.sum()
+    perm = rng.permutation(2 * nrep)
+    inverse = np.argsort(perm)
+    partner = inverse[(perm + nrep) % (2 * nrep)]
+    return m[:, perm], partner, 2 * draw(st.integers(1, 16))
+
+
+class TestDpMatchesFullSquare:
+    """The triangle merit and the layer-saving DP against the full-square oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mirrored_instances())
+    @example(case=(np.array([[0.2, 0.1], [0.1, 0.2]]), np.array([1, 0]), 32))
+    @example(case=(np.array([[0.0, 0.3, 0.0, 0.2], [0.0, 0.2, 0.0, 0.3]]),
+                   np.array([2, 3, 0, 1]), 2))
+    def test_symmetric_labels_and_best_merit(self, case):
+        m, partner, n = case
+        assert np.array_equal(m[::-1, partner], m)
+        got, got_best = _symmetric_dp_labels(m, n, partner)
+        want, want_best = square_symmetric_dp_labels(m, n, partner)
+        assert np.array_equal(got, want)
+        assert float_bits(got_best) == float_bits(want_best)
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(1, 30), num_blocks=st.integers(1, 34),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=5, num_blocks=1, seed=0)
+    @example(size=5, num_blocks=9, seed=0)
+    @example(size=1, num_blocks=3, seed=0)
+    def test_best_blocks(self, size, num_blocks, seed):
+        # half-integer merits of either sign tie often
+        merit = np.random.default_rng(seed).integers(-2, 5, size=(size, size)) / 2.0
+        merit[np.triu_indices(size, 1)] = -np.inf
+        want, want_best = square_best_blocks(merit, num_blocks)
+        got, got_best = _best_blocks(merit.copy(), num_blocks)
+        assert np.array_equal(got, want)
+        assert float_bits(got_best) == float_bits(want_best)
 
 
 class TestDpMatchesExhaustiveSearch:

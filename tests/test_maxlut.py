@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibquant.channels import build_bpsk_awgn
-from ibquant.ib import dp_optimal_quantizer
-from ibquant.info import NORM_SKIP, ConditionalDist, JointXY, mutual_information
+from ibquant.ib import Quantizer, dp_optimal_quantizer
+from ibquant.info import (NORM_SKIP, ConditionalDist, JointXY, mutual_information,
+                          push_through_quantizer)
 from ibquant.maxlut import (
     LutCascade,
     MessageDist,
     NodeFunction,
     NodeLut,
+    _partner,
     build_max_lut,
     cascade_node,
     load_node_lut,
@@ -22,7 +24,8 @@ from ibquant.maxlut import (
     save_node_lut,
 )
 
-from test_ib import batch_relevant_info, enumerate_assignments
+from test_ib import (batch_relevant_info, enumerate_assignments, float_bits,
+                     square_symmetric_dp_labels)
 
 
 def bsc_message(eps):
@@ -73,6 +76,32 @@ def mirrored_messages(draw, sizes):
         raw[0] = 1.0
     return MessageDist.mirror(raw / raw.sum())
 
+
+@st.composite
+def asymmetric_messages(draw, sizes):
+    """A random message whose rows are not each other's reversal."""
+    size = draw(sizes)
+    raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=(2, size))
+    return MessageDist(ConditionalDist(raw / raw.sum(axis=1, keepdims=True)))
+
+
+def square_build_max_lut(f, a, b, out_size):
+    """build_max_lut through the full-square symmetric DP, a validated one-hot
+    Quantizer and push_through_quantizer, with the table read back by argmax:
+    the route before the DP labels were kept, kept as its oracle."""
+    joint = JointXY(0.5 * node_joint(f, a, b).rows)
+    partner = _partner(f, a, b)
+    mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
+    if mirrored:
+        labels, _ = square_symmetric_dp_labels(joint.matrix, out_size, partner)
+        quantizer = Quantizer.from_labels(labels, out_size)
+    else:
+        quantizer = dp_optimal_quantizer(joint, out_size).quantizer
+    pushed = push_through_quantizer(joint, quantizer)
+    rows = 2.0 * pushed.matrix
+    out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
+    table = quantizer.labels.reshape(a.alphabet_size, b.alphabet_size)
+    return NodeLut(table, out_cond, out_size, mutual_information(pushed))
 
 def partner_table(f, table):
     """The table at each outcome's mirror image: node_joint's column partner."""
@@ -289,6 +318,32 @@ class TestMirrored:
         general = dp_optimal_quantizer(joint, 3)
         assert np.array_equal(lut.table.ravel(), general.quantizer.labels)
 
+
+def assert_same_lut(got, want):
+    assert np.array_equal(got.table, want.table)
+    assert got.out_cond.rows.tobytes() == want.out_cond.rows.tobytes()
+    assert float_bits(got.relevant_info) == float_bits(want.relevant_info)
+
+
+class TestBuildMaxLutMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.one_of(mirrored_messages(st.integers(1, 8)),
+                       asymmetric_messages(st.integers(1, 8))),
+           b=st.one_of(mirrored_messages(st.integers(1, 8)),
+                       asymmetric_messages(st.integers(1, 8))),
+           same=st.booleans(), f=st.sampled_from(list(NodeFunction)),
+           out_size=st.integers(1, 12))
+    def test_same_table_rows_and_information(self, a, b, same, f, out_size):
+        b = a if same else b
+        assert_same_lut(build_max_lut(f, a, b, out_size),
+                        square_build_max_lut(f, a, b, out_size))
+
+    def test_operating_point_tables(self):
+        msg = quantized_bpsk_message(0.2, 16, num_bins=128)
+        for f in NodeFunction:
+            for out_size in (15, 16):
+                assert_same_lut(build_max_lut(f, msg, msg, out_size),
+                                square_build_max_lut(f, msg, msg, out_size))
 
 class TestCascade:
     def test_single_input_requantization(self):
