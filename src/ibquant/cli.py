@@ -92,12 +92,19 @@ def _cmd_quantize(parser, args) -> int:
         parser.error("cluster counts must be >= 1")
     if args.alg == "it-ib" and not math.isfinite(args.beta):
         parser.error(f"--beta must be finite for it-ib, got {args.beta}")
+    if not args.beta >= 0:  # NaN too
+        parser.error(f"--beta must be >= 0, got {args.beta}")
+    if not (math.isfinite(args.lam) and args.lam >= 0):
+        parser.error(f"--lambda must be finite and >= 0, got {args.lam}")
     if args.mapping_out and len(n_values) != 1:
         parser.error("--mapping-out needs exactly one value in --n")
     if args.restarts < 1:
         parser.error(f"--restarts must be >= 1, got {args.restarts}")
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.alg == "agg-ib" and max(n_values) > dmc.num_outputs:
+        parser.error(f"agg-ib cannot use {max(n_values)} clusters for "
+                     f"{dmc.num_outputs} channel outputs")
     points = ib.ib_curve(dmc.joint(), args.alg, n_values, beta=args.beta,
                          lam=args.lam, restarts=args.restarts, seed=args.seed)
     ib.write_curve_csv(args.out, points, args.alg, args.beta, args.restarts,

@@ -429,8 +429,8 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
     """
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and non-negative, got {lam}")
     keep, data = _positive_mass(j)
     posts, py = data.posts, data.py
     ny = posts.shape[0]
@@ -552,38 +552,44 @@ def _best_blocks(merit: np.ndarray, num_blocks: int) -> tuple[np.ndarray, float]
     return labels, float(best)
 
 
-def dp_contiguous_partition(j: JointXY, num_clusters: int,
-                            order: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best contiguous partition (in the given symbol order) maximizing I(x;z).
+def _contiguous_blocks(w0: np.ndarray, w1: np.ndarray, num_blocks: int,
+                       scale0: float, scale1: float) -> tuple[np.ndarray, float]:
+    """Best split of a binary source's symbols, in descending-LLR order, into
+    num_blocks contiguous blocks: ``_best_blocks`` of the block merit.
 
-    Works for any source alphabet: the retained information decomposes
-    additively over clusters, so dynamic programming over boundary placements
-    is exact within the contiguous family.  Returns (labels over the ordered
-    symbols, I(x;z) in bits).  Empty blocks are allowed, so the result uses at
-    most ``num_clusters`` labels.
+    ``w0`` and ``w1`` are the symbols' masses under the two source symbols.  A
+    block with masses u and v has merit u log2(scale0 u/(u+v)) + v log2(scale1
+    v/(u+v)); with scales 1/p(x) that is its share of I(x;z) in bits.  Only
+    the blocks a <= b exist, packed row by row; prefix sums of non-negative
+    masses never decrease, so u and v are non-negative there.
     """
-    m = j.matrix[:, order]
-    nx, ny = m.shape
-    px = j.matrix.sum(axis=1)
-    prefix = np.zeros((nx, ny + 1))
-    np.cumsum(m, axis=1, out=prefix[:, 1:])
+    size = w0.shape[0] + 1
+    s0 = np.zeros(size)
+    s1 = np.zeros(size)
+    np.cumsum(w0, out=s0[1:])
+    np.cumsum(w1, out=s1[1:])
+    lengths = np.arange(1, size + 1)
+    firsts = np.cumsum(lengths) - lengths
+    starts = np.arange(firsts[-1] + size) - np.repeat(firsts, lengths)
+    u = np.repeat(s0, lengths) - s0[starts]
+    v = np.repeat(s1, lengths) - s1[starts]
+    tot = u + v
+    tot[tot == 0] = 1.0
+    packed = _pair_term(u, tot, scale0)
+    packed += _pair_term(v, tot, scale1)
+    merit = np.full((size, size), -np.inf)
+    merit[np.tri(size, dtype=bool)] = packed
+    return _best_blocks(merit, num_blocks)
 
-    # Block merit merit[b, a] = contribution of cluster {a..b-1} to I(x;z).
-    w = prefix[:, :, None] - prefix[:, None, :]          # (x, b, a)
-    np.maximum(w, 0.0, out=w)
-    denom = px[:, None, None] * w.sum(axis=0)
-    ratio = np.ones_like(w)
+
+def _pair_term(mass: np.ndarray, total: np.ndarray, scale: float) -> np.ndarray:
+    """mass * log2(scale mass / total) for positive totals, 0 where mass is 0."""
+    term = scale * mass / total
+    term += mass == 0  # log2(1) = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(w, denom, out=ratio, where=(w > 0) & (denom > 0))
-        np.log(ratio, out=ratio)
-        ratio *= w
-        merit = ratio.sum(axis=0)
-    merit /= LN2
-    merit[~np.isfinite(merit)] = 0.0
-    merit[np.triu_indices(ny + 1, 1)] = -np.inf
-    labels, info = _best_blocks(merit, num_clusters)
-    # Renumber so labels appear in block order starting at 0.
-    return np.unique(labels, return_inverse=True)[1], info
+        np.log2(term, out=term)
+    term *= mass
+    return term
 
 
 def _antisymmetric_pairing(m: np.ndarray) -> np.ndarray | None:
@@ -638,46 +644,15 @@ def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
         llr = np.log(w0) - np.log(w1)
     llr = np.where(np.isnan(llr), 0.0, llr)
     order = np.argsort(-llr, kind="stable")
-    size = order.shape[0] + 1
-    s0 = np.zeros(size)
-    s1 = np.zeros(size)
-    np.cumsum(w0[order], out=s0[1:])
-    np.cumsum(w1[order], out=s1[1:])
-
-    # Paired-block merit: a block at label k mirrors into label K-1-k with the
-    # component masses swapped, so each block contributes u log2(2u/(u+v)) +
-    # v log2(2v/(u+v)) twice with the roles of u and v exchanged.  Only the
-    # blocks a <= b exist, packed row by row; prefix sums of non-negative
-    # masses never decrease, so u and v are non-negative there.
-    lengths = np.arange(1, size + 1)
-    firsts = np.cumsum(lengths) - lengths
-    starts = np.arange(firsts[-1] + size) - np.repeat(firsts, lengths)
-    u = np.repeat(s0, lengths) - s0[starts]
-    v = np.repeat(s1, lengths) - s1[starts]
-    tot = u + v
-    tot[tot == 0] = 1.0
-    packed = _pair_term(u, tot)
-    packed += _pair_term(v, tot)
-    packed *= 2.0
-    merit = np.full((size, size), -np.inf)
-    merit[np.tri(size, dtype=bool)] = packed
-    rep_labels, best = _best_blocks(merit, num_clusters // 2)
+    # A block at label k mirrors into label K-1-k with the component masses
+    # swapped; the pair retains twice the block's merit with scales (2, 2).
+    rep_labels, best = _contiguous_blocks(w0[order], w1[order], num_clusters // 2, 2.0, 2.0)
 
     labels = np.empty(m.shape[1], dtype=int)
     ordered = reps[order]
     labels[ordered] = rep_labels
     labels[partner[ordered]] = num_clusters - 1 - rep_labels
-    return labels, best
-
-
-def _pair_term(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """mass * log2(2 mass / total) for positive totals, 0 where mass is 0."""
-    term = 2.0 * mass / total
-    term += mass == 0  # log2(1) = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log2(term, out=term)
-    term *= mass
-    return term
+    return labels, 2.0 * best
 
 
 def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) -> IbDesign:
@@ -728,10 +703,15 @@ def _dp_labels(j: JointXY, num_clusters: int, symmetric: bool = True) -> np.ndar
     with np.errstate(divide="ignore"):
         llr = np.log(merged[0]) - np.log(merged[1])
     order = np.argsort(-llr, kind="stable")
-    sub = JointXY(merged / merged.sum())
-    ordered_labels, _ = dp_contiguous_partition(sub, num_clusters, order)
+    sub = merged / merged.sum()
+    # Each scale adds p(x) log2(scale) to every partition's merit, so a zero or
+    # subnormal p(x), whose inverse would overflow, takes scale 1.
+    px = sub.sum(axis=1)
+    scale = 1.0 / np.where(px >= np.finfo(float).tiny, px, 1.0)
+    block_labels, _ = _contiguous_blocks(sub[0, order], sub[1, order], num_clusters, *scale)
     group_labels = np.empty(first.size, dtype=int)
-    group_labels[order] = ordered_labels
+    # Renumber so labels appear in block order starting at 0.
+    group_labels[order] = np.unique(block_labels, return_inverse=True)[1]
 
     labels = np.zeros(j.num_y, dtype=int)
     labels[keep] = group_labels[group_of]

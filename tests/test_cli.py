@@ -144,6 +144,43 @@ class TestQuantize:
         assert exc.value.code == 2
         assert "--beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alg, option, value", [
+        ("kl-means", "--lambda", "nan"), ("kl-means", "--lambda", "inf"),
+        ("kl-means", "--lambda", "-1"), ("it-ib", "--lambda", "-1"),
+        ("it-ib", "--beta", "-1"), ("kl-means", "--beta", "-1"),
+        ("kl-means", "--beta", "nan")])
+    def test_invalid_lambda_and_beta_are_usage_errors(self, alg, option, value, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("quantize reached the curve")
+
+        monkeypatch.setattr("ibquant.ib.ib_curve", no_curve)
+        out = tmp_path / "q.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                run(["quantize", "--channel", "ask4", "--bins", "16", "--alg", alg,
+                     "--n", "4", option, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{option} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channel, n", [("bsc:0.1", "3"), ("bsc:0.1", "1,2,3"),
+                                            ("bpsk:1 --bins 16", "4,17")])
+    def test_agg_ib_cluster_count_above_outputs_is_usage_error(self, channel, n, tmp_path,
+                                                                capsys, monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("quantize reached the curve")
+
+        monkeypatch.setattr("ibquant.ib.ib_curve", no_curve)
+        out = tmp_path / "q.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["quantize", "--channel", *channel.split(), "--alg", "agg-ib", "--n", n,
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "agg-ib cannot use" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dp_on_nonbinary_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "q.csv"
         code = run(["quantize", "--channel", "ask4", "--bins", "16",

@@ -15,6 +15,7 @@ from ibquant.ib import (
     Quantizer,
     _antisymmetric_pairing,
     _best_blocks,
+    _contiguous_blocks,
     _iterative_ib_runs,
     _kmeans_pp_seeds,
     _nearest_positive_labels,
@@ -26,7 +27,6 @@ from ibquant.ib import (
     _symmetric_dp_labels,
     agglomerative_ib,
     design_from_quantizer,
-    dp_contiguous_partition,
     dp_optimal_quantizer,
     ib_curve,
     ib_objective,
@@ -108,20 +108,25 @@ def exhaustive_best_relevant_info(joint, n):
 # relevant information, bit for bit.
 
 
+def source_scales(j):
+    """The merit scales of the general DP: 1/p(x), or 1 where p(x) is zero or subnormal."""
+    px = j.matrix.sum(axis=1)
+    return 1.0 / np.where(px >= np.finfo(float).tiny, px, 1.0)
+
+
 def reference_dp_contiguous_partition(j, num_clusters, order):
     m = j.matrix[:, order]
-    nx, ny = m.shape
-    px = j.matrix.sum(axis=1)
-    prefix = np.zeros((nx, ny + 1))
+    ny = m.shape[1]
+    scale0, scale1 = source_scales(j)
+    prefix = np.zeros((2, ny + 1))
     np.cumsum(m, axis=1, out=prefix[:, 1:])
-    w = prefix[:, None, :] - prefix[:, :, None]          # (x, a, b)
-    w = np.maximum(w, 0.0)
-    tot = w.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        denom = px[:, None, None] * tot[None, :, :]
-        ratio = np.where((w > 0) & (denom > 0), w / np.where(denom > 0, denom, 1.0), 1.0)
-        merit = np.sum(w * np.log(ratio), axis=0) / LN2
-    merit = np.where(np.isfinite(merit), merit, 0.0)
+    u, v = np.maximum(prefix[:, None, :] - prefix[:, :, None], 0.0)   # (a, b)
+    tot = u + v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        safe = np.where(tot > 0, tot, 1.0)
+        term_u = np.where(u > 0, u * np.log2(np.where(u > 0, scale0 * u / safe, 1.0)), 0.0)
+        term_v = np.where(v > 0, v * np.log2(np.where(v > 0, scale1 * v / safe, 1.0)), 0.0)
+    merit = term_u + term_v
 
     score = np.full((num_clusters + 1, ny + 1), -np.inf)
     score[0, 0] = 0.0
@@ -141,6 +146,31 @@ def reference_dp_contiguous_partition(j, num_clusters, order):
     remap = {int(u): i for i, u in enumerate(sorted(np.unique(labels)))}
     labels = np.array([remap[int(v)] for v in labels])
     return labels, float(score[num_clusters, ny])
+
+
+def ln_dp_contiguous_partition(j, num_clusters, order):
+    """The library's former general DP: any source alphabet, a natural-log
+    merit divided by ln 2 over (|X|, n+1, n+1) temporaries.  It breaks exact
+    ties differently from the binary log2 merit."""
+    m = j.matrix[:, order]
+    nx, ny = m.shape
+    px = j.matrix.sum(axis=1)
+    prefix = np.zeros((nx, ny + 1))
+    np.cumsum(m, axis=1, out=prefix[:, 1:])
+    w = prefix[:, :, None] - prefix[:, None, :]          # (x, b, a)
+    np.maximum(w, 0.0, out=w)
+    denom = px[:, None, None] * w.sum(axis=0)
+    ratio = np.ones_like(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, denom, out=ratio, where=(w > 0) & (denom > 0))
+        np.log(ratio, out=ratio)
+        ratio *= w
+        merit = ratio.sum(axis=0)
+    merit /= LN2
+    merit[~np.isfinite(merit)] = 0.0
+    merit[np.triu_indices(ny + 1, 1)] = -np.inf
+    labels, info = _best_blocks(merit, num_clusters)
+    return np.unique(labels, return_inverse=True)[1], info
 
 
 def reference_antisymmetric_pairing(m):
@@ -231,26 +261,35 @@ def reference_column_groups(m, keep):
     return group_of, merged
 
 
-def reference_dp_optimal_quantizer(j, num_clusters):
+def reference_general_labels(j, num_clusters, partition=reference_dp_contiguous_partition):
+    """Labels of the general (not mirror-symmetric) DP quantizer with the given
+    contiguous-partition DP."""
     m = j.matrix
-    if num_clusters % 2 == 0 and num_clusters > 1:
-        partner = reference_antisymmetric_pairing(m)
-        if partner is not None:
-            labels = reference_symmetric_dp_labels(m, num_clusters, partner)
-            return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters))
     keep = m.sum(axis=0) > 0
     group_of, merged = reference_column_groups(m, keep)
     with np.errstate(divide="ignore"):
         llr = np.log(merged[0]) - np.log(merged[1])
     order = np.argsort(-llr, kind="stable")
     sub = JointXY(merged / merged.sum())
-    ordered_labels, _ = reference_dp_contiguous_partition(sub, num_clusters, order)
+    ordered_labels, _ = partition(sub, num_clusters, order)
     group_labels = np.empty(merged.shape[1], dtype=int)
     group_labels[order] = ordered_labels
     labels = np.zeros(j.num_y, dtype=int)
     labels[keep] = group_labels[group_of[keep]]
     if np.any(~keep):
         labels[~keep] = _nearest_positive_labels(keep, labels)
+    return labels
+
+
+def reference_dp_optimal_quantizer(j, num_clusters):
+    m = j.matrix
+    labels = None
+    if num_clusters % 2 == 0 and num_clusters > 1:
+        partner = reference_antisymmetric_pairing(m)
+        if partner is not None:
+            labels = reference_symmetric_dp_labels(m, num_clusters, partner)
+    if labels is None:
+        labels = reference_general_labels(j, num_clusters)
     return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters))
 
 
@@ -942,6 +981,14 @@ class TestKlMeans:
         design = kl_means_ib(j, 5, lam=0.0, init=0)
         assert design.info_loss == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_lambda_that_is_not_finite_and_non_negative(self, lam):
+        j = random_joint(np.random.default_rng(13), 2, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lam must be finite and non-negative"):
+                kl_means_ib(j, 3, lam=lam, init=0)
+
     def test_huge_lambda_collapses(self):
         rng = np.random.default_rng(13)
         j = random_joint(rng, 2, 6)
@@ -1060,6 +1107,8 @@ class TestDpMatchesReference:
     @given(case=with_cluster_count(tied_matrices()))
     @example(case=(np.array([[0.3], [0.7]]), 1))
     @example(case=(np.array([[0.3], [0.7]]), 4))
+    @example(case=(np.array([[0.5, 1.0, 0.1, 0.9, 0.3, 0.4, 0.8, 0.4, 0.5, 0.0],
+                             [0.8, 0.5, 0.3, 0.8, 0.3, 0.5, 0.1, 0.4, 0.2, 0.3]]), 10))
     def test_tied_joints(self, case):
         m, n = case
         self.assert_same_design(joint_of(m), n)
@@ -1068,6 +1117,7 @@ class TestDpMatchesReference:
     @given(case=with_cluster_count(mirrored_matrices()))
     @example(case=(np.array([[0.2, 0.1, 0.3], [0.1, 0.2, 0.3]]), 2))
     @example(case=(np.array([[0.2, 0.1, 0.3, 0.3], [0.1, 0.2, 0.3, 0.3]]), 2))
+    @example(case=(np.array([[1.0, 0.6, 0.3, 0.1, 0.5], [1.0, 0.3, 0.6, 0.1, 0.5]]), 4))
     def test_mirrored_joints(self, case):
         m, n = case
         assert_same_pairing(m)
@@ -1079,18 +1129,41 @@ class TestDpMatchesReference:
         assert_same_pairing(m)
 
     @settings(max_examples=100, deadline=None)
-    @given(nx=st.integers(2, 4), ny=st.integers(1, 30), n=st.integers(1, 34),
+    @given(ny=st.integers(1, 30), n=st.integers(1, 34),
            decimals=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_contiguous_partition(self, nx, ny, n, decimals, seed):
+    def test_contiguous_partition(self, ny, n, decimals, seed):
+        # binary sources only: no library caller runs the DP on a larger one
         rng = np.random.default_rng(seed)
-        m = np.round(rng.uniform(size=(nx, ny)), decimals)
+        m = np.round(rng.uniform(size=(2, ny)), decimals)
         m[0, 0] += 0.5
         j = joint_of(m)
         order = rng.permutation(ny)
-        got, got_info = dp_contiguous_partition(j, n, order)
+        w0, w1 = j.matrix[:, order]
+        got, got_info = _contiguous_blocks(w0, w1, n, *source_scales(j))
         want, want_info = reference_dp_contiguous_partition(j, n, order)
-        assert np.array_equal(got, want)
+        assert np.array_equal(np.unique(got, return_inverse=True)[1], want)
         assert float_bits(got_info) == float_bits(want_info)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=with_cluster_count(st.one_of(tied_matrices(), mirrored_matrices(),
+                                             sparse_joints(max_x=2, max_symbols=40))))
+    @example(case=(np.array([[0.3, 0.7], [0.0, 0.0]]), 2))
+    @example(case=(np.array([[0.3, 0.2, 0.0], [0.0, 0.0, 0.5]]), 3))
+    @example(case=(np.array([[0.3, 0.2, 0.5], [1e-320, 0.0, 0.0]]), 2))   # 1/p(x) overflows
+    @example(case=(np.array([[0.5, 1.0, 0.1, 0.9, 0.3, 0.4, 0.8, 0.4, 0.5, 0.0],
+                             [0.8, 0.5, 0.3, 0.8, 0.3, 0.5, 0.1, 0.4, 0.2, 0.3]]), 10))
+    @example(case=(np.array([[1.0, 0.6, 0.3, 0.1, 0.5], [1.0, 0.3, 0.6, 0.1, 0.5]]), 4))
+    def test_general_labels_keep_the_natural_log_merit_information(self, case):
+        # the log2 merit breaks exact ties differently from the natural-log
+        # merit the general DP had, but retains the same information
+        m, n = case
+        j = joint_of(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dp_optimal_quantizer(j, n, symmetric=False)
+        old = reference_general_labels(j, n, ln_dp_contiguous_partition)
+        want = design_from_quantizer(j, Quantizer.from_labels(old, n))
+        assert abs(got.relevant_info - want.relevant_info) <= 1e-12
 
     def test_channel_and_node_joints(self):
         from ibquant.maxlut import NodeFunction, node_joint
@@ -1206,7 +1279,7 @@ class TestItIbOnAskInstance:
         # the reference; the iterative design must come within 0.002 bits.
         dmc = build_ask_awgn(4, 1.0, 128)
         j = dmc.joint()
-        _, oracle_info = dp_contiguous_partition(j, 16, np.arange(128))
+        _, oracle_info = ln_dp_contiguous_partition(j, 16, np.arange(128))
         oracle_loss = mutual_information(j) - oracle_info
         best = None
         for r in range(100):
