@@ -105,6 +105,8 @@ def _cmd_quantize(parser, args) -> int:
     if args.alg == "agg-ib" and max(n_values) > dmc.num_outputs:
         parser.error(f"agg-ib cannot use {max(n_values)} clusters for "
                      f"{dmc.num_outputs} channel outputs")
+    if args.alg == "dp" and dmc.num_inputs != 2:
+        parser.error(f"--alg dp needs a binary-input channel, not {dmc.num_inputs} inputs")
     points = ib.ib_curve(dmc.joint(), args.alg, n_values, beta=args.beta,
                          lam=args.lam, restarts=args.restarts, seed=args.seed)
     ib.write_curve_csv(args.out, points, args.alg, args.beta, args.restarts,
@@ -174,9 +176,11 @@ def _cmd_ldpc_simulate(parser, args) -> int:
         elif design is not None and given != value:
             parser.error(f"--{name} {given} does not match the design file's {value}")
     _check_ldpc_args(parser, args, ebn0_list, None)
-    for flag, seed in (("--seed", args.seed), ("--code-seed", args.code_seed)):
-        if seed < 0:
-            parser.error(f"{flag} must be >= 0, got {seed}")
+    for flag, value, least in (("--seed", args.seed, 0), ("--code-seed", args.code_seed, 0),
+                               ("--max-frames", args.max_frames, 1),
+                               ("--max-errors", args.max_errors, 0)):
+        if value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
     if args.decoder == "lut" and not 1 <= args.bits <= MAX_MESSAGE_BITS:
         parser.error(f"the lut decoder holds messages of 1 to {MAX_MESSAGE_BITS} bits, "
                      f"not {args.bits}")

@@ -7,6 +7,7 @@ dynamic-programming quantizer that is optimal for binary sources.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -520,33 +521,45 @@ def _nearest_positive_labels(keep: np.ndarray, labels: np.ndarray) -> np.ndarray
     return out
 
 
-def _best_blocks(merit: np.ndarray, num_blocks: int) -> tuple[np.ndarray, float]:
+@functools.lru_cache(maxsize=8)
+def _triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the blocks a <= b over boundaries 0..size-1, packed row
+    by row (row b holds a = 0..b): the first entry of every row and the start
+    a of every entry.  Read-only, since the cache shares them."""
+    lengths = np.arange(1, size + 1)
+    firsts = np.cumsum(lengths) - lengths
+    starts = np.arange(firsts[-1] + size) - np.repeat(firsts, lengths)
+    firsts.setflags(write=False)
+    starts.setflags(write=False)
+    return firsts, starts
+
+
+def _best_blocks(packed: np.ndarray, num_blocks: int) -> tuple[np.ndarray, float]:
     """Split positions 0..n-1 into num_blocks contiguous, possibly empty blocks.
 
-    ``merit[b, a]`` is the merit of the block a..b-1 and must be -inf where
-    a > b.  Returns the block index of every position and the best total
-    merit.  Ties go to the smallest boundary: argmax takes the first maximum.
-    The first block starts at 0 and the last ends at n, so only the layers
-    between them take a pass over the whole square.
+    ``packed`` holds the merit of every block a..b-1 with a <= b, row by row
+    as ``_triangle`` orders them.  Returns the block index of every position
+    and the best total merit.  Each layer keeps only the best score per end;
+    the traceback recomputes one row per block and takes its first maximum,
+    so ties go to the smallest boundary.
     """
-    size = merit.shape[0]
-    ends = np.arange(size)
-    parent = np.zeros((num_blocks, size), dtype=int)
-    score = merit[:, 0] + 0.0  # every first block starts at 0, whose score is 0
-    cand = np.empty_like(merit)
-    for k in range(1, num_blocks - 1):
-        np.add(merit, score, out=cand)
-        parent[k] = cand.argmax(axis=1)
-        score = cand[ends, parent[k]]
-    best = score[-1]
-    if num_blocks > 1:
-        last = merit[-1] + score
-        parent[-1, -1] = last.argmax()
-        best = last[parent[-1, -1]]
-    labels = np.empty(size - 1, dtype=int)
+    size = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    firsts, starts = _triangle(size)
+    scores = [packed[firsts] + 0.0]  # every first block starts at 0, whose score is 0
+    cand = np.empty_like(packed)
+    for _ in range(num_blocks - 2):  # the last block ends at n: the traceback solves it
+        # the starts are in range; "clip" spares the copy of out that "raise" makes
+        np.take(scores[-1], starts, out=cand, mode="clip")
+        cand += packed
+        scores.append(np.maximum.reduceat(cand, firsts))
+    labels = np.zeros(size - 1, dtype=int)
     b = size - 1
-    for k in range(num_blocks - 1, -1, -1):
-        a = parent[k, b]
+    best = scores[0][b]
+    for k in range(num_blocks - 1, 0, -1):
+        row = packed[firsts[b]:firsts[b] + b + 1] + scores[k - 1][:b + 1]
+        a = row.argmax()
+        if k == num_blocks - 1:
+            best = row[a]
         labels[a:b] = k
         b = a
     return labels, float(best)
@@ -560,8 +573,8 @@ def _contiguous_blocks(w0: np.ndarray, w1: np.ndarray, num_blocks: int,
     ``w0`` and ``w1`` are the symbols' masses under the two source symbols.  A
     block with masses u and v has merit u log2(scale0 u/(u+v)) + v log2(scale1
     v/(u+v)); with scales 1/p(x) that is its share of I(x;z) in bits.  Only
-    the blocks a <= b exist, packed row by row; prefix sums of non-negative
-    masses never decrease, so u and v are non-negative there.
+    the blocks a <= b exist, packed as ``_triangle`` orders them; prefix sums
+    of non-negative masses never decrease, so u and v are non-negative there.
     """
     size = w0.shape[0] + 1
     s0 = np.zeros(size)
@@ -569,17 +582,14 @@ def _contiguous_blocks(w0: np.ndarray, w1: np.ndarray, num_blocks: int,
     np.cumsum(w0, out=s0[1:])
     np.cumsum(w1, out=s1[1:])
     lengths = np.arange(1, size + 1)
-    firsts = np.cumsum(lengths) - lengths
-    starts = np.arange(firsts[-1] + size) - np.repeat(firsts, lengths)
+    _, starts = _triangle(size)
     u = np.repeat(s0, lengths) - s0[starts]
     v = np.repeat(s1, lengths) - s1[starts]
     tot = u + v
     tot[tot == 0] = 1.0
     packed = _pair_term(u, tot, scale0)
     packed += _pair_term(v, tot, scale1)
-    merit = np.full((size, size), -np.inf)
-    merit[np.tri(size, dtype=bool)] = packed
-    return _best_blocks(merit, num_blocks)
+    return _best_blocks(packed, num_blocks)
 
 
 def _pair_term(mass: np.ndarray, total: np.ndarray, scale: float) -> np.ndarray:

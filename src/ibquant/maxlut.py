@@ -102,6 +102,11 @@ def node_joint(f: NodeFunction, a: MessageDist, b: MessageDist) -> ConditionalDi
     x3 itself.  For two mirrored inputs the x3 = 1 row is the x3 = 0 row,
     normalized first, with its columns permuted by ``_partner``.
     """
+    return _node_joint(f, a, b, _partner(f, a, b))
+
+
+def _node_joint(f: NodeFunction, a: MessageDist, b: MessageDist, partner) -> ConditionalDist:
+    """``node_joint`` given ``_partner(f, a, b)``."""
     (a0, a1), (b0, b1) = a.rows, b.rows
     if f is NodeFunction.VARIABLE_EQUAL:
         rows = [np.outer(a0, b0), np.outer(a1, b1)]
@@ -110,7 +115,6 @@ def node_joint(f: NodeFunction, a: MessageDist, b: MessageDist) -> ConditionalDi
                 0.5 * (np.outer(a0, b1) + np.outer(a1, b0))]
     else:
         raise ValueError(f"unknown node function {f!r}")
-    partner = _partner(f, a, b)
     if partner is not None:
         return ConditionalDist(_mirrored_rows(rows[0].ravel(), partner))
     return ConditionalDist(np.vstack([row.ravel() for row in rows]))
@@ -138,8 +142,8 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
     """
     if out_size < 1:
         raise ValueError("out_size must be >= 1")
-    joint = JointXY(0.5 * node_joint(f, a, b).rows)
     partner = _partner(f, a, b)
+    joint = JointXY(0.5 * _node_joint(f, a, b, partner).rows)
     # with an even first alphabet no column is its own partner
     mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
     if mirrored:

@@ -181,12 +181,18 @@ class TestQuantize:
         assert "agg-ib cannot use" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dp_on_nonbinary_is_numerical_failure(self, tmp_path, capsys):
+    def test_dp_on_nonbinary_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("quantize reached the curve")
+
+        monkeypatch.setattr("ibquant.ib.ib_curve", no_curve)
         out = tmp_path / "q.csv"
-        code = run(["quantize", "--channel", "ask4", "--bins", "16",
-                    "--alg", "dp", "--n", "4", "--out", str(out)])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["quantize", "--channel", "ask4", "--bins", "16", "--alg", "dp", "--n", "4",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--alg dp needs a binary-input channel" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMaxlut:
@@ -350,7 +356,10 @@ class TestLdpcCommands:
         (["--ebn0", "2.0,nan"], "--ebn0 must be finite"),
         (["--ebn0", "inf"], "--ebn0 must be finite"),
         (["--seed", "-1"], "--seed must be >= 0"),
-        (["--code-seed", "-1"], "--code-seed must be >= 0")])
+        (["--code-seed", "-1"], "--code-seed must be >= 0"),
+        (["--max-frames", "0"], "--max-frames must be >= 1"),
+        (["--max-frames", "-3"], "--max-frames must be >= 1"),
+        (["--max-errors", "-1"], "--max-errors must be >= 0")])
     def test_invalid_simulate_values_are_usage_errors(self, tmp_path, extra, message,
                                                       capsys, monkeypatch):
         def no_code(*args, **kwargs):

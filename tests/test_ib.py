@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from ibquant.channels import build_ask_awgn, build_bsc
+from ibquant.channels import build_ask_awgn, build_bpsk_awgn, build_bsc
+from ibquant.dde import design_decoder, save_design
 from ibquant.ib import (
     DEAD_CLUSTER_EPS,
     EXP_ZERO_BELOW,
@@ -19,6 +20,7 @@ from ibquant.ib import (
     _iterative_ib_runs,
     _kmeans_pp_seeds,
     _nearest_positive_labels,
+    _pair_term,
     _positive_mass,
     _quantizer_rows,
     _restart_rng,
@@ -168,8 +170,7 @@ def ln_dp_contiguous_partition(j, num_clusters, order):
         merit = ratio.sum(axis=0)
     merit /= LN2
     merit[~np.isfinite(merit)] = 0.0
-    merit[np.triu_indices(ny + 1, 1)] = -np.inf
-    labels, info = _best_blocks(merit, num_clusters)
+    labels, info = _best_blocks(merit[np.tri(ny + 1, dtype=bool)], num_clusters)
     return np.unique(labels, return_inverse=True)[1], info
 
 
@@ -295,10 +296,9 @@ def reference_dp_optimal_quantizer(j, num_clusters):
 
 # ---------------------------------------------------------------------------
 # Full-square DP: the mirror-symmetric merit over every (b, a) pair, clamped at
-# zero, and a pass over the whole square at every DP layer.  The library
-# builds the merit on the a <= b triangle only and solves the first and last
-# layers without a square-wide pass; labels and best merit must agree bit for
-# bit.
+# zero, and a pass with an argmax over the whole square at every DP layer.  The
+# library builds and solves the merit on the packed a <= b triangle only and
+# keeps no argmax per layer; labels and best merit must agree bit for bit.
 
 
 def square_best_blocks(merit, num_blocks):
@@ -321,6 +321,21 @@ def square_best_blocks(merit, num_blocks):
         labels[a:b] = k
         b = a
     return labels, float(score[-1])
+
+
+def square_contiguous_blocks(w0, w1, num_blocks, scale0, scale1):
+    """``_contiguous_blocks`` with its merit scattered into the -inf square
+    and solved by ``square_best_blocks``."""
+    s0 = np.concatenate([[0.0], np.cumsum(w0)])
+    s1 = np.concatenate([[0.0], np.cumsum(w1)])
+    end, start = np.tril_indices(s0.size)  # row by row, as the library packs
+    u = s0[end] - s0[start]
+    v = s1[end] - s1[start]
+    tot = u + v
+    tot[tot == 0] = 1.0
+    merit = np.full((s0.size, s0.size), -np.inf)
+    merit[end, start] = _pair_term(u, tot, scale0) + _pair_term(v, tot, scale1)
+    return square_best_blocks(merit, num_blocks)
 
 
 def square_pair_term(mass, total):
@@ -1230,14 +1245,25 @@ class TestDpMatchesFullSquare:
     @example(size=5, num_blocks=1, seed=0)
     @example(size=5, num_blocks=9, seed=0)
     @example(size=1, num_blocks=3, seed=0)
+    @example(size=1, num_blocks=1, seed=0)
+    @example(size=2, num_blocks=34, seed=3)
+    @example(size=30, num_blocks=34, seed=1)
     def test_best_blocks(self, size, num_blocks, seed):
         # half-integer merits of either sign tie often
         merit = np.random.default_rng(seed).integers(-2, 5, size=(size, size)) / 2.0
-        merit[np.triu_indices(size, 1)] = -np.inf
         want, want_best = square_best_blocks(merit, num_blocks)
-        got, got_best = _best_blocks(merit.copy(), num_blocks)
+        got, got_best = _best_blocks(merit[np.tri(size, dtype=bool)], num_blocks)
         assert np.array_equal(got, want)
         assert float_bits(got_best) == float_bits(want_best)
+
+    @pytest.mark.parametrize("ebn0", [0.2, 2.0])
+    def test_design_bytes_match_the_square_dp(self, ebn0, tmp_path, monkeypatch):
+        channel = build_bpsk_awgn(ebn0, 0.5, 128)
+        save_design(design_decoder(channel, 3, 6, 4, 50), tmp_path / "packed.txt")
+        monkeypatch.setattr("ibquant.ib._contiguous_blocks", square_contiguous_blocks)
+        save_design(design_decoder(channel, 3, 6, 4, 50), tmp_path / "square.txt")
+        assert ((tmp_path / "packed.txt").read_bytes()
+                == (tmp_path / "square.txt").read_bytes())
 
 
 class TestDpMatchesExhaustiveSearch:
