@@ -29,3 +29,22 @@ def read_lines(path) -> tuple[list[str], list[str]]:
             if line:
                 (comments if line.startswith("#") else data).append(line)
     return comments, data
+
+
+class Reading:
+    """A loader's context: a ValueError, or an IndexError for a line the file
+    lacks, becomes a ValueError naming the file and the ``section`` read."""
+
+    def __init__(self, kind: str, path, section: str):
+        self.kind, self.path, self.section = kind, path, section
+
+    def __enter__(self) -> "Reading":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        where = f"{self.kind} file {self.path}"
+        if isinstance(exc, IndexError):
+            raise ValueError(f"{where} is cut short: "
+                             f"the {self.section} is missing or incomplete") from None
+        if isinstance(exc, ValueError):
+            raise ValueError(f"{where}: malformed {self.section}: {exc}") from None

@@ -274,18 +274,24 @@ def save_dmc(dmc: DmcSpec, path, comment: str | None = None) -> None:
 
 
 def load_dmc(path) -> DmcSpec:
+    """Read a save_dmc file; a missing or malformed part raises ValueError."""
     comments, lines = _text.read_lines(path)
     # the last "# alphabet" line: a header comment may start so too
     alphabet = next((c.split()[2:] for c in reversed(comments)
                      if c.startswith("# alphabet ")), None)
-    tag, num_in, num_out = lines[0].split()
-    if tag != "dmc":
-        raise ValueError(f"not a dmc file: header {lines[0]!r}")
-    num_in, num_out = int(num_in), int(num_out)
-    prior = Pmf(np.array([float(t) for t in lines[1].split()]))
-    rows = np.array([[float(t) for t in lines[2 + i].split()] for i in range(num_in)])
-    if rows.shape != (num_in, num_out):
-        raise ValueError("transition matrix shape does not match header")
-    if alphabet is None or len(alphabet) != num_in:
-        alphabet = range(num_in)
-    return DmcSpec(np.array([float(t) for t in alphabet]), ConditionalDist(rows), prior)
+    with _text.Reading("dmc", path, "header") as reading:
+        tag, num_in, num_out = lines[0].split()
+        if tag != "dmc":
+            raise ValueError(f"not a dmc file: header {lines[0]!r}")
+        num_in, num_out = int(num_in), int(num_out)
+        reading.section = "prior"
+        prior = Pmf(np.array([float(t) for t in lines[1].split()]))
+        reading.section = "transition matrix"
+        rows = np.array([[float(t) for t in lines[2 + i].split()] for i in range(num_in)])
+        if rows.shape != (num_in, num_out):
+            raise ValueError("transition matrix shape does not match header")
+        transition = ConditionalDist(rows)
+        reading.section = "channel"
+        if alphabet is None or len(alphabet) != num_in:
+            alphabet = range(num_in)
+        return DmcSpec(np.array([float(t) for t in alphabet]), transition, prior)

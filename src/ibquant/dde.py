@@ -85,6 +85,32 @@ class LdpcEnsembleDesign:
         trace = np.asarray(self.error_prob_trace, dtype=float)
         trace.setflags(write=False)
         object.__setattr__(self, "error_prob_trace", trace)
+        counts = {len(self.check_luts), len(self.var_luts), len(self.decision_luts),
+                  trace.size}
+        if len(counts) > 1 or 0 in counts:
+            raise ValueError("need one check chain, variable chain, decision rule and "
+                             "trace entry per iteration, and at least one iteration")
+        levels, chan = self.alphabet_size, self.channel_lut
+        if ((chan.num_inputs, chan.num_clusters, self.channel_message.alphabet_size)
+                != (self.dmc.num_outputs, levels, levels)):
+            raise ValueError(f"channel quantizer maps {chan.num_inputs} inputs to "
+                             f"{chan.num_clusters} levels with a message of "
+                             f"{self.channel_message.alphabet_size}, not the channel's "
+                             f"{self.dmc.num_outputs} outputs to the {levels} of the "
+                             "message alphabet")
+        for t, rule in enumerate(self.decision_luts):
+            for name, cascade, inputs in (
+                    ("check", self.check_luts[t], self.check_degree - 1),
+                    ("variable", self.var_luts[t], self.var_degree),
+                    ("decision", rule.cascade, self.var_degree + 1)):
+                if cascade.num_inputs != inputs or any(
+                        s.lut.table.shape != (levels, levels if s.right >= 0 else 1)
+                        or s.lut.out_alphabet_size != levels for s in cascade.stages):
+                    raise ValueError(f"iteration {t} {name} chain must combine {inputs} "
+                                     f"messages of the {levels}-level message alphabet")
+            if rule.bit_map.shape != (levels,) or not np.isin(rule.bit_map, (0, 1)).all():
+                raise ValueError(f"iteration {t} decision map must hold one bit per "
+                                 "level of the message alphabet")
 
     @property
     def max_iter(self) -> int:
@@ -230,12 +256,15 @@ def save_design(design: LdpcEnsembleDesign, path, comment: str | None = None) ->
 def _read_cascade(lines: list[str], pos: int, node: NodeFunction) -> tuple[LutCascade, int]:
     tag, schedule, num_inputs, num_stages = lines[pos].split()
     num_inputs, num_stages = int(num_inputs), int(num_stages)
+    plan = _cascade_plan(schedule, num_inputs)
+    if len(plan) != num_stages:
+        raise ValueError(f"a {schedule} chain over {num_inputs} inputs has {len(plan)} "
+                         f"stages, not {num_stages}")
     pos += 1
     luts: list[NodeLut] = []
     for _ in range(num_stages):
         lut, pos = _lut_from_lines(lines, pos)
         luts.append(lut)
-    plan = _cascade_plan(schedule, num_inputs)
     stages = tuple(CascadeStage(left, right, lut)
                    for (left, right), lut in zip(plan, luts))
     cascade = LutCascade(node, schedule, num_inputs, stages, luts[-1].out_cond)
@@ -243,39 +272,40 @@ def _read_cascade(lines: list[str], pos: int, node: NodeFunction) -> tuple[LutCa
 
 
 def load_design(path) -> LdpcEnsembleDesign:
-    """Read a save_design file; a missing or malformed section raises ValueError."""
+    """Read a save_design file; a missing, malformed or ill-fitting part raises ValueError."""
     lines = _text.read_lines(path)[1]
-    section = "design header"
-    try:
+    with _text.Reading("design", path, "design header") as reading:
         header = lines[0].split()
         if header[0] != "design":
             raise ValueError(f"not a design file: {lines[0]!r}")
         message_bits, max_iter, dv, dc = (int(tok) for tok in header[1:])
-        section = "channel line"
+        reading.section = "channel line"
         _, noise_std, clip, num_bins = lines[1].split()
         noise_std, clip, num_bins = float(noise_std), float(clip), int(num_bins)
         dmc = build_bpsk_awgn_sigma(noise_std, num_bins, clip)
-        section = "channel quantizer"
+        reading.section = "channel quantizer"
         _, num_in, levels = lines[2].split()
         num_in, levels = int(num_in), int(levels)
         labels = np.array([int(t) for t in lines[3].split()])
+        if labels.size != num_in:
+            raise ValueError(f"{labels.size} labels for a header of {num_in} inputs")
         chan_lut = Quantizer.from_labels(labels, levels)
         rows = np.array([[float(t) for t in lines[4 + i].split()] for i in range(2)])
         chan_msg = MessageDist(ConditionalDist(rows))
         pos = 6
         check_luts, var_luts, decision_luts, trace = [], [], [], []
         for t in range(max_iter):
-            section = f"iteration {t}"
+            reading.section = f"iteration {t}"
             if lines[pos] != f"iteration {t}":
                 raise ValueError(f"expected iteration {t} marker, got {lines[pos]!r}")
             pos += 1
-            section = f"iteration {t} check chain"
+            reading.section = f"iteration {t} check chain"
             chk, pos = _read_cascade(lines, pos, NodeFunction.CHECK_XOR)
-            section = f"iteration {t} variable chain"
+            reading.section = f"iteration {t} variable chain"
             var, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
-            section = f"iteration {t} decision chain"
+            reading.section = f"iteration {t} decision chain"
             dec, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
-            section = f"iteration {t} decision map and trace"
+            reading.section = f"iteration {t} decision map and trace"
             bit_map = np.array([int(t) for t in lines[pos].split()[1:]])
             pos += 1
             trace.append(float(lines[pos].split()[1]))
@@ -283,20 +313,16 @@ def load_design(path) -> LdpcEnsembleDesign:
             check_luts.append(chk)
             var_luts.append(var)
             decision_luts.append(DecisionRule(dec, bit_map))
-    except IndexError:
-        raise ValueError(f"design file {path} is cut short: "
-                         f"the {section} is missing or incomplete") from None
-    except ValueError as exc:
-        raise ValueError(f"design file {path}: malformed {section}: {exc}") from None
-    return LdpcEnsembleDesign(
-        channel_lut=chan_lut,
-        channel_message=chan_msg,
-        check_luts=tuple(check_luts),
-        var_luts=tuple(var_luts),
-        decision_luts=tuple(decision_luts),
-        message_bits=message_bits,
-        error_prob_trace=np.array(trace),
-        dmc=dmc,
-        var_degree=dv,
-        check_degree=dc,
-    )
+        reading.section = "design"
+        return LdpcEnsembleDesign(
+            channel_lut=chan_lut,
+            channel_message=chan_msg,
+            check_luts=tuple(check_luts),
+            var_luts=tuple(var_luts),
+            decision_luts=tuple(decision_luts),
+            message_bits=message_bits,
+            error_prob_trace=np.array(trace),
+            dmc=dmc,
+            var_degree=dv,
+            check_degree=dc,
+        )

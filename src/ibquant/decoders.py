@@ -262,16 +262,9 @@ class _Lookups:
         return [values[k] for k in self.outputs]
 
 
-def _stage_tables(cascade: LutCascade, levels: int) -> list[np.ndarray]:
+def _stage_tables(cascade: LutCascade) -> list[np.ndarray]:
     """The uint8 stage tables of a cascade, (levels, 1) for a constant right operand."""
-    tables = []
-    for stage in cascade.stages:
-        lut = stage.lut
-        if (lut.table.shape != (levels, levels if stage.right >= 0 else 1)
-                or lut.out_alphabet_size != levels):
-            raise ValueError("design table does not match the message alphabet")
-        tables.append(lut.table.astype(np.uint8))
-    return tables
+    return [stage.lut.table.astype(np.uint8) for stage in cascade.stages]
 
 
 def _compile_iteration(design: LdpcEnsembleDesign, t: int,
@@ -283,25 +276,22 @@ def _compile_iteration(design: LdpcEnsembleDesign, t: int,
     variable-side slots (values 1..dv) to the dv next v2c messages followed
     by the hard decision, whose bits sit where the frames' messages do.
     """
-    levels = design.alphabet_size
     dv, dc = design.var_degree, design.check_degree
     check = _Lookups(dc, packing)
     chain = design.check_luts[t]
-    tables = _stage_tables(chain, levels)
+    tables = _stage_tables(chain)
     for i in range(dc):
         check.outputs.append(check.add_chain(chain, tables,
                                              [k for k in range(dc) if k != i]))
 
     node = _Lookups(1 + dv, packing)
     chain = design.var_luts[t]
-    tables = _stage_tables(chain, levels)
+    tables = _stage_tables(chain)
     for j in range(dv):
         node.outputs.append(node.add_chain(
             chain, tables, [0] + [1 + i for i in range(dv) if i != j]))
     rule = design.decision_luts[t]
-    if rule.bit_map.shape != (levels,):
-        raise ValueError("decision map does not match the message alphabet")
-    tables = _stage_tables(rule.cascade, levels)
+    tables = _stage_tables(rule.cascade)
     tables[-1] = rule.bit_map.astype(np.uint8)[tables[-1]]  # the last stage emits bits
     node.outputs.append(node.add_chain(rule.cascade, tables, list(range(1 + dv))))
     return check, node
@@ -390,8 +380,6 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         raise ValueError("max_iter must be >= 1")
     if code.var_degree != design.var_degree or code.check_degree != design.check_degree:
         raise ValueError("design degrees do not match the code")
-    if design.channel_lut.num_clusters != design.alphabet_size:
-        raise ValueError("channel quantizer does not match the message alphabet")
     return _decode(_LutEngine(code, design, bins, max_iter), bins.shape[0], max_iter)
 
 

@@ -602,43 +602,10 @@ def _pair_term(mass: np.ndarray, total: np.ndarray, scale: float) -> np.ndarray:
     return term
 
 
-def _antisymmetric_pairing(m: np.ndarray) -> np.ndarray | None:
-    """Partner index per symbol such that column(partner) = swap(column), or None.
-
-    Detection is exact: swapped columns must match bit for bit, which holds for
-    the output-symmetric channels that ``channels`` builds.  Columns with
-    the same unordered value pair form one class, sorted with the (u < v)
-    columns first, each side in column order; the i-th column of one side
-    pairs with the i-th of the other.  Zero-LLR columns (u == v) pair first
-    with last, and an odd count of them cannot mirror.
-    """
-    ny = m.shape[1]
-    u, v = m[0], m[1]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    flip = u > v
-    order = np.lexsort((flip, hi, lo))
-    slo, shi = lo[order], hi[order]
-    new = np.ones(ny, dtype=bool)
-    new[1:] = (slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])
-    cls = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    sizes = np.bincount(cls)
-    flipped = np.bincount(cls[flip[order]], minlength=starts.size)
-    zero_llr = slo[starts] == shi[starts]
-    if np.any(np.where(zero_llr, sizes % 2, 2 * flipped - sizes) != 0):
-        return None
-    pos = np.arange(ny) - starts[cls]
-    size = sizes[cls]
-    mate = np.where(zero_llr[cls], size - 1 - pos, (pos + size // 2) % size)
-    partner = np.empty(ny, dtype=int)
-    partner[order] = order[starts[cls] + mate]
-    return partner
-
-
 def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
                          partner: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mirror-symmetric contiguous quantizer for an antisymmetric instance.
+    """Mirror-symmetric contiguous quantizer: column partner[y] of m is column y
+    with its rows swapped.
 
     One representative per symbol pair (the member with non-negative LLR) is
     partitioned contiguously in LLR order into num_clusters/2 blocks; partners
@@ -665,7 +632,7 @@ def _symmetric_dp_labels(m: np.ndarray, num_clusters: int,
     return labels, 2.0 * best
 
 
-def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) -> IbDesign:
+def dp_optimal_quantizer(j: JointXY, num_clusters: int) -> IbDesign:
     """Optimal deterministic quantizer for a binary source.
 
     Sorts observation symbols by posterior log-likelihood ratio (descending)
@@ -675,25 +642,28 @@ def dp_optimal_quantizer(j: JointXY, num_clusters: int, symmetric: bool = True) 
     keep them together), and zero-mass symbols adopt the label of their nearest
     positive-mass neighbour.
 
-    With ``symmetric`` (the default), an exactly antisymmetric instance, such
-    as an output-symmetric channel, with an even cluster count gets the
-    mirror-symmetric construction instead: its label map commutes with the
-    symbol-flip relabeling.  That result is optimal among mirror-symmetric
-    quantizers only and can retain less information than the global optimum,
-    which ``symmetric=False`` always returns.
+    A mirrored joint, whose row 1 is exactly the reversal of row 0 (as for the
+    output-symmetric channels that ``channels`` builds), with an even symbol
+    and cluster count gets the mirror-symmetric construction instead: symbol
+    y pairs with |Y|-1-y, and the label map commutes with that swap.  The
+    result is optimal among mirror-symmetric quantizers only and can retain
+    less information than the global optimum.
     """
-    labels = _dp_labels(j, num_clusters, symmetric)
-    return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
-
-
-def _dp_labels(j: JointXY, num_clusters: int, symmetric: bool = True) -> np.ndarray:
-    """The label per observation symbol of ``dp_optimal_quantizer``."""
     if j.num_x != 2:
         raise ValueError("the dynamic program requires a binary source alphabet")
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
     m = j.matrix
-    partner = _antisymmetric_pairing(m) if symmetric and num_clusters % 2 == 0 else None
+    ny = m.shape[1]
+    mirrored = num_clusters % 2 == 0 and ny % 2 == 0 and np.array_equal(m[1], m[0][::-1])
+    labels = _dp_labels(m, num_clusters, np.arange(ny)[::-1] if mirrored else None)
+    return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
+
+
+def _dp_labels(m: np.ndarray, num_clusters: int, partner: np.ndarray | None) -> np.ndarray:
+    """The label per column of the binary-source joint matrix ``m``: the
+    mirror-symmetric DP on the column pairs ``partner`` (no column its own
+    partner, an even cluster count), or the general DP when it is None."""
     if partner is not None:
         return _symmetric_dp_labels(m, num_clusters, partner)[0]
     mass = m.sum(axis=0)
@@ -723,7 +693,7 @@ def _dp_labels(j: JointXY, num_clusters: int, symmetric: bool = True) -> np.ndar
     # Renumber so labels appear in block order starting at 0.
     group_labels[order] = np.unique(block_labels, return_inverse=True)[1]
 
-    labels = np.zeros(j.num_y, dtype=int)
+    labels = np.zeros(m.shape[1], dtype=int)
     labels[keep] = group_labels[group_of]
     if np.any(~keep):
         labels[~keep] = _nearest_positive_labels(keep, labels)

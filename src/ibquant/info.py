@@ -39,6 +39,20 @@ def _prob_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
+def _normalized(arr: np.ndarray, axis: int | None, reject: str) -> np.ndarray:
+    """``arr`` divided in place by its total (axis None) or row totals (axis 1) off 1 by
+    more than NORM_SKIP; beyond SUM_SLACK, ValueError(reject) with total, off and slack."""
+    totals = arr.sum(axis=axis, keepdims=True)
+    off = np.abs(totals - 1.0)
+    worst = off.max()
+    if worst > SUM_SLACK:
+        raise ValueError(reject.format(total=totals.flat[off.argmax()], off=float(worst),
+                                       slack=SUM_SLACK))
+    if worst > NORM_SKIP:
+        np.divide(arr, totals, out=arr, where=off > NORM_SKIP)
+    return arr
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -51,12 +65,8 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _prob_array(self.probs, 1)
-        total = arr.sum()
-        if abs(total - 1.0) > SUM_SLACK:
-            raise ValueError(f"pmf sums to {total!r}, outside the {SUM_SLACK} slack")
-        if abs(total - 1.0) > NORM_SKIP:
-            arr = arr / total
+        arr = _normalized(_prob_array(self.probs, 1), None,
+                          "pmf sums to {total!r}, outside the {slack} slack")
         object.__setattr__(self, "probs", _frozen(arr))
 
     def __len__(self) -> int:
@@ -74,14 +84,8 @@ class ConditionalDist:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = _prob_array(self.rows, 2)
-        totals = arr.sum(axis=1)
-        if np.any(np.abs(totals - 1.0) > SUM_SLACK):
-            worst = float(np.max(np.abs(totals - 1.0)))
-            raise ValueError(f"conditional rows deviate from 1 by up to {worst!r}")
-        need = np.abs(totals - 1.0) > NORM_SKIP
-        if np.any(need):
-            arr[need] = arr[need] / totals[need, None]
+        arr = _normalized(_prob_array(self.rows, 2), 1,
+                          "conditional rows deviate from 1 by up to {off!r}")
         object.__setattr__(self, "rows", _frozen(arr))
 
     @property
@@ -100,12 +104,8 @@ class JointXY:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _prob_array(self.matrix, 2)
-        total = arr.sum()
-        if abs(total - 1.0) > SUM_SLACK:
-            raise ValueError(f"joint sums to {total!r}, outside the {SUM_SLACK} slack")
-        if abs(total - 1.0) > NORM_SKIP:
-            arr = arr / total
+        arr = _normalized(_prob_array(self.matrix, 2), None,
+                          "joint sums to {total!r}, outside the {slack} slack")
         object.__setattr__(self, "matrix", _frozen(arr))
 
     @classmethod

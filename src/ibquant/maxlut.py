@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _text
-from .ib import _dp_labels, _symmetric_dp_labels
+from .ib import _dp_labels
 from .info import (NORM_SKIP, SUM_SLACK, ConditionalDist, JointXY, _prob_array,
                    mutual_information)
 
@@ -136,23 +136,20 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
     Reduces the node to a binary-input channel with |L|*|Z| outputs and
     quantizes it by dynamic programming: the mirror-symmetric DP on the column
     pairs of ``_partner`` for mirrored inputs of an even first alphabet and an
-    even ``out_size`` (the output is then mirrored too), the DP of
+    even ``out_size`` (the output is then mirrored too), the general DP of
     ``dp_optimal_quantizer`` otherwise.  Output labels are ordered by
     posterior LLR, descending.
     """
     if out_size < 1:
         raise ValueError("out_size must be >= 1")
     partner = _partner(f, a, b)
-    joint = JointXY(0.5 * _node_joint(f, a, b, partner).rows)
+    m = 0.5 * _node_joint(f, a, b, partner).rows
     # with an even first alphabet no column is its own partner
     mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
-    if mirrored:
-        labels, _ = _symmetric_dp_labels(joint.matrix, out_size, partner)
-    else:
-        labels = _dp_labels(joint, out_size)
+    labels = _dp_labels(m, out_size, partner if mirrored else None)
     onehot = np.zeros((labels.shape[0], out_size))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
-    pushed = JointXY(joint.matrix @ onehot)
+    pushed = JointXY(m @ onehot)
     rows = 2.0 * pushed.matrix  # uniform symbol prior by construction
     out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
     table = labels.reshape(a.alphabet_size, b.alphabet_size)
@@ -265,7 +262,10 @@ def _lut_lines(lut: NodeLut) -> list[str]:
 
 
 def load_node_lut(path) -> NodeLut:
-    return _lut_from_lines(_text.read_lines(path)[1])[0]
+    """Read a save_node_lut file; a missing or malformed part raises ValueError."""
+    lines = _text.read_lines(path)[1]
+    with _text.Reading("lut", path, "lookup table"):
+        return _lut_from_lines(lines)[0]
 
 
 def _lut_from_lines(lines, start: int = 0) -> tuple[NodeLut, int]:

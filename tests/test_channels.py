@@ -303,6 +303,17 @@ class TestSerialization:
         assert loaded.input_prior.probs.tobytes() == dmc.input_prior.probs.tobytes()
         assert loaded.transition.rows.tobytes() == dmc.transition.rows.tobytes()
 
+    def test_every_line_cut_names_the_file(self, tmp_path):
+        path = tmp_path / "bsc.txt"
+        save_dmc(build_bsc(0.1), path, comment="cut test")
+        lines = path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        for keep in range(len(lines)):
+            cut.write_text("".join(lines[:keep]))
+            with pytest.raises(ValueError, match="dmc file .*cut.txt is cut short: the "
+                                                 "(header|prior|transition matrix) "):
+                load_dmc(cut)
+
     def test_header_format(self, tmp_path):
         dmc = build_bsc(0.11)
         path = tmp_path / "bsc.txt"

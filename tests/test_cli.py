@@ -435,6 +435,41 @@ class TestLdpcCommands:
         assert str(cut) in err and "iteration 0" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("var_chain left_fold 3 2", "var_chain left_fold 4 2", "iteration 0 variable chain"),
+        ("decision_map 0 0 0 0 1 1 1 1", "decision_map 0 0 0 0 2 1 1 1",
+         "iteration 0 decision map"),
+        ("decision_map 0 0 0 0 1 1 1 1", "decision_map 0 0 0 0 1 1 1 7",
+         "iteration 0 decision map"),
+        ("channel_lut 32 8", "channel_lut 31 8", "32 labels for a header of 31 inputs"),
+        (None, "channel_lut 32 8", "31 labels for a header of 32 inputs"),
+        (None, "channel_lut 31 8",
+         "maps 31 inputs to 8 levels with a message of 8, not the channel's 32"),
+    ])
+    def test_design_parts_that_do_not_fit_are_usage_errors(self, tmp_path, capsys,
+                                                           old, new, message):
+        design_file = tmp_path / "design.txt"
+        assert run(["ldpc", "design", "--bits", "3", "--iters", "2", "--ebn0", "2.5",
+                    "--bins", "32", "--out", str(design_file)]) == 0
+        lines = design_file.read_text().splitlines()
+        if old is None:  # one channel label fewer, under the given header
+            at = lines.index("channel_lut 32 8")
+            lines[at + 1] = lines[at + 1].rsplit(" ", 1)[0]
+            old = "channel_lut 32 8"
+        lines[lines.index(old)] = new
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "simulate", "--design", str(bad), "--decoder", "lut",
+                 "--ebn0", "2.5", "--max-frames", "5", "--n", "120",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"design file {bad}" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bits_contradicting_design_is_usage_error(self, tmp_path, capsys):
         design_file = tmp_path / "design.txt"
         assert run(["ldpc", "design", "--bits", "3", "--iters", "2", "--ebn0", "2.0",

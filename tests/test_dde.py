@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from ibquant import dde, maxlut
 from ibquant.channels import DmcSpec, build_bpsk_awgn, build_bsc
 from ibquant.dde import design_decoder, load_design, save_design
-from ibquant.ib import dp_optimal_quantizer
+from ibquant.ib import Quantizer, dp_optimal_quantizer
 from ibquant.info import ConditionalDist, JointXY, Pmf, mutual_information
 from ibquant.maxlut import CascadeStage, LutCascade, MessageDist, NodeFunction
 
@@ -363,3 +364,33 @@ class TestTruncatedDesignFile:
         path.write_text("".join(lines[:marker + 3]))
         with pytest.raises(ValueError, match="iteration 1 check chain"):
             load_design(path)
+
+
+class TestDesignParts:
+    """A design whose parts do not fit together is rejected when it is made."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        return small_design(bits=2, iters=2)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: {"error_prob_trace": d.error_prob_trace[:1]}, "per iteration"),
+        (lambda d: {"check_luts": (), "var_luts": (), "decision_luts": (),
+                    "error_prob_trace": []}, "at least one iteration"),
+        (lambda d: {"message_bits": 3}, "to 4 levels .*, not .* to the 8 of the message alphabet"),
+        (lambda d: {"channel_message": MessageDist.constant()}, "with a message of 1,"),
+        (lambda d: {"channel_lut": Quantizer.from_labels(d.channel_lut.labels[:-1], 4)},
+         "maps 63 inputs .* channel's 64 outputs"),
+        (lambda d: {"check_degree": 7}, "iteration 0 check chain must combine 6 messages"),
+        (lambda d: {"var_degree": 4}, "iteration 0 variable chain must combine 4 messages"),
+        (lambda d: {"check_luts": small_design(bits=3, iters=2).check_luts},
+         "iteration 0 check chain must combine 5 messages of the 4-level"),
+        (lambda d: {"decision_luts": (d.decision_luts[0], dde.DecisionRule(
+            d.decision_luts[1].cascade, [0, 0, 1, 2]))}, "iteration 1 decision map"),
+        (lambda d: {"decision_luts": (dde.DecisionRule(
+            d.decision_luts[0].cascade, [0, 1, 1]), d.decision_luts[1])},
+         "iteration 0 decision map"),
+    ])
+    def test_parts_that_do_not_fit(self, design, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(design, **change(design))

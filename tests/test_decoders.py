@@ -412,14 +412,17 @@ class TestCompiledLutDecoder:
             assert np.array_equal(g, w)
 
     def test_rejects_inconsistent_message_alphabet(self, oracle_designs):
+        # the design itself rejects parts that do not fit, before any decoding
         code, design = oracle_designs["3bit-above"]
         two_bit = oracle_designs["2bit-below"][1]
+        iters = design.max_iter
+        assert two_bit.max_iter >= iters
         bins = np.zeros((1, code.block_length), dtype=np.int64)
-        for bad in (dataclasses.replace(design, message_bits=2),  # channel quantizer
-                    dataclasses.replace(design, check_luts=two_bit.check_luts),
-                    dataclasses.replace(design, decision_luts=two_bit.decision_luts)):
+        for bad in ({"message_bits": 2},  # channel quantizer
+                    {"check_luts": two_bit.check_luts[:iters]},
+                    {"decision_luts": two_bit.decision_luts[:iters]}):
             with pytest.raises(ValueError, match="message alphabet"):
-                decode_lut_batch(code, bad, bins, 5)
+                decode_lut_batch(code, dataclasses.replace(design, **bad), bins, 5)
 
 
 class TestFramePacking:

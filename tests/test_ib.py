@@ -14,9 +14,9 @@ from ibquant.ib import (
     EXP_ZERO_BELOW,
     MAPPING_TOL,
     Quantizer,
-    _antisymmetric_pairing,
     _best_blocks,
     _contiguous_blocks,
+    _dp_labels,
     _iterative_ib_runs,
     _kmeans_pp_seeds,
     _nearest_positive_labels,
@@ -174,27 +174,6 @@ def ln_dp_contiguous_partition(j, num_clusters, order):
     return np.unique(labels, return_inverse=True)[1], info
 
 
-def reference_antisymmetric_pairing(m):
-    ny = m.shape[1]
-    groups = {}
-    for y in range(ny):
-        groups.setdefault((float(m[0, y]), float(m[1, y])), []).append(y)
-    partner = np.full(ny, -1, dtype=int)
-    for (u, v), members in groups.items():
-        if u == v:
-            if len(members) % 2 != 0:
-                return None
-            for a, b in zip(members, reversed(members)):
-                partner[a] = b
-            continue
-        mates = groups.get((v, u))
-        if mates is None or len(mates) != len(members):
-            return None
-        for a, b in zip(members, mates):
-            partner[a] = b
-    return partner
-
-
 def reference_symmetric_dp_labels(m, num_clusters, partner):
     ny = m.shape[1]
     half = num_clusters // 2
@@ -282,15 +261,25 @@ def reference_general_labels(j, num_clusters, partition=reference_dp_contiguous_
     return labels
 
 
+def is_reversal_mirrored(m):
+    """Row 1 is row 0 reversed, over an even number of columns."""
+    return m.shape[1] % 2 == 0 and all(m[1, y] == m[0, -1 - y] for y in range(m.shape[1]))
+
+
 def reference_dp_optimal_quantizer(j, num_clusters):
     m = j.matrix
-    labels = None
-    if num_clusters % 2 == 0 and num_clusters > 1:
-        partner = reference_antisymmetric_pairing(m)
-        if partner is not None:
-            labels = reference_symmetric_dp_labels(m, num_clusters, partner)
-    if labels is None:
+    if num_clusters % 2 == 0 and is_reversal_mirrored(m):
+        labels = reference_symmetric_dp_labels(m, num_clusters, np.arange(m.shape[1])[::-1])
+    else:
         labels = reference_general_labels(j, num_clusters)
+    return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters))
+
+
+def general_dp_design(j, num_clusters):
+    """The design of the library's general (not mirror-symmetric) DP, whose
+    labels must be those of ``reference_general_labels``."""
+    labels = _dp_labels(j.matrix, num_clusters, None)
+    assert np.array_equal(labels, reference_general_labels(j, num_clusters))
     return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters))
 
 
@@ -582,14 +571,6 @@ def float_bits(x) -> int:
     return int(np.float64(x).view(np.int64))
 
 
-def assert_same_pairing(m):
-    got = _antisymmetric_pairing(m)
-    want = reference_antisymmetric_pairing(m)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert np.array_equal(got, want)
-
-
 @st.composite
 def tied_matrices(draw, max_symbols=40, max_x=2):
     """Unnormalized nx x ny masses with rounding ties, duplicate and zero columns."""
@@ -624,13 +605,17 @@ def sparse_joints(draw, max_x=4, max_symbols=12):
 
 
 @st.composite
-def mirrored_matrices(draw, max_pairs=20, max_zero_llr=5):
-    """Exactly antisymmetric masses: mirrored column pairs plus zero-LLR columns."""
+def mirrored_matrices(draw, max_pairs=20, max_zero_llr=5, shuffled=False):
+    """Exactly antisymmetric masses: mirrored column pairs plus zero-LLR
+    columns.  Row 1 is row 0 reversed, or with ``shuffled`` the columns are in
+    random order, so the reversal seldom pairs them."""
     base = draw(tied_matrices(max_symbols=max_pairs))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    zero_llr = np.round(rng.uniform(size=draw(st.integers(0, max_zero_llr))), 1)
-    m = np.hstack([base, base[::-1], np.vstack([zero_llr, zero_llr])])
-    return m[:, rng.permutation(m.shape[1])]
+    count = draw(st.integers(0, max_zero_llr))
+    half = np.round(rng.uniform(size=(count + 1) // 2), 1)
+    zero_llr = np.concatenate([half, half[::-1][count % 2:]])   # a palindrome
+    m = np.hstack([base, np.vstack([zero_llr, zero_llr]), base[::-1, ::-1]])
+    return m[:, rng.permutation(m.shape[1])] if shuffled else m
 
 
 def joint_of(m):
@@ -1130,18 +1115,27 @@ class TestDpMatchesReference:
 
     @settings(max_examples=150, deadline=None)
     @given(case=with_cluster_count(mirrored_matrices()))
-    @example(case=(np.array([[0.2, 0.1, 0.3], [0.1, 0.2, 0.3]]), 2))
-    @example(case=(np.array([[0.2, 0.1, 0.3, 0.3], [0.1, 0.2, 0.3, 0.3]]), 2))
-    @example(case=(np.array([[1.0, 0.6, 0.3, 0.1, 0.5], [1.0, 0.3, 0.6, 0.1, 0.5]]), 4))
+    @example(case=(np.array([[0.2, 0.3, 0.1], [0.1, 0.3, 0.2]]), 2))
+    @example(case=(np.array([[0.2, 0.3, 0.3, 0.1], [0.1, 0.3, 0.3, 0.2]]), 2))
+    @example(case=(np.array([[1.0, 0.6, 0.3, 0.3, 0.6, 1.0], [1.0, 0.6, 0.3, 0.3, 0.6, 1.0]]), 4))
     def test_mirrored_joints(self, case):
         m, n = case
-        assert_same_pairing(m)
+        assert np.array_equal(m[1], m[0][::-1])
         self.assert_same_design(joint_of(m), n)
 
     @settings(max_examples=100, deadline=None)
-    @given(m=st.one_of(tied_matrices(), mirrored_matrices()))
-    def test_pairing(self, m):
-        assert_same_pairing(m)
+    @given(case=with_cluster_count(mirrored_matrices(shuffled=True)))
+    @example(case=(np.array([[0.2, 0.1, 0.3], [0.1, 0.2, 0.3]]), 2))
+    @example(case=(np.array([[0.2, 0.1, 0.3, 0.3], [0.1, 0.2, 0.3, 0.3]]), 2))
+    @example(case=(np.array([[1.0, 0.6, 0.3, 0.1, 0.5], [1.0, 0.3, 0.6, 0.1, 0.5]]), 4))
+    def test_shuffled_mirrored_joints(self, case):
+        # pairs that the reversal does not line up get the general DP
+        m, n = case
+        j = joint_of(m)
+        self.assert_same_design(j, n)
+        if n % 2 or not is_reversal_mirrored(j.matrix):
+            got = dp_optimal_quantizer(j, n).quantizer.labels
+            assert np.array_equal(got, reference_general_labels(j, n))
 
     @settings(max_examples=100, deadline=None)
     @given(ny=st.integers(1, 30), n=st.integers(1, 34),
@@ -1175,7 +1169,7 @@ class TestDpMatchesReference:
         j = joint_of(m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = dp_optimal_quantizer(j, n, symmetric=False)
+            got = general_dp_design(j, n)
         old = reference_general_labels(j, n, ln_dp_contiguous_partition)
         want = design_from_quantizer(j, Quantizer.from_labels(old, n))
         assert abs(got.relevant_info - want.relevant_info) <= 1e-12
@@ -1269,29 +1263,35 @@ class TestDpMatchesFullSquare:
 class TestDpMatchesExhaustiveSearch:
     def test_auto_symmetric_is_optimal_among_symmetric_quantizers_only(self):
         # an exactly antisymmetric joint on which the mirror-symmetric
-        # construction misses the global optimum
-        j = joint_of(np.array([[0.1, 1.0, 0.4, 0.6, 0.9, 0.5],
-                               [0.9, 0.4, 1.0, 0.5, 0.1, 0.6]]))
+        # construction misses the global optimum; in this column order row 1
+        # is row 0 reversed
+        m = np.array([[0.1, 1.0, 0.4, 0.6, 0.9, 0.5],
+                      [0.9, 0.4, 1.0, 0.5, 0.1, 0.6]])
+        j = joint_of(m[:, [0, 1, 3, 5, 2, 4]])
         best = exhaustive_best_relevant_info(j, 4)
-        general = dp_optimal_quantizer(j, 4, symmetric=False)
+        general = general_dp_design(j, 4)
         auto = dp_optimal_quantizer(j, 4)
         assert general.relevant_info == pytest.approx(best, abs=1e-12)
         assert best == pytest.approx(0.192965, abs=5e-7)
         assert auto.relevant_info == pytest.approx(0.192656, abs=5e-7)
+        # pairs out of reversal order are not searched for: the global optimum
+        assert dp_optimal_quantizer(joint_of(m), 4).relevant_info == pytest.approx(
+            best, abs=1e-12)
 
     @settings(max_examples=120, deadline=None)
     @given(m=st.one_of(tied_matrices(max_symbols=8),
-                       mirrored_matrices(max_pairs=3, max_zero_llr=2)),
+                       mirrored_matrices(max_pairs=3, max_zero_llr=2),
+                       mirrored_matrices(max_pairs=3, max_zero_llr=2, shuffled=True)),
            n=st.integers(1, 4))
     @example(m=np.array([[0.1, 1.0, 0.4, 0.6, 0.9, 0.5],
                          [0.9, 0.4, 1.0, 0.5, 0.1, 0.6]]), n=4)
     def test_random_tied_joints(self, m, n):
         j = joint_of(m)
         best = exhaustive_best_relevant_info(j, n)
-        general = dp_optimal_quantizer(j, n, symmetric=False)
+        general = general_dp_design(j, n)
         assert general.relevant_info == pytest.approx(best, abs=1e-12)
         default = dp_optimal_quantizer(j, n)
-        if n % 2 or _antisymmetric_pairing(j.matrix) is None:
+        if n % 2 or not is_reversal_mirrored(j.matrix):
             assert float_bits(default.relevant_info) == float_bits(general.relevant_info)
         else:
             # the mirror-symmetric construction is optimal among mirror-symmetric

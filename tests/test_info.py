@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from ibquant.info import (
+    NORM_SKIP,
+    SUM_SLACK,
     ConditionalDist,
     JointXY,
     Pmf,
@@ -84,6 +86,50 @@ class TestPmf:
         p = Pmf.uniform(3)
         with pytest.raises(ValueError):
             p.probs[0] = 0.7
+
+
+def reference_normalized(arr, per_row):
+    """The constructors' rule written out: renormalize a total (per row, or of
+    the whole array) that is more than NORM_SKIP from 1, leave the others."""
+    arr = np.array(arr, dtype=float)
+    if per_row:
+        totals = arr.sum(axis=1)
+        need = np.abs(totals - 1.0) > NORM_SKIP
+        arr[need] = arr[need] / totals[need, None]
+        return arr
+    total = arr.sum()
+    return arr / total if abs(total - 1.0) > NORM_SKIP else arr
+
+
+DEVIATIONS = [0.0, 1e-13, -1e-13, 9e-13, -9e-13, 2e-12, -2e-12, 1e-9, -4e-7, 9e-7]
+
+
+class TestNormalization:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           deviations=st.lists(st.sampled_from(DEVIATIONS), min_size=4, max_size=4))
+    def test_same_bits_as_the_rule(self, rows, cols, seed, deviations):
+        # rows off 1 by different amounts: only those beyond NORM_SKIP change
+        raw = np.random.default_rng(seed).uniform(size=(rows, cols))
+        scale = 1.0 + np.array(deviations[:rows])[:, None]
+        cond = raw / raw.sum(axis=1, keepdims=True) * scale
+        assert (ConditionalDist(cond).rows.tobytes()
+                == reference_normalized(cond, True).tobytes())
+        joint = raw / raw.sum() * scale[0, 0]
+        assert JointXY(joint).matrix.tobytes() == reference_normalized(joint, False).tobytes()
+        assert Pmf(cond[0]).probs.tobytes() == reference_normalized(cond[0], False).tobytes()
+
+    def test_error_texts(self):
+        pmf, joint = np.array([0.5, 0.6]), np.array([[0.5, 0.5], [0.5, 0.7]])
+        cond = np.array([[0.5, 0.5], [0.5, 0.7], [0.2, 0.7]])
+        worst = float(np.max(np.abs(cond.sum(axis=1) - 1.0)))
+        for make, values, text in (
+                (Pmf, pmf, f"pmf sums to {pmf.sum()!r}, outside the {SUM_SLACK} slack"),
+                (JointXY, joint, f"joint sums to {joint.sum()!r}, outside the {SUM_SLACK} slack"),
+                (ConditionalDist, cond, f"conditional rows deviate from 1 by up to {worst!r}")):
+            with pytest.raises(ValueError) as exc:
+                make(values)
+            assert str(exc.value) == text
 
 
 class TestEntropy:

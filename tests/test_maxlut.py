@@ -25,7 +25,7 @@ from ibquant.maxlut import (
 )
 
 from test_ib import (batch_relevant_info, enumerate_assignments, float_bits,
-                     square_symmetric_dp_labels)
+                     reference_general_labels, square_symmetric_dp_labels)
 
 
 def bsc_message(eps):
@@ -86,17 +86,18 @@ def asymmetric_messages(draw, sizes):
 
 
 def square_build_max_lut(f, a, b, out_size):
-    """build_max_lut through the full-square symmetric DP, a validated one-hot
-    Quantizer and push_through_quantizer, with the table read back by argmax:
-    the route before the DP labels were kept, kept as its oracle."""
+    """build_max_lut through the full-square symmetric DP on the typed partner,
+    or the reference general DP, a validated one-hot Quantizer and
+    push_through_quantizer, with the table read back by argmax: the route
+    before the DP labels were kept, kept as its oracle."""
     joint = JointXY(0.5 * node_joint(f, a, b).rows)
     partner = _partner(f, a, b)
     mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
     if mirrored:
         labels, _ = square_symmetric_dp_labels(joint.matrix, out_size, partner)
-        quantizer = Quantizer.from_labels(labels, out_size)
     else:
-        quantizer = dp_optimal_quantizer(joint, out_size).quantizer
+        labels = reference_general_labels(joint, out_size)
+    quantizer = Quantizer.from_labels(labels, out_size)
     pushed = push_through_quantizer(joint, quantizer)
     rows = 2.0 * pushed.matrix
     out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
@@ -306,10 +307,17 @@ class TestMirrored:
         joint = node_joint(f, a, b)
         flat = np.arange(joint.alphabet_size).reshape(lut.table.shape)
         assert np.array_equal(joint.rows[1], joint.rows[0][partner_table(f, flat).ravel()])
-        # the structural pairs reach the optimum that detecting them finds;
-        # tables may differ only where columns tie
-        general = dp_optimal_quantizer(JointXY(0.5 * joint.rows), out)
-        assert lut.relevant_info == pytest.approx(general.relevant_info, abs=1e-12)
+        # the mirror-symmetric optimum on the typed pairs, which tables may
+        # reach differently only where columns tie, and never above the
+        # optimum over all quantizers
+        pushed = JointXY(0.5 * joint.rows)
+        labels, _ = square_symmetric_dp_labels(pushed.matrix, out, _partner(f, a, b))
+        symmetric = mutual_information(push_through_quantizer(
+            pushed, Quantizer.from_labels(labels, out)))
+        assert lut.relevant_info == pytest.approx(symmetric, abs=1e-12)
+        general = mutual_information(push_through_quantizer(
+            pushed, Quantizer.from_labels(reference_general_labels(pushed, out), out)))
+        assert lut.relevant_info <= general + 1e-12
 
     def test_odd_output_size_takes_the_general_path(self):
         msg = quantized_bpsk_message(2.0, 4)
@@ -317,6 +325,17 @@ class TestMirrored:
         joint = JointXY(0.5 * node_joint(NodeFunction.CHECK_XOR, msg, msg).rows)
         general = dp_optimal_quantizer(joint, 3)
         assert np.array_equal(lut.table.ravel(), general.quantizer.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(msg=st.one_of(mirrored_messages(st.integers(1, 64)),
+                         asymmetric_messages(st.integers(1, 64))),
+           n=st.integers(1, 16))
+    def test_one_route_rule_for_both_callers(self, msg, n):
+        # a requantization stage is the DP quantizer of the message's joint:
+        # the type and the matrix must pick the same DP
+        joint = JointXY(0.5 * msg.rows)
+        lut = build_max_lut(NodeFunction.VARIABLE_EQUAL, msg, MessageDist.constant(), n)
+        assert np.array_equal(lut.table[:, 0], dp_optimal_quantizer(joint, n).quantizer.labels)
 
 
 def assert_same_lut(got, want):
@@ -439,6 +458,18 @@ class TestSerialization:
         assert loaded.out_alphabet_size == nv
         assert loaded.out_cond.rows.tobytes() == lut.out_cond.rows.tobytes()
         assert loaded.relevant_info == lut.relevant_info
+
+    def test_every_line_cut_names_the_file(self, tmp_path):
+        msg = quantized_bpsk_message(2.0, 4)
+        path = tmp_path / "node.txt"
+        save_node_lut(build_max_lut(NodeFunction.CHECK_XOR, msg, msg, 4), path,
+                      comment="cut test")
+        lines = path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        for keep in range(len(lines)):
+            cut.write_text("".join(lines[:keep]))
+            with pytest.raises(ValueError, match="lut file .*cut.txt is cut short"):
+                load_node_lut(cut)
 
     def test_header_shape(self, tmp_path):
         msg = quantized_bpsk_message(2.0, 16, num_bins=64)
