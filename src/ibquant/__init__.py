@@ -45,7 +45,7 @@ from .info import (
     push_through_quantizer,
 )
 from .ldpc import LdpcCode, construct_regular_ldpc, count_four_cycles
-from .maxlut import MessageDist, NodeFunction, NodeLut, build_max_lut, cascade_node, node_joint
+from .maxlut import MessageDist, NodeFunction, NodeLut, build_max_lut, cascade_node
 
 __all__ = [
     "AwgnDiscretization", "DmcSpec", "build_ask_awgn", "build_bpsk_awgn",
@@ -57,7 +57,7 @@ __all__ = [
     "ConditionalDist", "JointXY", "Pmf", "avg_kl_distortion", "entropy",
     "kl_divergence", "mutual_information", "push_through_quantizer",
     "LdpcCode", "construct_regular_ldpc", "count_four_cycles",
-    "MessageDist", "NodeFunction", "NodeLut", "build_max_lut", "cascade_node", "node_joint",
+    "MessageDist", "NodeFunction", "NodeLut", "build_max_lut", "cascade_node",
 ]
 
 __version__ = "0.1.0"

@@ -31,6 +31,14 @@ def read_lines(path) -> tuple[list[str], list[str]]:
     return comments, data
 
 
+def fields(line: str, tag: str) -> list[str]:
+    """The fields after the first of a data line; ValueError unless that one is ``tag``."""
+    head, *rest = line.split()
+    if head != tag:
+        raise ValueError(f"expected a {tag} line, got {line!r}")
+    return rest
+
+
 class Reading:
     """A loader's context: a ValueError, or an IndexError for a line the file
     lacks, becomes a ValueError naming the file and the ``section`` read."""

@@ -280,10 +280,7 @@ def load_dmc(path) -> DmcSpec:
     alphabet = next((c.split()[2:] for c in reversed(comments)
                      if c.startswith("# alphabet ")), None)
     with _text.Reading("dmc", path, "header") as reading:
-        tag, num_in, num_out = lines[0].split()
-        if tag != "dmc":
-            raise ValueError(f"not a dmc file: header {lines[0]!r}")
-        num_in, num_out = int(num_in), int(num_out)
+        num_in, num_out = (int(tok) for tok in _text.fields(lines[0], "dmc"))
         reading.section = "prior"
         prior = Pmf(np.array([float(t) for t in lines[1].split()]))
         reading.section = "transition matrix"

@@ -21,7 +21,6 @@ from .maxlut import (
     LutCascade,
     MessageDist,
     NodeFunction,
-    NodeLut,
     _build_cascade,
     _cascade_plan,
     _lut_from_lines,
@@ -85,6 +84,8 @@ class LdpcEnsembleDesign:
         trace = np.asarray(self.error_prob_trace, dtype=float)
         trace.setflags(write=False)
         object.__setattr__(self, "error_prob_trace", trace)
+        if not np.all((trace >= 0.0) & (trace <= 1.0)):  # NaN too
+            raise ValueError("trace entries must be error probabilities in [0, 1]")
         counts = {len(self.check_luts), len(self.var_luts), len(self.decision_luts),
                   trace.size}
         if len(counts) > 1 or 0 in counts:
@@ -253,39 +254,32 @@ def save_design(design: LdpcEnsembleDesign, path, comment: str | None = None) ->
     _text.write_lines(path, lines, comment)
 
 
-def _read_cascade(lines: list[str], pos: int, node: NodeFunction) -> tuple[LutCascade, int]:
-    tag, schedule, num_inputs, num_stages = lines[pos].split()
+def _read_cascade(lines: list[str], pos: int, tag: str,
+                  node: NodeFunction) -> tuple[LutCascade, int]:
+    schedule, num_inputs, num_stages = _text.fields(lines[pos], tag)
     num_inputs, num_stages = int(num_inputs), int(num_stages)
     plan = _cascade_plan(schedule, num_inputs)
     if len(plan) != num_stages:
         raise ValueError(f"a {schedule} chain over {num_inputs} inputs has {len(plan)} "
                          f"stages, not {num_stages}")
     pos += 1
-    luts: list[NodeLut] = []
-    for _ in range(num_stages):
+    stages = []
+    for left, right in plan:
         lut, pos = _lut_from_lines(lines, pos)
-        luts.append(lut)
-    stages = tuple(CascadeStage(left, right, lut)
-                   for (left, right), lut in zip(plan, luts))
-    cascade = LutCascade(node, schedule, num_inputs, stages, luts[-1].out_cond)
-    return cascade, pos
+        stages.append(CascadeStage(left, right, lut))
+    return LutCascade(node, schedule, num_inputs, tuple(stages)), pos
 
 
 def load_design(path) -> LdpcEnsembleDesign:
     """Read a save_design file; a missing, malformed or ill-fitting part raises ValueError."""
     lines = _text.read_lines(path)[1]
     with _text.Reading("design", path, "design header") as reading:
-        header = lines[0].split()
-        if header[0] != "design":
-            raise ValueError(f"not a design file: {lines[0]!r}")
-        message_bits, max_iter, dv, dc = (int(tok) for tok in header[1:])
+        message_bits, max_iter, dv, dc = (int(tok) for tok in _text.fields(lines[0], "design"))
         reading.section = "channel line"
-        _, noise_std, clip, num_bins = lines[1].split()
-        noise_std, clip, num_bins = float(noise_std), float(clip), int(num_bins)
-        dmc = build_bpsk_awgn_sigma(noise_std, num_bins, clip)
+        noise_std, clip, num_bins = _text.fields(lines[1], "channel")
+        dmc = build_bpsk_awgn_sigma(float(noise_std), int(num_bins), float(clip))
         reading.section = "channel quantizer"
-        _, num_in, levels = lines[2].split()
-        num_in, levels = int(num_in), int(levels)
+        num_in, levels = (int(tok) for tok in _text.fields(lines[2], "channel_lut"))
         labels = np.array([int(t) for t in lines[3].split()])
         if labels.size != num_in:
             raise ValueError(f"{labels.size} labels for a header of {num_in} inputs")
@@ -300,16 +294,16 @@ def load_design(path) -> LdpcEnsembleDesign:
                 raise ValueError(f"expected iteration {t} marker, got {lines[pos]!r}")
             pos += 1
             reading.section = f"iteration {t} check chain"
-            chk, pos = _read_cascade(lines, pos, NodeFunction.CHECK_XOR)
+            chk, pos = _read_cascade(lines, pos, "check_chain", NodeFunction.CHECK_XOR)
             reading.section = f"iteration {t} variable chain"
-            var, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
+            var, pos = _read_cascade(lines, pos, "var_chain", NodeFunction.VARIABLE_EQUAL)
             reading.section = f"iteration {t} decision chain"
-            dec, pos = _read_cascade(lines, pos, NodeFunction.VARIABLE_EQUAL)
+            dec, pos = _read_cascade(lines, pos, "decision_chain", NodeFunction.VARIABLE_EQUAL)
             reading.section = f"iteration {t} decision map and trace"
-            bit_map = np.array([int(t) for t in lines[pos].split()[1:]])
-            pos += 1
-            trace.append(float(lines[pos].split()[1]))
-            pos += 1
+            bit_map = np.array([int(tok) for tok in _text.fields(lines[pos], "decision_map")])
+            (err,) = _text.fields(lines[pos + 1], "trace")
+            trace.append(float(err))
+            pos += 2
             check_luts.append(chk)
             var_luts.append(var)
             decision_luts.append(DecisionRule(dec, bit_map))

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _text
 from .ib import _dp_labels
-from .info import (NORM_SKIP, SUM_SLACK, ConditionalDist, JointXY, _prob_array,
-                   mutual_information)
+from .info import (NORM_SKIP, SUM_SLACK, ConditionalDist, JointXY, _normalized,
+                   _prob_array, mutual_information)
 
 
 class NodeFunction(enum.Enum):
@@ -77,12 +77,10 @@ def _mirrored_rows(row0: np.ndarray, partner) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeLut:
-    """Two-input lookup table (l, z) -> v plus its output message statistics."""
+    """Two-input lookup table (l, z) -> v and the output message it produces."""
 
     table: np.ndarray
     out_cond: MessageDist
-    out_alphabet_size: int
-    relevant_info: float
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int64)
@@ -93,20 +91,25 @@ class NodeLut:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
+    @property
+    def out_alphabet_size(self) -> int:
+        return self.out_cond.alphabet_size
 
-def node_joint(f: NodeFunction, a: MessageDist, b: MessageDist) -> ConditionalDist:
-    """p((l, z) | x3) over the row-major product alphabet of the two inputs.
+    @property
+    def relevant_info(self) -> float:
+        """I(v; x3) in bits under an equiprobable code symbol."""
+        return mutual_information(JointXY(0.5 * self.out_cond.rows))
+
+
+def _node_joint(f: NodeFunction, a: MessageDist, b: MessageDist, partner) -> np.ndarray:
+    """p((l, z) | x3) as a (2, |L|*|Z|) row-stochastic matrix over the row-major
+    product alphabet of the two inputs, given ``_partner(f, a, b)``.
 
     For the parity node the incoming symbol pair is uniform over the two
     solutions of x1 xor x2 = x3; for the equality node both inputs describe
     x3 itself.  For two mirrored inputs the x3 = 1 row is the x3 = 0 row,
-    normalized first, with its columns permuted by ``_partner``.
+    normalized first, with its columns permuted by ``partner``.
     """
-    return _node_joint(f, a, b, _partner(f, a, b))
-
-
-def _node_joint(f: NodeFunction, a: MessageDist, b: MessageDist, partner) -> ConditionalDist:
-    """``node_joint`` given ``_partner(f, a, b)``."""
     (a0, a1), (b0, b1) = a.rows, b.rows
     if f is NodeFunction.VARIABLE_EQUAL:
         rows = [np.outer(a0, b0), np.outer(a1, b1)]
@@ -116,12 +119,13 @@ def _node_joint(f: NodeFunction, a: MessageDist, b: MessageDist, partner) -> Con
     else:
         raise ValueError(f"unknown node function {f!r}")
     if partner is not None:
-        return ConditionalDist(_mirrored_rows(rows[0].ravel(), partner))
-    return ConditionalDist(np.vstack([row.ravel() for row in rows]))
+        return _mirrored_rows(rows[0].ravel(), partner)
+    return _normalized(np.vstack([row.ravel() for row in rows]), 1,
+                       "node joint rows deviate from 1 by up to {off!r}")
 
 
 def _partner(f: NodeFunction, a: MessageDist, b: MessageDist) -> np.ndarray | None:
-    """For two mirrored inputs, the node_joint column holding each column's rows swapped:
+    """For two mirrored inputs, the _node_joint column holding each column's rows swapped:
     both input axes reverse for the equality node, the first for the parity node."""
     if not (a.mirrored and b.mirrored):
         return None
@@ -143,17 +147,15 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
     if out_size < 1:
         raise ValueError("out_size must be >= 1")
     partner = _partner(f, a, b)
-    m = 0.5 * _node_joint(f, a, b, partner).rows
+    m = 0.5 * _node_joint(f, a, b, partner)
     # with an even first alphabet no column is its own partner
     mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
     labels = _dp_labels(m, out_size, partner if mirrored else None)
     onehot = np.zeros((labels.shape[0], out_size))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
-    pushed = JointXY(m @ onehot)
-    rows = 2.0 * pushed.matrix  # uniform symbol prior by construction
+    rows = 2.0 * (m @ onehot)  # uniform symbol prior by construction
     out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
-    table = labels.reshape(a.alphabet_size, b.alphabet_size)
-    return NodeLut(table, out_cond, out_size, mutual_information(pushed))
+    return NodeLut(labels.reshape(a.alphabet_size, b.alphabet_size), out_cond)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,10 @@ class LutCascade:
     schedule: str
     num_inputs: int
     stages: tuple[CascadeStage, ...]
-    final: MessageDist
+
+    @property
+    def final(self) -> MessageDist:
+        return self.stages[-1].lut.out_cond
 
     def evaluate(self, inputs) -> np.ndarray:
         """Apply the chain to integer message arrays (one per input, same shape)."""
@@ -246,7 +251,7 @@ def _build_cascade(f: NodeFunction, inputs, out_size: int, schedule: str,
             lut = tables[key] = build_max_lut(func, a, b, out_size)
         stages.append(CascadeStage(left, right, lut))
         dists.append(lut.out_cond)
-    return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
+    return LutCascade(f, schedule, len(inputs), tuple(stages))
 
 
 def save_node_lut(lut: NodeLut, path, comment: str | None = None) -> None:
@@ -269,14 +274,9 @@ def load_node_lut(path) -> NodeLut:
 
 
 def _lut_from_lines(lines, start: int = 0) -> tuple[NodeLut, int]:
-    tag, nl, nz, nv = lines[start].split()
-    if tag != "lut":
-        raise ValueError(f"not a lut header: {lines[start]!r}")
-    nl, nz, nv = int(nl), int(nz), int(nv)
+    nl, nz, nv = (int(tok) for tok in _text.fields(lines[start], "lut"))
     table = np.array([[int(t) for t in lines[start + 1 + i].split()] for i in range(nl)])
     rows = np.array([[float(t) for t in lines[start + 1 + nl + i].split()] for i in range(2)])
     if table.shape != (nl, nz) or rows.shape != (2, nv):
         raise ValueError(f"lut body does not match its header {lines[start]!r}")
-    out_cond = MessageDist(ConditionalDist(rows))
-    info = mutual_information(JointXY(0.5 * rows))
-    return NodeLut(table, out_cond, nv, info), start + 1 + nl + 2
+    return NodeLut(table, MessageDist(ConditionalDist(rows))), start + 1 + nl + 2

@@ -12,6 +12,8 @@ from ibquant.cli import main
 from ibquant.dde import load_design
 from ibquant.maxlut import load_node_lut
 
+from test_dde import DESIGN_TAGS, renamed_tag_lines
+
 
 def run(argv):
     return main(argv)
@@ -433,6 +435,25 @@ class TestLdpcCommands:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert str(cut) in err and "iteration 0" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("tag", DESIGN_TAGS)
+    def test_a_renamed_design_tag_is_a_usage_error(self, tmp_path, capsys, tag):
+        design_file = tmp_path / "design.txt"
+        assert run(["ldpc", "design", "--bits", "3", "--iters", "2", "--ebn0", "2.5",
+                    "--bins", "32", "--out", str(design_file)]) == 0
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(renamed_tag_lines(design_file.read_text().splitlines(),
+                                                   tag)) + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["ldpc", "simulate", "--design", str(bad), "--decoder", "lut",
+                 "--ebn0", "2.5", "--max-frames", "5", "--n", "120",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"design file {bad}" in err and f"expected a {tag} line" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("old,new,message", [

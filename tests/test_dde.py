@@ -194,7 +194,7 @@ def reference_cascade(f, inputs, out_size, schedule):
         lut = maxlut.build_max_lut(func, dists[left], rhs, out_size)
         stages.append(CascadeStage(left, right, lut))
         dists.append(lut.out_cond)
-    return LutCascade(f, schedule, len(inputs), tuple(stages), stages[-1].lut.out_cond)
+    return LutCascade(f, schedule, len(inputs), tuple(stages))
 
 
 def dp_route_channel_stage(dmc, levels):
@@ -366,6 +366,45 @@ class TestTruncatedDesignFile:
             load_design(path)
 
 
+DESIGN_TAGS = ("channel", "channel_lut", "check_chain", "var_chain", "decision_chain",
+               "decision_map", "trace")
+
+
+def renamed_tag_lines(lines, tag):
+    """The lines with the first one tagged ``tag`` tagged as the next of DESIGN_TAGS."""
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == tag)
+    renamed = DESIGN_TAGS[(DESIGN_TAGS.index(tag) + 1) % len(DESIGN_TAGS)]
+    return lines[:at] + [renamed + lines[at][len(tag):]] + lines[at + 1:]
+
+
+class TestDesignFileLines:
+    """Every line of a design file is read under its own tag, and the trace
+    holds probabilities."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("design") / "design.txt"
+        save_design(small_design(bits=2, iters=2), path)
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("tag", DESIGN_TAGS)
+    def test_a_renamed_tag_names_the_file(self, tmp_path, lines, tag):
+        path = tmp_path / "renamed.txt"
+        path.write_text("\n".join(renamed_tag_lines(lines, tag)) + "\n")
+        with pytest.raises(ValueError, match=f"design file .*renamed.txt: .*"
+                                             f"expected a {tag} line"):
+            load_design(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "7", "inf"])
+    def test_a_trace_entry_outside_the_unit_interval_names_the_file(self, tmp_path, lines,
+                                                                     value):
+        at = next(i for i, line in enumerate(lines) if line.startswith("trace "))
+        path = tmp_path / "trace.txt"
+        path.write_text("\n".join(lines[:at] + [f"trace {value}"] + lines[at + 1:]) + "\n")
+        with pytest.raises(ValueError, match=r"design file .*trace.txt: .*in \[0, 1\]"):
+            load_design(path)
+
+
 class TestDesignParts:
     """A design whose parts do not fit together is rejected when it is made."""
 
@@ -390,7 +429,8 @@ class TestDesignParts:
         (lambda d: {"decision_luts": (dde.DecisionRule(
             d.decision_luts[0].cascade, [0, 1, 1]), d.decision_luts[1])},
          "iteration 0 decision map"),
-    ])
+    ] + [(lambda d, value=value: {"error_prob_trace": np.r_[d.error_prob_trace[:-1], value]},
+          r"error probabilities in \[0, 1\]") for value in (np.nan, -0.5, 7.0, np.inf)])
     def test_parts_that_do_not_fit(self, design, change, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(design, **change(design))

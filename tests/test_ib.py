@@ -1175,7 +1175,8 @@ class TestDpMatchesReference:
         assert abs(got.relevant_info - want.relevant_info) <= 1e-12
 
     def test_channel_and_node_joints(self):
-        from ibquant.maxlut import NodeFunction, node_joint
+        from ibquant.maxlut import NodeFunction
+        from test_maxlut import node_joint
         from test_maxlut import quantized_message
         dmc = build_ask_awgn(2, 0.8, 64)
         for n in (2, 4, 8, 16):

@@ -16,11 +16,11 @@ from ibquant.maxlut import (
     MessageDist,
     NodeFunction,
     NodeLut,
+    _node_joint,
     _partner,
     build_max_lut,
     cascade_node,
     load_node_lut,
-    node_joint,
     save_node_lut,
 )
 
@@ -33,6 +33,11 @@ def bsc_message(eps):
 
 
 NOISELESS = MessageDist(ConditionalDist(np.eye(2)))
+
+
+def node_joint(f, a, b):
+    """p((l, z) | x3) of the node as build_max_lut forms it, validated."""
+    return ConditionalDist(_node_joint(f, a, b, _partner(f, a, b)))
 
 
 def hard_decision_error(msg):
@@ -89,7 +94,8 @@ def square_build_max_lut(f, a, b, out_size):
     """build_max_lut through the full-square symmetric DP on the typed partner,
     or the reference general DP, a validated one-hot Quantizer and
     push_through_quantizer, with the table read back by argmax: the route
-    before the DP labels were kept, kept as its oracle."""
+    before the DP labels were kept, kept as its oracle.  Returns the NodeLut
+    and the mutual information of the pushed joint."""
     joint = JointXY(0.5 * node_joint(f, a, b).rows)
     partner = _partner(f, a, b)
     mirrored = partner is not None and out_size % 2 == 0 and a.alphabet_size % 2 == 0
@@ -102,7 +108,8 @@ def square_build_max_lut(f, a, b, out_size):
     rows = 2.0 * pushed.matrix
     out_cond = MessageDist.mirror(rows[0]) if mirrored else MessageDist(ConditionalDist(rows))
     table = quantizer.labels.reshape(a.alphabet_size, b.alphabet_size)
-    return NodeLut(table, out_cond, out_size, mutual_information(pushed))
+    return NodeLut(table, out_cond), mutual_information(pushed)
+
 
 def partner_table(f, table):
     """The table at each outcome's mirror image: node_joint's column partner."""
@@ -338,10 +345,12 @@ class TestMirrored:
         assert np.array_equal(lut.table[:, 0], dp_optimal_quantizer(joint, n).quantizer.labels)
 
 
-def assert_same_lut(got, want):
+def assert_same_lut(got, oracle):
+    want, pushed_info = oracle
     assert np.array_equal(got.table, want.table)
     assert got.out_cond.rows.tobytes() == want.out_cond.rows.tobytes()
     assert float_bits(got.relevant_info) == float_bits(want.relevant_info)
+    assert abs(got.relevant_info - pushed_info) <= 1e-15
 
 
 class TestBuildMaxLutMatchesOracle:
@@ -446,8 +455,7 @@ class TestSerialization:
         raw[:, 0] += raw.sum(axis=1) == 0
         rows = raw / raw.sum(axis=1, keepdims=True)
         table = rng.integers(0, nv, (nl, nz))
-        lut = NodeLut(table, MessageDist(ConditionalDist(rows)), nv,
-                      mutual_information(JointXY(0.5 * rows)))
+        lut = NodeLut(table, MessageDist(ConditionalDist(rows)))
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "a.txt"), Path(tmp, "b.txt")
             save_node_lut(lut, first, comment=comment)
