@@ -4,8 +4,8 @@ The integer lookup-table (LUT) decoder runs a density-evolution design; plain
 and table-corrected min-sum and log-domain belief propagation are the float
 baselines.  One loop (``_decode``) drives every decoder's engine: it runs the
 iterations, stops a frame once its hard decision satisfies every parity
-check, and drops the frames that stopped.  Frames are independent streams
-seeded by (seed, frame_index), so results do not depend on batching.
+check, and drops the frames that stopped.  Frame f draws from its own stream,
+default_rng(SeedSequence((seed, f))), so results do not depend on batching.
 
 Every engine holds its messages slot-major: one contiguous (nodes, batch) row
 block per node slot, so moving them between the variable and the check view
@@ -15,18 +15,18 @@ are dropped by selecting columns.
 The LUT decoder packs p = max(1, 8 // b) frames' b-bit messages into each
 byte, frame k of a byte at bits k * b (``_FramePacking``), so one lookup
 serves p frames; designs of 5 to 8 bits hold one frame per byte, and wider
-messages are rejected.  At the start of every call it compiles its design: each
-two-operand stage table becomes a 65,536-entry uint8 table indexed by the
-uint16 pair (L << 8) | R of two packed bytes, and a stage whose right operand
-is the constant zero a 256-entry table indexed by L; each distinct stage is
-built once per call.  For 4-bit messages compiling and packing take a few
-milliseconds.  Each iteration's cascades form one lookup program in which a
-sub-chain shared by several exclusive outputs, or by the variable and
-decision cascades, runs once; the next v2c messages and the hard decision
-come out of one program.  Parity is bitwise, so the syndrome of the packed
-decision bytes holds every frame's syndrome at its bit: one OR over the
-checks gives a byte per group, unpacked into one failure flag per frame, and
-decisions are unpacked only for frames that finish.  In an iteration where
+messages are rejected.  The first call with a design compiles it and keeps the
+program on the design for every later call: each two-operand stage table
+becomes a 65,536-entry uint8 table indexed by the uint16 pair (L << 8) | R of
+two packed bytes, and a stage whose right operand is the constant zero a
+256-entry table indexed by L; each distinct stage is built once.  For 4-bit
+messages compiling takes a few milliseconds.  Each iteration's cascades form
+one lookup program in which a sub-chain shared by several exclusive outputs,
+or by the variable and decision cascades, runs once; the next v2c messages
+and the hard decision come out of one program.  Parity is bitwise, so the
+syndrome of the packed decision bytes holds every frame's syndrome at its
+bit: one OR over the checks gives a byte per group, unpacked into one failure
+flag per frame, and decisions are unpacked only for frames that finish.  In an iteration where
 some frames pass their syndrome, the frames left are paired again, p to a
 byte: bytes whose frames all continue are kept, the others' frames are
 unpacked and packed anew, and copies of the last of them fill the free
@@ -301,15 +301,19 @@ class _LutEngine:
     """The LUT decoder's programs and its packed state: the channel messages,
     then the v2c messages, n rows each."""
 
-    def __init__(self, code: LdpcCode, design: LdpcEnsembleDesign, bins: np.ndarray,
-                 max_iter: int):
+    def __init__(self, code: LdpcCode, design: LdpcEnsembleDesign, bins: np.ndarray):
         self.code, self.frames = code, bins.shape[0]
-        self.packing = _FramePacking(design.message_bits)
-        self.plans = [_compile_iteration(design, t, self.packing)
-                      for t in range(min(max_iter, design.max_iter))]
+        program = vars(design).get("_lut_program")
+        if program is None:  # compiled once and kept on the design, not as a field
+            packing = _FramePacking(design.message_bits)
+            program = (packing, [_compile_iteration(design, t, packing)
+                                 for t in range(design.max_iter)],
+                       design.channel_lut.labels.astype(np.uint8))
+            object.__setattr__(design, "_lut_program", program)
+        self.packing, self.plans, labels = program
         to_checks, self.to_vars = _slot_permutations(code)
         self.to_checks = code.block_length + to_checks  # past the channel rows
-        chan = self.packing.pack(design.channel_lut.labels.astype(np.uint8).take(bins.T))
+        chan = self.packing.pack(labels.take(bins.T))
         self.state = np.tile(chan, (1 + code.var_degree, 1))
 
     def step(self, t: int) -> np.ndarray:
@@ -368,6 +372,7 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
 
     channel_bins has shape (batch, n); returns (bits, iterations, converged).
     Iterations beyond the designed depth reuse the last iteration's tables.
+    A design is compiled on its first call, and later calls reuse the program.
     """
     bins = np.asarray(channel_bins)
     if not np.issubdtype(bins.dtype, np.integer):
@@ -380,7 +385,7 @@ def decode_lut_batch(code: LdpcCode, design: LdpcEnsembleDesign,
         raise ValueError("max_iter must be >= 1")
     if code.var_degree != design.var_degree or code.check_degree != design.check_degree:
         raise ValueError("design degrees do not match the code")
-    return _decode(_LutEngine(code, design, bins, max_iter), bins.shape[0], max_iter)
+    return _decode(_LutEngine(code, design, bins), bins.shape[0], max_iter)
 
 
 _SIGN_BIT = np.int64(-2**63)
@@ -560,8 +565,45 @@ def decode_llr_batch(code: LdpcCode, llrs: np.ndarray, max_iter: int,
 DECODERS = ("lut", "minsum", "minsum-corrected", "bp")
 
 
-def _frame_rng(seed: int, frame: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, frame)))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: np.ndarray, const: list[int]) -> np.ndarray:
+    """numpy's SeedSequence hashmix on uint32 arrays; advances const = [hash, mult]."""
+    value = value ^ np.uint32(const[0])
+    const[0] = const[0] * const[1] & 0xFFFFFFFF
+    value = value * np.uint32(const[0])
+    return value ^ value >> 16
+
+
+def _frame_streams(seed: int, first: int, count: int):
+    """One Generator set in turn to default_rng(SeedSequence((seed, frame))) of
+    frame first, first + 1, ...: SeedSequence's hash runs on all frames' uint32
+    entropy words at once, and PCG64's seeding on its generate_state(4)."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    rng = np.random.Generator(np.random.PCG64(0))
+    split = min(max(first, 1 << 32), first + count)  # frames of one 32-bit word, then two
+    for start, stop, shifts in ((first, split, (0,)), (split, first + count, (0, 32))):
+        frames = np.arange(start, stop, dtype=np.uint64)
+        words = [np.full(frames.size, seed >> s & 0xFFFFFFFF, np.uint32)
+                 for s in range(0, max(int(seed).bit_length(), 1), 32)]
+        words += [(frames >> np.uint64(s)).astype(np.uint32) for s in shifts]
+        const = [0x43b0d7e5, 0x931e8875]
+        pool = [_hashmix(w, const) for w in (words + [np.zeros_like(words[0])] * 2)[:4]]
+        # every pool word into every other, then each word past the fourth into all four
+        for src, dst in ((i, d) for i in range(max(4, len(words))) for d in range(4) if i != d):
+            mixed = pool[dst] * np.uint32(0xca01f9dd) - np.uint32(0x4973f715) * _hashmix(
+                (pool + words[4:])[src], const)
+            pool[dst] = mixed ^ mixed >> 16
+        const = [0x8b51f9dd, 0x58f38ded]
+        out = [_hashmix(pool[i % 4], const).tolist() for i in range(8)]
+        for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*out):
+            inc = ((w5 << 32 | w4) << 65 | (w7 << 32 | w6) << 1 | 1) % 2**128
+            state = (((w1 << 32 | w0) << 64 | w3 << 32 | w2) + inc) * _PCG64_MULT + inc
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state % 2**128, "inc": inc}}
+            yield rng
 
 
 def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
@@ -609,15 +651,14 @@ def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
             count = min(batch_size, max_frames - frames)
             tx = np.zeros((count, n), dtype=np.uint8)
             noise = np.empty((count, n))
-            for k in range(count):
+            for k, rng in enumerate(_frame_streams(seed, frames, count)):
                 # one stream per frame: info bits first, then the noise
-                rng = _frame_rng(seed, frames + k)
                 if gen is not None:
-                    info = rng.integers(0, 2, size=gen.shape[0]).astype(np.uint8)
-                    tx[k] = encode(gen, info)
+                    tx[k] = encode(gen, rng.integers(0, 2, size=gen.shape[0]).astype(np.uint8))
                 rng.standard_normal(out=noise[k])
             noise *= sigma
-            bins = disc.bin_of((1.0 - 2.0 * tx.astype(float)) + noise)
+            noise += 1.0 if gen is None else 1.0 - 2.0 * tx  # the BPSK signal
+            bins = disc.bin_of(noise)
             if decoder == "lut":
                 bits, iters, _ = decode_lut_batch(code, pt_design, bins, max_iter)
             else:

@@ -178,10 +178,16 @@ class _SweepData:
 
 
 def _positive_mass(j: JointXY) -> tuple[np.ndarray, _SweepData]:
-    """Mask of the observation symbols with mass, and their sweep data."""
-    py = j.matrix.sum(axis=0)
-    keep = py > 0   # never empty: a JointXY sums to 1
-    return keep, _SweepData(j.matrix[:, keep], py[keep])
+    """Mask of the observation symbols with mass, and their read-only sweep data."""
+    cached = vars(j).get("_positive_mass")
+    if cached is None:  # built once and kept on the joint, not as a field
+        py = j.matrix.sum(axis=0)
+        keep = py > 0   # never empty: a JointXY sums to 1
+        cached = keep, _SweepData(j.matrix[:, keep], py[keep])
+        for arr in (keep, *vars(cached[1]).values()):
+            arr.setflags(write=False)
+        object.__setattr__(j, "_positive_mass", cached)
+    return cached
 
 
 # exp(x) is +0.0 in IEEE double for every x below about -745.13.  numpy's exp

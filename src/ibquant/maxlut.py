@@ -57,7 +57,10 @@ class MessageDist:
     @classmethod
     def mirror(cls, row0) -> "MessageDist":
         """The message with p(v|0) = row0 and p(v|1) its exact reversal."""
-        return cls(ConditionalDist(_mirrored_rows(_prob_array(row0, 1), np.s_[::-1])))
+        row0 = np.asarray(row0, dtype=float)
+        if row0.ndim != 1 or not np.isfinite(row0).all():
+            _prob_array(row0, 1)  # raises its error; ConditionalDist checks the rest
+        return cls(ConditionalDist(_mirrored_rows(row0, np.s_[::-1])))
 
     @classmethod
     def constant(cls) -> "MessageDist":

@@ -13,7 +13,6 @@ from ibquant.channels import build_ask_awgn, build_bpsk_awgn, ebn0_db_to_noise_s
 from ibquant.cli import main as cli_main
 from ibquant.dde import design_decoder
 from ibquant.decoders import (
-    _frame_rng,
     ber_sweep,
     decode_llr_batch,
     decode_lut_batch,
@@ -246,7 +245,8 @@ def test_criterion_7_decoder_ordering():
     design = design_decoder(dmc, 3, 6, 4, 50)
     sigma = ebn0_db_to_noise_std(2.0, 0.5)
     bins = np.stack([
-        dmc.discretization.bin_of(1.0 + sigma * _frame_rng(909, k).standard_normal(n))
+        dmc.discretization.bin_of(1.0 + sigma * np.random.default_rng(
+            np.random.SeedSequence((909, k))).standard_normal(n))
         for k in range(100)])
     bits, _, conv = decode_lut_batch(code, design, bins, 50)
     assert np.all(code.parity_ok(bits[conv]))

@@ -162,7 +162,7 @@ class TestSerialization:
 
     def test_loaded_design_decodes_identically(self, tmp_path):
         from ibquant.channels import ebn0_db_to_noise_std
-        from ibquant.decoders import _frame_rng, decode_lut_batch
+        from ibquant.decoders import decode_lut_batch
         from ibquant.ldpc import construct_regular_ldpc
 
         design = small_design(ebn0=1.5, bins=64, bits=4, iters=8)
@@ -174,7 +174,8 @@ class TestSerialization:
         sigma = ebn0_db_to_noise_std(1.5, 0.5)
         disc = design.dmc.discretization
         bins = np.stack([
-            disc.bin_of(1.0 + sigma * _frame_rng(5, k).standard_normal(120))
+            disc.bin_of(1.0 + sigma * np.random.default_rng(
+                np.random.SeedSequence((5, k))).standard_normal(120))
             for k in range(30)])
         a = decode_lut_batch(code, design, bins, 20)
         b = decode_lut_batch(code, loaded, bins, 20)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,6 @@ from ibquant.decoders import (
     _CHECK_UPDATES,
     _CLOSED_FORM_BOUND,
     _CORRECTION_TABLE,
-    _frame_rng,
     _FramePacking,
     ber_sweep,
     decode_llr_batch,
@@ -25,6 +26,11 @@ from ibquant.decoders import (
     write_ber_csv,
 )
 from ibquant.ldpc import LdpcCode, construct_regular_ldpc
+
+
+def _frame_rng(seed, frame):
+    """The stream of one frame, as ber_sweep draws it."""
+    return np.random.default_rng(np.random.SeedSequence((seed, frame)))
 
 
 def make_code(n=120, seed=3):
@@ -385,6 +391,14 @@ def oracle_designs(setup_2db, tmp_path_factory):
     return designs
 
 
+@pytest.fixture(scope="module")
+def alternating_designs():
+    """A 2.0 dB 4-bit and a 2.5 dB 3-bit design for one code."""
+    code = construct_regular_ldpc(120, 3, 6, seed=3)
+    return code, {name: design_decoder(build_bpsk_awgn(ebn0, 0.5, 64), 3, 6, bits, 20)
+                  for name, ebn0, bits in (("2.0dB-4bit", 2.0, 4), ("2.5dB-3bit", 2.5, 3))}
+
+
 class TestCompiledLutDecoder:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(ORACLE_DESIGNS) + ["3bit-loaded", "4bit-mixed"]),
@@ -423,6 +437,95 @@ class TestCompiledLutDecoder:
                     {"decision_luts": two_bit.decision_luts[:iters]}):
             with pytest.raises(ValueError, match="message alphabet"):
                 decode_lut_batch(code, dataclasses.replace(design, **bad), bins, 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.lists(st.sampled_from(["2.0dB-4bit", "2.5dB-3bit"]), min_size=1,
+                          max_size=5),
+           batch=st.integers(1, 30), max_iter=st.integers(1, 30),
+           sigma=st.floats(0.5, 1.2), seed=st.integers(0, 2**32 - 1))
+    @example(order=["2.0dB-4bit", "2.0dB-4bit"], batch=9, max_iter=20, sigma=0.9, seed=1)
+    @example(order=["2.0dB-4bit", "2.5dB-3bit"] * 2, batch=5, max_iter=25, sigma=0.8,
+             seed=2)
+    def test_matches_fresh_compile_and_reference(self, alternating_designs, order, batch,
+                                                 max_iter, sigma, seed):
+        code, designs = alternating_designs
+        rng = np.random.default_rng(seed)
+        for name in order:
+            design = designs[name]
+            received = 1.0 + sigma * rng.standard_normal((batch, code.block_length))
+            bins = design.dmc.discretization.bin_of(received)
+            got = decode_lut_batch(code, design, bins, max_iter)
+            fresh = decode_lut_batch(code, dataclasses.replace(design), bins, max_iter)
+            want = reference_decode_lut_batch(code, design, bins, max_iter)
+            for g, f, w in zip(got, fresh, want):
+                assert g.dtype == f.dtype == w.dtype
+                assert np.array_equal(g, f)
+                assert np.array_equal(g, w)
+
+    def test_compiles_once_per_design(self, alternating_designs):
+        code, designs = alternating_designs
+        design = dataclasses.replace(designs["2.0dB-4bit"])
+        bins = np.zeros((3, code.block_length), dtype=np.int64)
+        with mock.patch.object(decoders, "_compile_iteration",
+                               wraps=decoders._compile_iteration) as compile_iteration:
+            decode_lut_batch(code, design, bins, 2)
+            assert compile_iteration.call_count == design.max_iter
+            program = vars(design)["_lut_program"]
+            ber_sweep(code, "lut", [2.0], 30, design=design, batch_size=7)
+            assert compile_iteration.call_count == design.max_iter
+        assert vars(design)["_lut_program"] is program
+
+    def test_program_is_freed_with_its_design(self, alternating_designs):
+        code, designs = alternating_designs
+        design = dataclasses.replace(designs["2.5dB-3bit"])
+        decode_lut_batch(code, design, np.zeros((2, code.block_length), dtype=np.int64), 3)
+        packing = weakref.ref(vars(design)["_lut_program"][0])
+        del design
+        gc.collect()
+        assert packing() is None
+
+    def test_design_fields_equality_and_bytes_unchanged(self, alternating_designs,
+                                                        tmp_path):
+        code, designs = alternating_designs
+        design = designs["2.0dB-4bit"]
+        copy = dataclasses.replace(design)
+        save_design(copy, tmp_path / "before.txt")
+        fields = dataclasses.fields(copy)
+        decode_lut_batch(code, copy, np.zeros((2, code.block_length), dtype=np.int64), 3)
+        assert "_lut_program" in vars(copy)
+        save_design(copy, tmp_path / "after.txt")
+        assert dataclasses.fields(copy) == fields
+        assert copy == design and not copy != design
+        assert (tmp_path / "after.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
+
+
+class TestFrameStreams:
+    """ber_sweep's per-frame streams equal default_rng(SeedSequence((seed, frame)))."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**130)),
+           first=st.one_of(st.integers(0, 40), st.integers(2**32 - 6, 2**32 + 6),
+                           st.integers(2**32, 2**63)),
+           count=st.integers(1, 12), info_bits=st.integers(0, 9))
+    @example(seed=0, first=0, count=3, info_bits=0)
+    @example(seed=2**130, first=2**32 - 2, count=5, info_bits=7)
+    @example(seed=2**64, first=2**63, count=2, info_bits=1)
+    def test_same_draws_as_a_generator_per_frame(self, seed, first, count, info_bits):
+        frames = 0
+        for k, rng in enumerate(decoders._frame_streams(seed, first, count)):
+            want = _frame_rng(seed, first + k)
+            if info_bits:
+                assert np.array_equal(rng.integers(0, 2, info_bits),
+                                      want.integers(0, 2, info_bits))
+            assert np.array_equal(rng.standard_normal(6), want.standard_normal(6))
+            frames += 1
+        assert frames == count
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            next(decoders._frame_streams(-1, 0, 1))
+        with pytest.raises(ValueError):
+            ber_sweep(make_code(), "bp", [2.0], 5, seed=-3)
 
 
 class TestFramePacking:

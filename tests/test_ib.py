@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -988,6 +990,22 @@ class TestKlMeans:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="lam must be finite and non-negative"):
                 kl_means_ib(j, 3, lam=lam, init=0)
+
+    def test_sweep_data_is_built_once_per_joint(self):
+        m = random_joint(np.random.default_rng(15), 3, 9).matrix.copy()
+        m[:, 4] = 0.0  # a symbol without mass
+        j = JointXY(m / m.sum())
+        with mock.patch("ibquant.ib._SweepData", wraps=_SweepData) as built:
+            designs = [kl_means_ib(j, 3, init=r) for r in range(4)]
+            assert built.call_count == 1
+        keep, data = _positive_mass(j)
+        assert _positive_mass(j)[1] is data
+        assert not any(arr.flags.writeable for arr in (keep, *vars(data).values()))
+        assert [f.name for f in dataclasses.fields(j)] == ["matrix"]
+        for r, design in enumerate(designs):
+            again = kl_means_ib(JointXY(j.matrix.copy()), 3, init=r)
+            assert np.array_equal(design.quantizer.mapping.rows, again.quantizer.mapping.rows)
+            assert design.info_loss == again.info_loss
 
     def test_huge_lambda_collapses(self):
         rng = np.random.default_rng(13)

@@ -1,6 +1,8 @@
 import itertools
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from ibquant.channels import build_bpsk_awgn
 from ibquant.ib import Quantizer, dp_optimal_quantizer
-from ibquant.info import (NORM_SKIP, ConditionalDist, JointXY, mutual_information,
-                          push_through_quantizer)
+from ibquant.info import (NORM_SKIP, ConditionalDist, JointXY, _prob_array,
+                          mutual_information, push_through_quantizer)
 from ibquant.maxlut import (
     LutCascade,
     MessageDist,
@@ -284,6 +286,19 @@ class TestMirrored:
     def test_mirror_rejects_what_is_not_a_distribution(self, row0):
         with pytest.raises(ValueError):
             MessageDist.mirror(row0)
+
+    @pytest.mark.parametrize("row0", [[[0.5, 0.5]], 0.5, [], [0.5, np.nan],
+                                      [np.inf, -np.inf], [1.5, -0.5], [2.0, -1.0]])
+    def test_mirror_rejects_with_the_messages_of_a_row_check(self, row0):
+        with pytest.raises(ValueError) as want:
+            _prob_array(row0, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            MessageDist.mirror(row0)
+
+    def test_mirror_validates_once(self):
+        with mock.patch("ibquant.info._prob_array", wraps=_prob_array) as check:
+            MessageDist.mirror([0.25, 0.75])
+        assert check.call_count == 1
 
     @settings(max_examples=200, deadline=None)
     @given(size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
