@@ -54,7 +54,9 @@ class AwgnDiscretization:
 
         The same as clip(searchsorted(bin_edges, x, side="right") - 1), so NaN
         falls in the last bin.  The bin is computed from the uniform width,
-        then moved at most one bin against the edges; an entry that one move
+        then moved at most one bin against the edges: both moves are decided
+        from that estimate, since a sample below its bin's lower edge lies
+        below the upper edge of the bin under it.  A moved entry that the move
         does not settle (only possible when the edges are not uniform) is
         searched for.
         """
@@ -70,12 +72,16 @@ class AwgnDiscretization:
         # edges[i] <= x < edges[i + 1] settles bin i; NaN marks an open end
         lower = np.concatenate(([np.nan], edges[1:-1]))
         upper = np.concatenate((edges[1:-1], [np.nan]))
-        idx -= x < lower[idx]
-        idx += x >= upper[idx]
-        unsettled = (x < lower[idx]) | (x >= upper[idx])
-        if unsettled.any():
+        down = x < lower.take(idx)
+        up = x >= upper.take(idx)
+        idx -= down
+        idx += up
+        moved = np.flatnonzero(down | up)
+        if moved.size:
+            x, bins = x.take(moved), idx.take(moved)
+            unsettled = (x < lower.take(bins)) | (x >= upper.take(bins))
             found = np.searchsorted(edges, x[unsettled], side="right") - 1
-            idx[unsettled] = np.clip(found, 0, last)
+            np.put(idx, moved[unsettled], np.clip(found, 0, last))
         return idx
 
 
@@ -216,11 +222,22 @@ def build_ask_awgn(levels: int, noise_std: float, num_bins: int,
 
 
 def ebn0_db_to_noise_std(ebn0_db: float, code_rate: float) -> float:
-    """Noise std for unit-energy antipodal signaling at the given Eb/N0."""
+    """Noise std for unit-energy antipodal signaling at the given Eb/N0.
+
+    Raises ValueError when Eb/N0 is not finite or gives no positive finite std.
+    """
     if not 0.0 < code_rate <= 1.0:
         raise ValueError("code_rate must lie in (0, 1]")
-    sigma2 = 1.0 / (2.0 * code_rate * 10.0 ** (ebn0_db / 10.0))
-    return float(np.sqrt(sigma2))
+    sigma = math.nan
+    if math.isfinite(ebn0_db):
+        try:
+            with np.errstate(all="ignore"):
+                sigma = float(np.sqrt(1.0 / (2.0 * code_rate * 10.0 ** (ebn0_db / 10.0))))
+        except (OverflowError, ZeroDivisionError):
+            pass
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no positive finite noise std")
+    return sigma
 
 
 def build_bpsk_awgn(ebn0_db: float, code_rate: float, num_bins: int,

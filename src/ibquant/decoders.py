@@ -44,7 +44,12 @@ smallest magnitudes of every check instead of sorting it; corrected min-sum
 chains table-corrected boxplus operations from both ends, starting from
 certainty, each step against it the closed form (x + g) - g, g the last table
 entry, which is exact for inputs below 1e8: corrected min-sum rejects channel
-LLRs that are not finite and below 1e8 in magnitude.  BP multiplies
+LLRs that are not finite and below 1e8 in magnitude.  Each correction
+g(|a +- b|) is one lookup keyed by the top 17 bits of the float a +- b (sign,
+exponent, 5 mantissa bits) in a 2**17-entry (1 MB) table, built from the
+64-entry one on the first corrected call; it holds the entry
+floor(|a +- b| / 0.25) would index, since below 16 a key spans at most 0.25
+and starts on a multiple of its span.  BP multiplies
 tanh(x/2) from both ends.  The posterior is the dv check outputs of a
 variable added left to right, then the channel LLR.  The hard decision goes
 to the syndrome as the transposed (n, batch) comparison, with no copy.
@@ -52,6 +57,8 @@ to the syndrome as the transposed (n, batch) comparison, with no copy.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,9 +428,36 @@ def _minsum_check_update(mc: np.ndarray, out: np.ndarray) -> None:
     bits ^= signs
 
 
-def _correction(t: np.ndarray) -> np.ndarray:
-    """g(t) for 0 <= t < 2**60, where the integer cast is exact and may come first."""
-    return _CORRECTION_TABLE.take((t / CORRECTION_STEP).astype(np.intp), mode="clip")
+# A float64's top 17 bits (sign, exponent, 5 mantissa bits) key its correction
+_KEY_SHIFT = 47
+
+
+@functools.cache
+def _correction_by_key() -> np.ndarray:
+    """g(|s|) for every key s >> _KEY_SHIFT of a float64 s, built on first use.
+
+    Below 16 a key spans at most CORRECTION_STEP and starts on a multiple of
+    its span, so g of its smallest |s| holds for all of it; every key of
+    |s| >= 16 gets the last entry.  The sign bit only doubles the table.
+    """
+    keys = np.arange(1 << (64 - _KEY_SHIFT), dtype=np.uint64)
+    keys &= (1 << (63 - _KEY_SHIFT)) - 1
+    end = np.float64(CORRECTION_TABLE_SIZE * CORRECTION_STEP).view(np.uint64)
+    np.minimum(keys, end >> _KEY_SHIFT, out=keys)
+    keys <<= _KEY_SHIFT
+    t = keys.view(np.float64)  # the smallest |s| of each key, at most 16
+    t /= CORRECTION_STEP
+    np.minimum(t, CORRECTION_TABLE_SIZE - 1, out=t)
+    _CORRECTION_TABLE.take(t.astype(np.intp), out=t)
+    t.setflags(write=False)  # shared by every caller
+    return t
+
+
+def _correction(s: np.ndarray) -> np.ndarray:
+    """g(|s|) for a float64 temporary s, whose bits become its keys."""
+    keys = s.view(np.uint64)
+    keys >>= _KEY_SHIFT
+    return _correction_by_key().take(keys.view(np.intp))
 
 
 def _boxplus(a: np.ndarray, b: np.ndarray, abs_b: np.ndarray,
@@ -431,14 +465,14 @@ def _boxplus(a: np.ndarray, b: np.ndarray, abs_b: np.ndarray,
     mag = np.minimum(np.abs(a), abs_b, out=out)
     # a signed zero here is harmless: the correction term added next is > 0
     np.copysign(mag, a * b, out=mag)
-    mag += _correction(np.abs(a + b))
-    mag -= _correction(np.abs(a - b))
+    mag += _correction(a + b)
+    mag -= _correction(a - b)
     return mag
 
 
 # Corrected min-sum takes channel LLRs below this magnitude.  Below it
 # boxplus(1e9, x), 1e9 standing for certainty, is exactly (x + g63) - g63:
-# the min picks |x|, the sign is x's, and both correction indices clip to 63.
+# the min picks |x|, the sign is x's, and both corrections are the last entry.
 _CLOSED_FORM_BOUND = 1e8
 
 
@@ -625,6 +659,12 @@ def ber_sweep(code: LdpcCode, decoder: str, ebn0_list, max_frames: int,
         raise ValueError("codewords must be 'zero' or 'random'")
     if max_iter < 1 or batch_size < 1:
         raise ValueError("max_iter and batch_size must be >= 1")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if max_frames <= 0:
         return []
     n = code.block_length

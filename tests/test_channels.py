@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -102,6 +103,12 @@ class TestAskAwgn:
 class TestBpskAwgn:
     def test_sigma_formula_at_2db(self):
         assert ebn0_db_to_noise_std(2.0, 0.5) ** 2 == pytest.approx(0.6310, abs=5e-5)
+
+    @pytest.mark.parametrize("ebn0", [-np.inf, np.inf, np.nan, -4000.0, 4000.0])
+    def test_rejects_eb_n0_without_a_positive_finite_noise_std(self, ebn0):
+        for convert in (ebn0_db_to_noise_std, lambda e, r: build_bpsk_awgn(e, r, 16)):
+            with pytest.raises(ValueError, match=re.escape(f"Eb/N0 of {ebn0} dB")):
+                convert(ebn0, 0.5)
 
     def test_near_noiseless(self):
         dmc = build_bpsk_awgn(20.0, 0.5, 16)

@@ -337,6 +337,7 @@ class TestLdpcCommands:
         (["--ebn0", "nan"], "--ebn0 must be finite"),
         (["--ebn0", "inf"], "--ebn0 must be finite"),
         (["--ebn0=-inf"], "--ebn0 must be finite"),
+        (["--ebn0=-4000"], "Eb/N0 of -4000.0 dB gives no positive finite noise std"),
         (["--rate", "0"], "code_rate must lie in (0, 1]")])
     def test_invalid_design_channel_is_usage_error(self, tmp_path, extra, message,
                                                    capsys, monkeypatch):
@@ -357,6 +358,7 @@ class TestLdpcCommands:
         (["--clip", "-0.5"], "clip_multiplier must be >= 0"),
         (["--ebn0", "2.0,nan"], "--ebn0 must be finite"),
         (["--ebn0", "inf"], "--ebn0 must be finite"),
+        (["--ebn0", "2.0,4000"], "Eb/N0 of 4000.0 dB gives no positive finite noise std"),
         (["--seed", "-1"], "--seed must be >= 0"),
         (["--code-seed", "-1"], "--code-seed must be >= 0"),
         (["--max-frames", "0"], "--max-frames must be >= 1"),

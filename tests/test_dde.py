@@ -55,6 +55,11 @@ class TestDesign:
         assert design.max_iter == 50
         assert design.error_prob_trace[-1] > 1e-3
 
+    @pytest.mark.parametrize("ebn0", [np.nan, -4000.0, 4000.0])
+    def test_rejects_eb_n0_without_a_positive_finite_noise_std(self, ebn0):
+        with pytest.raises(ValueError, match="Eb/N0 of"):
+            dde.design_bpsk_decoder(ebn0, 3, 6)
+
     def test_message_information_grows_with_iterations(self):
         design = small_design(ebn0=1.5, iters=5)
         infos = [mutual_information(JointXY(0.5 * chain.final.rows))

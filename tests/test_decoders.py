@@ -1,7 +1,11 @@
 import dataclasses
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -730,6 +734,54 @@ class TestSlotMajorFloatDecoder:
                 decode_llr_batch(code, llr, max_iter, "bp")
 
 
+class TestCorrectionByKey:
+    """One lookup by a float's top 17 bits gives the tabulated g(|s|) of every s."""
+
+    @staticmethod
+    def want(s):
+        # the oracle's integer cast holds below 2**63; every |s| >= 16 takes entry 63
+        return _reference_correction(np.minimum(np.abs(s), 2.0**60))
+
+    def test_both_ends_of_every_key(self):
+        keys = np.arange(1 << 17, dtype=np.uint64) << np.uint64(47)
+        for bits in (keys, keys | np.uint64((1 << 47) - 1)):
+            s = bits.view(np.float64)
+            s = s[np.isfinite(s)]
+            assert s.size >= (1 << 17) - 2 * 32
+            assert np.array_equal(decoders._correction(s.copy()), self.want(s))
+
+    def test_step_boundaries_zeros_subnormals_and_the_bound(self):
+        steps = CORRECTION_STEP * np.arange(CORRECTION_TABLE_SIZE + 1)
+        tiny = np.finfo(np.float64).tiny
+        s = np.concatenate([steps, np.nextafter(steps, -np.inf),
+                            [5e-324, tiny / 2, np.nextafter(tiny, 0.0), tiny,
+                             np.nextafter(_CLOSED_FORM_BOUND, 0.0)]])
+        s = np.concatenate([s, -s])
+        assert np.signbit(s[s == 0]).sum() == 1  # -0.0 as well as 0.0
+        assert np.array_equal(decoders._correction(s.copy()), self.want(s))
+
+    def test_built_once_on_the_first_corrected_decode(self):
+        script = "\n".join([
+            "import numpy as np",
+            "import ibquant",
+            "from ibquant import decoders",
+            "from ibquant.ldpc import construct_regular_ldpc",
+            "built = decoders._correction_by_key.cache_info",
+            "assert built().misses == 0, 'import built the table'",
+            "code = construct_regular_ldpc(120, 3, 6, seed=3)",
+            "llr = np.full((2, 120), 2.0)",
+            "for engine in ('minsum', 'bp'):",
+            "    decoders.decode_llr_batch(code, llr, 3, engine)",
+            "assert built().misses == 0, 'another engine built the table'",
+            "for _ in range(2):",
+            "    decoders.decode_llr_batch(code, llr, 3, 'minsum-corrected')",
+            "assert built().misses == 1",
+            "assert decoders._correction_by_key().nbytes <= 1 << 20",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(decoders.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
 class TestEmptyBatch:
     def test_lut_decoder(self, oracle_designs):
         code, design = oracle_designs["4bit-below"]
@@ -859,6 +911,29 @@ class TestBerSweep:
                                side_effect=AssertionError("sampled a batch")):
             with pytest.raises(ValueError, match="batch_size"):
                 ber_sweep(code, "bp", [2.0], max_frames=4, batch_size=batch_size)
+
+    @pytest.mark.parametrize("decoder", decoders.DECODERS)
+    @pytest.mark.parametrize("ebn0", [np.nan, -4000.0, 4000.0])
+    def test_rejects_eb_n0_without_a_positive_finite_noise_std(self, decoder, ebn0):
+        with pytest.raises(ValueError, match="Eb/N0 of"):
+            ber_sweep(make_code(), decoder, [ebn0], max_frames=4)
+
+    @pytest.mark.parametrize("decoder", ["lut", "bp"])
+    @pytest.mark.parametrize("seed, error", [(1.5, TypeError), ("3", TypeError),
+                                             (None, TypeError), (-3, ValueError)])
+    def test_rejects_a_bad_seed_before_designing_or_sampling(self, decoder, seed, error):
+        with mock.patch.object(decoders, "design_decoder",
+                               side_effect=AssertionError("designed a decoder")), \
+                mock.patch.object(decoders, "_frame_streams",
+                                  side_effect=AssertionError("sampled a batch")):
+            with pytest.raises(error, match="seed"):
+                ber_sweep(make_code(), decoder, [2.0], max_frames=4, seed=seed)
+
+    def test_takes_a_numpy_integer_seed(self):
+        code = make_code()
+        want = ber_sweep(code, "minsum", [2.0], max_frames=4, seed=3, num_bins=32)
+        assert ber_sweep(code, "minsum", [2.0], max_frames=4, seed=np.int64(3),
+                         num_bins=32) == want
 
     def test_unknown_decoder(self):
         code = make_code()
