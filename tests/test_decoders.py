@@ -739,7 +739,8 @@ class TestCorrectionByKey:
 
     @staticmethod
     def want(s):
-        # the oracle's integer cast holds below 2**63; every |s| >= 16 takes entry 63
+        # the oracle casts |s| / 0.25 to int64, so it is fed at most 2**60: every |s| >= 16
+        # takes entry 63
         return _reference_correction(np.minimum(np.abs(s), 2.0**60))
 
     def test_both_ends_of_every_key(self):
