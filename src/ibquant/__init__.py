@@ -30,7 +30,6 @@ from .ib import (
     agglomerative_ib,
     dp_optimal_quantizer,
     ib_curve,
-    ib_objective,
     iterative_ib,
     kl_means_ib,
 )
@@ -38,7 +37,6 @@ from .info import (
     ConditionalDist,
     JointXY,
     Pmf,
-    avg_kl_distortion,
     entropy,
     kl_divergence,
     mutual_information,
@@ -53,8 +51,8 @@ __all__ = [
     "LdpcEnsembleDesign", "design_bpsk_decoder", "design_decoder", "load_design", "save_design",
     "BerPoint", "ber_sweep", "write_ber_csv",
     "IbDesign", "Quantizer", "agglomerative_ib", "dp_optimal_quantizer",
-    "ib_curve", "ib_objective", "iterative_ib", "kl_means_ib",
-    "ConditionalDist", "JointXY", "Pmf", "avg_kl_distortion", "entropy",
+    "ib_curve", "iterative_ib", "kl_means_ib",
+    "ConditionalDist", "JointXY", "Pmf", "entropy",
     "kl_divergence", "mutual_information", "push_through_quantizer",
     "LdpcCode", "construct_regular_ldpc", "count_four_cycles",
     "MessageDist", "NodeFunction", "NodeLut", "build_max_lut", "cascade_node",

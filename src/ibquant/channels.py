@@ -39,12 +39,12 @@ class AwgnDiscretization:
     @classmethod
     def for_alphabet(cls, alphabet, noise_std: float, num_bins: int,
                      clip_multiplier: float = 3.0) -> "AwgnDiscretization":
-        if noise_std <= 0:
-            raise ValueError("noise_std must be positive")
+        if not 0 < noise_std < math.inf:
+            raise ValueError(f"noise_std must be positive and finite, got {noise_std}")
         if num_bins < 2:
             raise ValueError("need at least 2 bins")
-        if clip_multiplier < 0:
-            raise ValueError("clip_multiplier must be >= 0")
+        if not 0 <= clip_multiplier < math.inf:
+            raise ValueError(f"clip_multiplier must be >= 0 and finite, got {clip_multiplier}")
         amp = max(abs(float(x)) for x in alphabet) + clip_multiplier * noise_std
         edges = np.linspace(-amp, amp, num_bins + 1)
         return cls(noise_std, clip_multiplier, num_bins, edges)
@@ -207,10 +207,6 @@ def build_ask_awgn(levels: int, noise_std: float, num_bins: int,
     """
     if levels < 2 or levels % 2 != 0:
         raise ValueError("levels must be an even integer >= 2")
-    if noise_std <= 0:
-        raise ValueError("noise_std must be positive")
-    if num_bins < 2:
-        raise ValueError("num_bins must be >= 2")
     alphabet = np.arange(-(levels - 1), levels, 2, dtype=float)
     disc = AwgnDiscretization.for_alphabet(alphabet, noise_std, num_bins, clip_multiplier)
     rows = _symmetric_awgn_rows(alphabet, noise_std, disc.bin_edges)
@@ -254,8 +250,6 @@ def build_bpsk_awgn(ebn0_db: float, code_rate: float, num_bins: int,
 def build_bpsk_awgn_sigma(noise_std: float, num_bins: int,
                           clip_multiplier: float = 3.0) -> DmcSpec:
     """BPSK over AWGN specified by the noise standard deviation directly."""
-    if noise_std <= 0:
-        raise ValueError("noise_std must be positive")
     alphabet = np.array([1.0, -1.0])
     disc = AwgnDiscretization.for_alphabet(alphabet, noise_std, num_bins, clip_multiplier)
     rows = _symmetric_awgn_rows(alphabet, noise_std, disc.bin_edges)

@@ -51,8 +51,6 @@ def _check_ldpc_args(parser: argparse.ArgumentParser, args, ebn0_values,
         parser.error("--iters must be >= 1")
     rate = 1.0 - args.dv / args.dc if code_rate is None else code_rate
     for ebn0 in ebn0_values:
-        if not math.isfinite(ebn0):
-            parser.error(f"--ebn0 must be finite, got {ebn0}")
         try:
             channels.build_bpsk_awgn(ebn0, rate, args.bins, args.clip)
         except ValueError as exc:

@@ -19,7 +19,7 @@ from .info import (
     ConditionalDist,
     JointXY,
     Pmf,
-    _mapping_rows,
+    _quantizer_rows,
     _xlogx,
     mutual_information,
 )
@@ -80,19 +80,16 @@ class IbDesign:
     converged: bool = True
 
 
-def ib_objective(j: JointXY, quantizer, beta: float) -> float:
-    """The Lagrangian [I(y;z) - beta * I(x;z)] / (beta + 1); -I(x;z) at beta = inf."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    rows = _quantizer_rows(j, quantizer)
-    return _SweepData(j.matrix, j.matrix.sum(axis=0)).objective(rows, beta)
-
-
-def _quantizer_rows(j: JointXY, quantizer) -> np.ndarray:
-    q = _mapping_rows(quantizer)
-    if q.shape[0] != j.num_y:
-        raise ValueError(f"quantizer input alphabet {q.shape[0]} does not match |Y| = {j.num_y}")
-    return q
+def _information_plane(py: np.ndarray, rows: np.ndarray, pxz: np.ndarray,
+                       beta: float) -> tuple[float, float, float]:
+    """I(y;z), I(x;z) and the Lagrangian [I(y;z) - beta I(x;z)] / (beta + 1),
+    which is -I(x;z) at beta = inf, of the mapping ``rows`` on observations
+    with marginal ``py``; ``pxz`` is the joint the mapping pushes out."""
+    compression = mutual_information(JointXY(py[:, None] * rows))
+    relevant = mutual_information(JointXY(pxz))
+    if math.isinf(beta):
+        return compression, relevant, -relevant
+    return compression, relevant, (compression - beta * relevant) / (beta + 1.0)
 
 
 def design_from_quantizer(j: JointXY, quantizer: Quantizer, beta: float = math.inf) -> "IbDesign":
@@ -105,12 +102,7 @@ def design_from_quantizer(j: JointXY, quantizer: Quantizer, beta: float = math.i
     alive = pz >= DEAD_CLUSTER_EPS
     posts[alive] = (pxz[:, alive] / pz[alive]).T
     posts[~alive] = 1.0 / j.num_x
-    compression = mutual_information(JointXY(py[:, None] * rows))
-    relevant = mutual_information(JointXY(pxz))
-    if math.isinf(beta):
-        objective = -relevant
-    else:
-        objective = (compression - beta * relevant) / (beta + 1.0)
+    compression, relevant, objective = _information_plane(py, rows, pxz, beta)
     return IbDesign(
         quantizer=quantizer,
         beta=beta,
@@ -168,13 +160,6 @@ class _SweepData:
         np.copyto(cposts, np.swapaxes(pxz / np.where(alive, pz, 1.0)[..., None, :], -1, -2),
                   where=alive[..., None])
         return pz, _stationary_mapping(pz, self.kl_nats(cposts, out), beta)
-
-    def objective(self, mapping: np.ndarray, beta: float) -> float:
-        relevant = mutual_information(JointXY(self.m @ mapping))
-        if math.isinf(beta):
-            return -relevant
-        compression = mutual_information(JointXY(self.py[:, None] * mapping))
-        return (compression - beta * relevant) / (beta + 1.0)
 
 
 def _positive_mass(j: JointXY) -> tuple[np.ndarray, _SweepData]:
@@ -267,6 +252,10 @@ def _iterative_ib_runs(j: JointXY, num_clusters: int, beta: float, inits,
     cposts = np.full((runs, num_clusters, j.num_x), 1.0 / j.num_x)
     new_mapping = np.empty_like(mapping)
     scratch = np.empty_like(mapping)
+
+    def lagrangian(rows):
+        return _information_plane(data.py, rows, data.m @ rows, beta)[2]
+
     for sweep in range(1, max_sweeps + 1):
         data.sweep(mapping, cposts, beta, out=new_mapping)
         # The stop test needs both objectives only once the mapping has settled.
@@ -277,12 +266,12 @@ def _iterative_ib_runs(j: JointXY, num_clusters: int, beta: float, inits,
         stop = np.zeros_like(can_stop)
         obj = [None] * live.shape[0]
         for k in np.flatnonzero(can_stop) if traces is None else range(live.shape[0]):
-            obj[k] = data.objective(new_mapping[k], beta)
+            obj[k] = lagrangian(new_mapping[k])
             if traces is not None:
                 traces[k].append(obj[k])
             if can_stop[k]:
                 if prev_obj[k] is None:
-                    prev_obj[k] = data.objective(mapping[k], beta)
+                    prev_obj[k] = lagrangian(mapping[k])
                 stop[k] = prev_obj[k] - obj[k] < tol
         mapping, new_mapping, prev_obj = new_mapping, mapping, obj
         if stop.any():
@@ -447,14 +436,15 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
     centroids = _kmeans_pp_seeds(data, n, rng)
     lengths = np.full(n, math.log2(n) if n > 1 else 0.0)
 
-    def assign(cent, lens):
+    def cost_of(cent, lens):
+        """KL distortion plus lam * code length of every symbol at every cluster, in bits."""
         cost = data.kl_nats(cent) / LN2
         if lam > 0:
             cost = cost + lam * lens[None, :]
-        lbl = np.argmin(cost, axis=1)
-        return lbl, cost[np.arange(ny), lbl]
+        return cost
 
-    def refresh(lbl):
+    def refreshed_cost(lbl):
+        """``cost_of`` the representatives and code lengths of the clusters in ``lbl``."""
         cent = np.empty((n, posts.shape[1]))
         pz = np.zeros(n)
         for c in range(n):
@@ -467,23 +457,17 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
                 cent[c] = 1.0 / posts.shape[1]
         with np.errstate(divide="ignore"):
             lens = np.where(pz > 0, -np.log2(np.where(pz > 0, pz, 1.0)), np.inf)
-        return cent, pz, lens
+        return cost_of(cent, lens)
 
-    def objective(lbl, cent, lens):
-        cost = data.kl_nats(cent) / LN2
-        per = cost[np.arange(ny), lbl]
-        if lam > 0:
-            # labels only ever point at occupied clusters, where lengths are finite
-            per = per + lam * lens[lbl]
-        return float(np.sum(py * per))
-
-    labels, _ = assign(centroids, lengths)
+    symbols = np.arange(ny)
+    labels = np.argmin(cost_of(centroids, lengths), axis=1)
     sweeps, converged = 0, False
     for sweeps in range(1, max_sweeps + 1):
-        centroids, pz, lengths = refresh(labels)
-        obj = objective(labels, centroids, lengths)
-
-        new_labels, costs = assign(centroids, lengths)
+        cost = refreshed_cost(labels)
+        # labels only ever point at occupied clusters, where lengths are finite
+        obj = float(np.sum(py * cost[symbols, labels]))
+        new_labels = np.argmin(cost, axis=1)
+        costs = cost[symbols, new_labels]
         # Conditional empty-cluster repair: steal the worst-cost symbol only
         # if the refreshed configuration actually improves the objective.
         sizes = np.bincount(new_labels, minlength=n).tolist()
@@ -493,12 +477,12 @@ def kl_means_ib(j: JointXY, num_clusters: int, lam: float = 0.0,
             worst = int(np.argmax(costs))
             trial = new_labels.copy()
             trial[worst] = c
-            t_cent, _, t_lens = refresh(trial)
-            if objective(trial, t_cent, t_lens) < obj - 1e-15:
+            t_cost = refreshed_cost(trial)
+            if float(np.sum(py * t_cost[symbols, trial])) < obj - 1e-15:
                 sizes[new_labels[worst]] -= 1
                 sizes[c] += 1
                 new_labels = trial
-                _, costs = assign(t_cent, t_lens)
+                costs = t_cost[symbols, np.argmin(t_cost, axis=1)]
 
         if objective_trace is not None:
             objective_trace.append(obj)
@@ -736,16 +720,18 @@ def ib_curve(j: JointXY, algorithm: str, n_values, beta: float = 400.0,
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if not n_values:
         raise ValueError("n_values must be non-empty")
+    if any(n < 1 for n in n_values):
+        raise ValueError("cluster counts must be >= 1")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     points = []
     for idx, n in enumerate(n_values):
-        if n < 1:
-            raise ValueError("cluster counts must be >= 1")
         if algorithm == "agg-ib":
             best = agglomerative_ib(j, n)
         elif algorithm == "dp":
             best = dp_optimal_quantizer(j, n)
         else:
-            rngs = [_restart_rng(seed, idx, r) for r in range(max(1, restarts))]
+            rngs = [_restart_rng(seed, idx, r) for r in range(restarts)]
             if algorithm == "it-ib":
                 cands = _iterative_ib_runs(j, n, beta, rngs)
             else:

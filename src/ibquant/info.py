@@ -129,22 +129,17 @@ class JointXY:
         return Pmf(self.matrix.sum(axis=0))
 
 
-def _posterior_rows(weighted: np.ndarray) -> np.ndarray:
-    totals = weighted.sum(axis=1)
-    rows = np.empty_like(weighted)
-    alive = totals > 0
-    rows[alive] = weighted[alive] / totals[alive, None]
-    rows[~alive] = 1.0 / weighted.shape[1]
-    return rows
-
-
-def _mapping_rows(quantizer) -> np.ndarray:
-    """Accept a Quantizer, a ConditionalDist, or a raw row-stochastic array."""
+def _quantizer_rows(j: JointXY, quantizer) -> np.ndarray:
+    """The p(z|y) rows of a Quantizer, a ConditionalDist or a raw row-stochastic
+    array, which must map the joint's observation alphabet."""
     if hasattr(quantizer, "mapping"):
         quantizer = quantizer.mapping
-    if isinstance(quantizer, ConditionalDist):
-        return quantizer.rows
-    return ConditionalDist(quantizer).rows
+    if not isinstance(quantizer, ConditionalDist):
+        quantizer = ConditionalDist(quantizer)
+    rows = quantizer.rows
+    if rows.shape[0] != j.num_y:
+        raise ValueError(f"quantizer input alphabet {rows.shape[0]} does not match |Y| = {j.num_y}")
+    return rows
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -190,36 +185,4 @@ def mutual_information(j: JointXY) -> float:
 
 def push_through_quantizer(j: JointXY, quantizer) -> JointXY:
     """Joint p(x, z) after mapping the observation through p(z|y)."""
-    rows = _mapping_rows(quantizer)
-    if rows.shape[0] != j.num_y:
-        raise ValueError(
-            f"quantizer input alphabet {rows.shape[0]} does not match |Y| = {j.num_y}"
-        )
-    return JointXY(j.matrix @ rows)
-
-
-def avg_kl_distortion(j: JointXY, quantizer) -> float:
-    """Expected KL divergence between observation and cluster posteriors, in bits.
-
-    Cluster posteriors p(x|z) are induced by the quantizer; the expectation runs
-    over the joint p(y, z).  Equals I(X;Y) - I(X;Z) for any quantizer.
-    """
-    rows = _mapping_rows(quantizer)
-    if rows.shape[0] != j.num_y:
-        raise ValueError(
-            f"quantizer input alphabet {rows.shape[0]} does not match |Y| = {j.num_y}"
-        )
-    m = j.matrix
-    py = m.sum(axis=0)
-    pyz = py[:, None] * rows
-    post_y = _posterior_rows(m.T)             # (Y, X)
-    post_z = _posterior_rows((m @ rows).T)    # (Z, X)
-
-    # D[y, z] = sum_x p(x|y) log2( p(x|y) / p(x|z) ).  Where p(y,z) > 0 the
-    # cluster posterior dominates the member posterior, so the masked logs
-    # below are only ever wrong at positions that get weight zero.
-    self_term = _xlogx(post_y).sum(axis=1)
-    log_post_z = np.where(post_z > 0, np.log(np.where(post_z > 0, post_z, 1.0)), 0.0)
-    cross = post_y @ log_post_z.T
-    dist = (self_term[:, None] - cross) / LN2
-    return max(0.0, float(np.sum(np.where(pyz > 0, pyz * dist, 0.0))))
+    return JointXY(j.matrix @ _quantizer_rows(j, quantizer))

@@ -28,7 +28,6 @@ from ibquant.ib import (
 from ibquant.info import (
     JointXY,
     Pmf,
-    avg_kl_distortion,
     entropy,
     mutual_information,
     push_through_quantizer,
@@ -37,6 +36,7 @@ from ibquant.ldpc import construct_regular_ldpc
 from ibquant.maxlut import NodeFunction, build_max_lut
 
 from test_ib import (
+    avg_kl_distortion,
     batch_relevant_info,
     enumerate_assignments,
     fixed_point_residual,

@@ -18,6 +18,7 @@ from ibquant.channels import (
     binary_llrs,
     build_ask_awgn,
     build_bpsk_awgn,
+    build_bpsk_awgn_sigma,
     build_bsc,
     ebn0_db_to_noise_std,
     load_dmc,
@@ -211,6 +212,35 @@ class TestDiscretization:
         disc = AwgnDiscretization.for_alphabet([1.0, -1.0], 0.5, 8)
         centers = 0.5 * (disc.bin_edges[:-1] + disc.bin_edges[1:])
         assert np.array_equal(disc.bin_of(centers), np.arange(8))
+
+    @pytest.mark.parametrize("noise_std", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_noise_std_that_is_not_finite_and_positive(self, noise_std):
+        message = re.escape(f"noise_std must be positive and finite, got {noise_std}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: AwgnDiscretization.for_alphabet([1.0, -1.0], noise_std, 8),
+                          lambda: build_ask_awgn(4, noise_std, 8),
+                          lambda: build_bpsk_awgn_sigma(noise_std, 8)):
+                with pytest.raises(ValueError, match=message):
+                    build()
+
+    @pytest.mark.parametrize("clip", [-0.5, math.inf, -math.inf, math.nan])
+    def test_rejects_clip_that_is_not_finite_and_non_negative(self, clip):
+        message = re.escape(f"clip_multiplier must be >= 0 and finite, got {clip}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: AwgnDiscretization.for_alphabet([1.0, -1.0], 0.5, 8, clip),
+                          lambda: build_ask_awgn(4, 1.0, 8, clip),
+                          lambda: build_bpsk_awgn_sigma(0.5, 8, clip),
+                          lambda: build_bpsk_awgn(2.0, 0.5, 8, clip)):
+                with pytest.raises(ValueError, match=message):
+                    build()
+
+    def test_rejects_fewer_than_two_bins(self):
+        for build in (lambda: build_ask_awgn(4, 1.0, 1), lambda: build_bpsk_awgn_sigma(0.5, 1),
+                      lambda: build_bpsk_awgn(2.0, 0.5, 1)):
+            with pytest.raises(ValueError, match="need at least 2 bins"):
+                build()
 
     def test_rejects_negative_clip(self):
         with pytest.raises(ValueError, match="clip_multiplier must be >= 0"):

@@ -48,12 +48,24 @@ class TestInfo:
         assert exc.value.code == 2
         assert "channel" in capsys.readouterr().err
 
+    AWGN_CHECKS = {"--sigma": "noise_std must be positive and finite",
+                   "--clip": "clip_multiplier must be >= 0 and finite"}
+
     @pytest.mark.parametrize("option", ["--sigma", "--clip"])
     def test_nan_awgn_parameter_is_usage_error(self, option, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["info", "--channel", "ask4", option, "nan"])
         assert exc.value.code == 2
-        assert "probabilities must be finite" in capsys.readouterr().err
+        assert f"{self.AWGN_CHECKS[option]}, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--sigma", "--clip"])
+    def test_infinite_awgn_parameter_is_usage_error_without_warning(self, option, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                run(["info", "--channel", "ask4", option, "inf"])
+        assert exc.value.code == 2
+        assert f"{self.AWGN_CHECKS[option]}, got inf" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
@@ -334,9 +346,9 @@ class TestLdpcCommands:
     @pytest.mark.parametrize("extra, message", [
         (["--bins", "1"], "need at least 2 bins"),
         (["--clip", "-0.5"], "clip_multiplier must be >= 0"),
-        (["--ebn0", "nan"], "--ebn0 must be finite"),
-        (["--ebn0", "inf"], "--ebn0 must be finite"),
-        (["--ebn0=-inf"], "--ebn0 must be finite"),
+        (["--ebn0", "nan"], "Eb/N0 of nan dB gives no positive finite noise std"),
+        (["--ebn0", "inf"], "Eb/N0 of inf dB gives no positive finite noise std"),
+        (["--ebn0=-inf"], "Eb/N0 of -inf dB gives no positive finite noise std"),
         (["--ebn0=-4000"], "Eb/N0 of -4000.0 dB gives no positive finite noise std"),
         (["--rate", "0"], "code_rate must lie in (0, 1]")])
     def test_invalid_design_channel_is_usage_error(self, tmp_path, extra, message,
@@ -356,8 +368,8 @@ class TestLdpcCommands:
     @pytest.mark.parametrize("extra, message", [
         (["--bins", "1"], "need at least 2 bins"),
         (["--clip", "-0.5"], "clip_multiplier must be >= 0"),
-        (["--ebn0", "2.0,nan"], "--ebn0 must be finite"),
-        (["--ebn0", "inf"], "--ebn0 must be finite"),
+        (["--ebn0", "2.0,nan"], "Eb/N0 of nan dB gives no positive finite noise std"),
+        (["--ebn0", "inf"], "Eb/N0 of inf dB gives no positive finite noise std"),
         (["--ebn0", "2.0,4000"], "Eb/N0 of 4000.0 dB gives no positive finite noise std"),
         (["--seed", "-1"], "--seed must be >= 0"),
         (["--code-seed", "-1"], "--code-seed must be >= 0"),

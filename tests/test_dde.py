@@ -1,5 +1,6 @@
 import dataclasses
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,23 @@ class TestDesignFileLines:
         path.write_text("\n".join(lines[:at] + [f"trace {value}"] + lines[at + 1:]) + "\n")
         with pytest.raises(ValueError, match=r"design file .*trace.txt: .*in \[0, 1\]"):
             load_design(path)
+
+
+    @pytest.mark.parametrize("noise_std, clip, message", [
+        ("nan", "3", "noise_std must be positive and finite, got nan"),
+        ("inf", "3", "noise_std must be positive and finite, got inf"),
+        ("0.5", "nan", "clip_multiplier must be >= 0 and finite, got nan")])
+    def test_a_non_finite_channel_line_names_the_file(self, tmp_path, lines, noise_std, clip,
+                                                      message):
+        at = next(i for i, line in enumerate(lines) if line.startswith("channel "))
+        bins = lines[at].split()[3]
+        path = tmp_path / "channel.txt"
+        path.write_text("\n".join(lines[:at] + [f"channel {noise_std} {clip} {bins}"]
+                                  + lines[at + 1:]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"design file .*channel.txt: .*{message}"):
+                load_design(path)
 
 
 class TestDesignParts:

@@ -24,7 +24,6 @@ from ibquant.ib import (
     _nearest_positive_labels,
     _pair_term,
     _positive_mass,
-    _quantizer_rows,
     _restart_rng,
     _stationary_mapping,
     _SweepData,
@@ -33,7 +32,6 @@ from ibquant.ib import (
     design_from_quantizer,
     dp_optimal_quantizer,
     ib_curve,
-    ib_objective,
     iterative_ib,
     kl_means_ib,
     write_curve_csv,
@@ -42,6 +40,8 @@ from ibquant.info import (
     LN2,
     ConditionalDist,
     JointXY,
+    _quantizer_rows,
+    _xlogx,
     entropy,
     mutual_information,
     push_through_quantizer,
@@ -74,6 +74,39 @@ def fixed_point_residual(j, quantizer, beta):
     cposts = np.full((mapping.shape[1], j.num_x), 1.0 / j.num_x)
     _, recomputed = data.sweep(mapping, cposts, beta)
     return float(np.abs(recomputed - mapping).max())
+
+
+def _posterior_rows(weighted):
+    totals = weighted.sum(axis=1)
+    rows = np.empty_like(weighted)
+    alive = totals > 0
+    rows[alive] = weighted[alive] / totals[alive, None]
+    rows[~alive] = 1.0 / weighted.shape[1]
+    return rows
+
+
+def avg_kl_distortion(j, quantizer):
+    """Expected KL divergence between observation and cluster posteriors, in bits.
+
+    Cluster posteriors p(x|z) are induced by the quantizer; the expectation runs
+    over the joint p(y, z).  Equals I(X;Y) - I(X;Z) for any quantizer, so it is
+    an oracle for the information loss of every design.
+    """
+    rows = _quantizer_rows(j, quantizer)
+    m = j.matrix
+    py = m.sum(axis=0)
+    pyz = py[:, None] * rows
+    post_y = _posterior_rows(m.T)             # (Y, X)
+    post_z = _posterior_rows((m @ rows).T)    # (Z, X)
+
+    # D[y, z] = sum_x p(x|y) log2( p(x|y) / p(x|z) ).  Where p(y,z) > 0 the
+    # cluster posterior dominates the member posterior, so the masked logs
+    # below are only ever wrong at positions that get weight zero.
+    self_term = _xlogx(post_y).sum(axis=1)
+    log_post_z = np.where(post_z > 0, np.log(np.where(post_z > 0, post_z, 1.0)), 0.0)
+    cross = post_y @ log_post_z.T
+    dist = (self_term[:, None] - cross) / LN2
+    return max(0.0, float(np.sum(np.where(pyz > 0, pyz * dist, 0.0))))
 
 
 def enumerate_assignments(ny, n):
@@ -500,9 +533,10 @@ def reference_agglomerative_ib(j, num_clusters):
     return design_from_quantizer(j, Quantizer.from_labels(labels, num_clusters), math.inf)
 
 
-def reference_kl_means(j, num_clusters, lam, init, objective_trace=None):
+def reference_kl_means(j, num_clusters, lam, init, objective_trace=None, trials=None):
     """kl_means_ib's Lloyd loop as it was: each empty cluster is found by
-    np.any(labels == c) against the labels as the repair leaves them."""
+    np.any(labels == c) against the labels as the repair leaves them.
+    ``trials`` collects the cluster of every repair trial."""
     keep, data = _positive_mass(j)
     posts, py = data.posts, data.py
     ny = posts.shape[0]
@@ -547,6 +581,8 @@ def reference_kl_means(j, num_clusters, lam, init, objective_trace=None):
         for c in range(n):
             if np.any(new_labels == c):
                 continue
+            if trials is not None:
+                trials.append(c)
             worst = int(np.argmax(costs))
             trial = new_labels.copy()
             trial[worst] = c
@@ -636,12 +672,13 @@ class TestIbObjective:
         rng = np.random.default_rng(0)
         j = random_joint(rng, 2, 5)
         for beta in (0.0, 1.0, 100.0):
-            assert ib_objective(j, single_cluster_quantizer(5), beta) == pytest.approx(0.0, abs=1e-12)
+            design = design_from_quantizer(j, single_cluster_quantizer(5), beta)
+            assert design.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_beta_zero_is_source_entropy(self):
         rng = np.random.default_rng(1)
         j = random_joint(rng, 2, 4)
-        got = ib_objective(j, identity_quantizer(4), 0.0)
+        got = design_from_quantizer(j, identity_quantizer(4), 0.0).objective
         assert got == pytest.approx(entropy(j.y_marginal()), abs=1e-12)
 
     def test_matches_hand_evaluation(self):
@@ -650,13 +687,8 @@ class TestIbObjective:
         q = random_stochastic_quantizer(4, 2, rng)
         compression = mutual_information(JointXY(j.y_marginal().probs[:, None] * q.mapping.rows))
         relevant = mutual_information(push_through_quantizer(j, q))
-        assert ib_objective(j, q, 2.0) == pytest.approx((compression - 2.0 * relevant) / 3.0, abs=1e-12)
-
-    def test_rejects_negative_beta(self):
-        rng = np.random.default_rng(3)
-        j = random_joint(rng, 2, 4)
-        with pytest.raises(ValueError):
-            ib_objective(j, identity_quantizer(4), -1.0)
+        assert design_from_quantizer(j, q, 2.0).objective == pytest.approx(
+            (compression - 2.0 * relevant) / 3.0, abs=1e-12)
 
 
 class TestIterativeIb:
@@ -974,6 +1006,34 @@ class TestKlMeansMatchesReference:
     def test_steal_that_empties_a_later_cluster(self, sigma, bins, n, lam, init):
         # in these runs a repair steals the last member of a cluster not yet visited
         self.assert_matches(build_ask_awgn(4, sigma, bins, 3.0).joint(), n, lam, init)
+
+    @staticmethod
+    def assert_one_cost_per_assignment(j, n, lam, init):
+        """The seeding computes one KL row per centroid, the first assignment
+        one matrix, and then each sweep and each repair trial one matrix."""
+        trials = []
+        _, sweeps, _ = reference_kl_means(j, n, lam, init, trials=trials)
+        with mock.patch.object(_SweepData, "kl_nats", autospec=True,
+                               side_effect=_SweepData.kl_nats) as kl:
+            design = kl_means_ib(j, n, lam=lam, init=init)
+        clusters = min(n, int(np.count_nonzero(j.matrix.sum(axis=0))))
+        assert design.sweeps == sweeps
+        assert kl.call_count == clusters + 1 + sweeps + len(trials)
+        return trials
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=tied_matrices(max_symbols=24, max_x=4), data=st.data())
+    def test_one_cost_matrix_per_assignment(self, m, data):
+        n = data.draw(st.integers(1, m.shape[1] + 2))
+        lam = data.draw(st.sampled_from([0.0, 0.05, 0.5, 5.0, 1e6]))
+        self.assert_one_cost_per_assignment(joint_of(m), n, lam,
+                                            data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("sigma, bins, n, lam, init", [
+        (0.5, 16, 8, 0.5, 81), (0.5, 128, 16, 0.05, 1161), (1.0, 16, 16, 0.5, 2160)])
+    def test_one_cost_matrix_per_repair_trial(self, sigma, bins, n, lam, init):
+        j = build_ask_awgn(4, sigma, bins, 3.0).joint()
+        assert self.assert_one_cost_per_assignment(j, n, lam, init)
 
 
 class TestKlMeans:
@@ -1371,6 +1431,23 @@ class TestIbCurve:
         with pytest.raises(ValueError):
             ib_curve(j, "det-ib", [2])
 
+    @pytest.mark.parametrize("algorithm", ["it-ib", "agg-ib", "kl-means", "dp"])
+    @pytest.mark.parametrize("n_values, restarts, message", [
+        ([8, 16, 0], 3, "cluster counts must be >= 1"),
+        ([2, -1], 3, "cluster counts must be >= 1"),
+        ([2, 4], 0, "restarts must be >= 1, got 0"),
+        ([2], -2, "restarts must be >= 1, got -2")])
+    def test_rejects_bad_arguments_before_any_design(self, algorithm, n_values, restarts,
+                                                     message):
+        j = random_joint(np.random.default_rng(26), 2, 16)
+        designers = ["_iterative_ib_runs", "kl_means_ib", "agglomerative_ib",
+                     "dp_optimal_quantizer"]
+        with mock.patch.multiple("ibquant.ib", **{name: mock.DEFAULT for name in designers}) \
+                as designs:
+            with pytest.raises(ValueError, match=message):
+                ib_curve(j, algorithm, n_values, restarts=restarts)
+        assert all(designs[name].call_count == 0 for name in designers)
+
     @settings(max_examples=25, deadline=None)
     @given(m=sparse_joints(), beta=st.sampled_from([0.0, 10.0, 400.0]),
            restarts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -1427,9 +1504,9 @@ class TestNoRuntimeWarnings:
                 iterative_ib(j, 3, beta, init=starved, objective_trace=[])
                 iterative_ib(j, 6, beta, init=1, max_sweeps=50)
                 fixed_point_residual(j, starved, beta)
-                ib_objective(j, starved, beta)
+                design_from_quantizer(j, starved, beta)
                 ib_curve(j, "it-ib", [2, 6], beta=beta, restarts=3)
-            ib_objective(j, starved, math.inf)
+            design_from_quantizer(j, starved, math.inf)
             kl_means_ib(j, 4, init=2)
             kl_means_ib(j, 3, lam=0.5, init=3, objective_trace=[])
 
@@ -1445,7 +1522,6 @@ class TestNoRuntimeWarnings:
 class TestDesignInvariants:
     def test_information_plane_caps_all_algorithms(self):
         rng = np.random.default_rng(30)
-        from ibquant.info import avg_kl_distortion
         for trial in range(15):
             j = random_joint(rng, 2, 8)
             n = int(rng.integers(2, 5))

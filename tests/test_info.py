@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
@@ -13,15 +13,20 @@ from ibquant.info import (
     JointXY,
     Pmf,
     _xlogx,
-    avg_kl_distortion,
     entropy,
     kl_divergence,
     mutual_information,
     push_through_quantizer,
 )
-from ibquant.ib import Quantizer
+from ibquant.ib import Quantizer, design_from_quantizer
 
-from test_ib import identity_quantizer, random_stochastic_quantizer, single_cluster_quantizer
+from test_ib import (
+    avg_kl_distortion,
+    float_bits,
+    identity_quantizer,
+    random_stochastic_quantizer,
+    single_cluster_quantizer,
+)
 
 
 def random_joint(rng, nx, ny):
@@ -292,6 +297,37 @@ class TestAvgKlDistortion:
         lhs = avg_kl_distortion(j, q)
         rhs = mutual_information(j) - mutual_information(push_through_quantizer(j, q))
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestInformationPlane:
+    @settings(max_examples=200, deadline=None)
+    @given(case=joints_and_quantizers(), beta=st.sampled_from([0.0, 0.5, 400.0, math.inf]))
+    def test_design_reads_the_mutual_informations_bit_for_bit(self, case, beta):
+        j, q = case
+        design = design_from_quantizer(j, q, beta)
+        rows = q.mapping.rows if isinstance(q, Quantizer) else q.rows
+        compression = mutual_information(JointXY(j.matrix.sum(axis=0)[:, None] * rows))
+        relevant = mutual_information(push_through_quantizer(j, q))
+        lagrangian = -relevant if math.isinf(beta) else (compression - beta * relevant) / (beta + 1.0)
+        got = (design.compression_rate, design.relevant_info, design.objective)
+        assert [float_bits(v) for v in got] == [float_bits(v) for v in
+                                                (compression, relevant, lagrangian)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=joints_and_quantizers(), extra=st.sampled_from([-1, 1, 3]))
+    def test_wrong_input_size_is_one_error(self, case, extra):
+        j, q = case
+        rows = q.mapping.rows if isinstance(q, Quantizer) else q.rows
+        size = j.num_y + extra
+        assume(size >= 1)
+        wrong = ConditionalDist(np.resize(rows, (size, rows.shape[1])))
+        messages = []
+        for call in (push_through_quantizer, design_from_quantizer):
+            with pytest.raises(ValueError, match="quantizer input alphabet") as exc:
+                call(j, wrong)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            f"quantizer input alphabet {size} does not match |Y| = {j.num_y}")
 
 
 class TestInvariants:
