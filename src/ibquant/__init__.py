@@ -18,7 +18,7 @@ from .channels import (
     load_dmc,
     save_dmc,
 )
-from .dde import LdpcEnsembleDesign, design_bpsk_decoder, design_decoder, load_design, save_design
+from .dde import LdpcEnsembleDesign, design_decoder, load_design, save_design
 from .decoders import (
     BerPoint,
     ber_sweep,
@@ -48,7 +48,7 @@ from .maxlut import MessageDist, NodeFunction, NodeLut, build_max_lut, cascade_n
 __all__ = [
     "AwgnDiscretization", "DmcSpec", "build_ask_awgn", "build_bpsk_awgn",
     "build_bpsk_awgn_sigma", "build_bsc", "ebn0_db_to_noise_std", "load_dmc", "save_dmc",
-    "LdpcEnsembleDesign", "design_bpsk_decoder", "design_decoder", "load_design", "save_design",
+    "LdpcEnsembleDesign", "design_decoder", "load_design", "save_design",
     "BerPoint", "ber_sweep", "write_ber_csv",
     "IbDesign", "Quantizer", "agglomerative_ib", "dp_optimal_quantizer",
     "ib_curve", "iterative_ib", "kl_means_ib",

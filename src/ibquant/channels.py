@@ -45,7 +45,10 @@ class AwgnDiscretization:
             raise ValueError("need at least 2 bins")
         if not 0 <= clip_multiplier < math.inf:
             raise ValueError(f"clip_multiplier must be >= 0 and finite, got {clip_multiplier}")
-        amp = max(abs(float(x)) for x in alphabet) + clip_multiplier * noise_std
+        amp = max(abs(float(x)) for x in alphabet) + float(clip_multiplier) * float(noise_std)
+        if not math.isfinite(2.0 * amp):
+            raise ValueError(f"noise_std {noise_std} with clip_multiplier {clip_multiplier} "
+                             "gives a bin range whose width is not finite")
         edges = np.linspace(-amp, amp, num_bins + 1)
         return cls(noise_std, clip_multiplier, num_bins, edges)
 

@@ -13,8 +13,10 @@ import math
 import sys
 
 from . import _text, channels, decoders, ib, ldpc, maxlut
-from .dde import MAX_MESSAGE_BITS, design_bpsk_decoder, load_design, save_design
+from .dde import MAX_MESSAGE_BITS, design_decoder, load_design, save_design
 from .info import entropy, mutual_information
+
+_MESSAGE_BITS = range(1, MAX_MESSAGE_BITS + 1)
 
 
 def _parse_channel(parser: argparse.ArgumentParser, args) -> channels.DmcSpec:
@@ -41,20 +43,22 @@ def _parse_list(parser: argparse.ArgumentParser, flag: str, text: str, kind) -> 
 
 
 def _check_ldpc_args(parser: argparse.ArgumentParser, args, ebn0_values,
-                     code_rate: float | None) -> None:
+                     code_rate: float | None) -> list[channels.DmcSpec]:
     """Degrees, iterations and the BPSK channel at every Eb/N0 (at the design
     rate 1 - dv/dc unless ``code_rate`` is given), checked before any work so
-    that an invalid value is a usage error."""
+    that an invalid value is a usage error; returns those channels."""
     if not 1 <= args.dv < args.dc:
         parser.error("--dv and --dc must satisfy 1 <= dv < dc")
     if args.iters < 1:
         parser.error("--iters must be >= 1")
     rate = 1.0 - args.dv / args.dc if code_rate is None else code_rate
+    dmcs = []
     for ebn0 in ebn0_values:
         try:
-            channels.build_bpsk_awgn(ebn0, rate, args.bins, args.clip)
+            dmcs.append(channels.build_bpsk_awgn(ebn0, rate, args.bins, args.clip))
         except ValueError as exc:
             parser.error(f"invalid channel at --ebn0 {ebn0}: {exc}")
+    return dmcs
 
 
 def _add_channel_args(sub: argparse.ArgumentParser) -> None:
@@ -122,9 +126,6 @@ def _write_mapping(path, quantizer: ib.Quantizer, comment: str) -> None:
 
 
 def _cmd_maxlut(parser, args) -> int:
-    for flag, bits in (("--in-bits", args.in_bits), ("--out-bits", args.out_bits)):
-        if not 1 <= bits <= MAX_MESSAGE_BITS:
-            parser.error(f"{flag} must be 1 to {MAX_MESSAGE_BITS}, not {bits}")
     dmc = _parse_channel(parser, args)
     if dmc.num_inputs != 2:
         parser.error("maxlut needs a binary-input channel")
@@ -137,11 +138,8 @@ def _cmd_maxlut(parser, args) -> int:
 
 
 def _cmd_ldpc_design(parser, args) -> int:
-    if not 1 <= args.bits <= MAX_MESSAGE_BITS:
-        parser.error(f"--bits must be 1 to {MAX_MESSAGE_BITS}, not {args.bits}")
-    _check_ldpc_args(parser, args, [args.ebn0], args.rate)
-    design = design_bpsk_decoder(args.ebn0, args.dv, args.dc, args.bits,
-                                 args.iters, args.bins, args.clip, args.rate)
+    (dmc,) = _check_ldpc_args(parser, args, [args.ebn0], args.rate)
+    design = design_decoder(dmc, args.dv, args.dc, args.bits, args.iters)
     save_design(design, args.out, comment=_header(args, "n/a"))
     if args.trace_out:
         lines = ["iteration,error_prob"] + [
@@ -179,9 +177,6 @@ def _cmd_ldpc_simulate(parser, args) -> int:
                                ("--max-errors", args.max_errors, 0)):
         if value < least:
             parser.error(f"{flag} must be >= {least}, got {value}")
-    if args.decoder == "lut" and not 1 <= args.bits <= MAX_MESSAGE_BITS:
-        parser.error(f"the lut decoder holds messages of 1 to {MAX_MESSAGE_BITS} bits, "
-                     f"not {args.bits}")
     try:
         code = ldpc.construct_regular_ldpc(args.n, args.dv, args.dc, args.code_seed)
     except ValueError as exc:
@@ -222,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lut = subs.add_parser("maxlut", help="build a two-input node lookup table")
     _add_channel_args(p_lut)
     p_lut.add_argument("--node", required=True, choices=("check", "variable"))
-    p_lut.add_argument("--in-bits", type=int, required=True)
-    p_lut.add_argument("--out-bits", type=int, required=True)
+    p_lut.add_argument("--in-bits", type=int, required=True, choices=_MESSAGE_BITS)
+    p_lut.add_argument("--out-bits", type=int, required=True, choices=_MESSAGE_BITS)
     p_lut.add_argument("--out", required=True, help="LUT file path")
 
     p_ldpc = subs.add_parser("ldpc", help="decoder design and BER simulation")
@@ -232,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = ldpc_subs.add_parser("design", help="run discrete density evolution")
     p_design.add_argument("--dv", type=int, default=3)
     p_design.add_argument("--dc", type=int, default=6)
-    p_design.add_argument("--bits", type=int, default=4)
+    p_design.add_argument("--bits", type=int, default=4, choices=_MESSAGE_BITS)
     p_design.add_argument("--iters", type=int, default=50)
     p_design.add_argument("--ebn0", type=float, required=True, help="design Eb/N0 in dB")
     p_design.add_argument("--rate", type=float, default=None,
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dv", type=int, default=3)
     p_sim.add_argument("--dc", type=int, default=6)
     p_sim.add_argument("--code-seed", type=int, default=1)
-    p_sim.add_argument("--bits", type=int, default=None,
+    p_sim.add_argument("--bits", type=int, default=None, choices=_MESSAGE_BITS,
                        help="message bits (default 4, or the --design file's)")
     p_sim.add_argument("--iters", type=int, default=50)
     p_sim.add_argument("--bins", type=int, default=None,

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text, maxlut
-from .channels import DmcSpec, build_bpsk_awgn, build_bpsk_awgn_sigma
+from .channels import DmcSpec, build_bpsk_awgn_sigma
 from .ib import Quantizer
 from .info import ConditionalDist
 from .maxlut import (
-    CascadeStage,
     LutCascade,
     MessageDist,
     NodeFunction,
     _build_cascade,
-    _cascade_plan,
     _lut_from_lines,
     _lut_lines,
 )
@@ -35,9 +33,13 @@ from .maxlut import (
 # and decoding reuses that iteration's tables from then on.
 SATURATION_FLOOR = 1e-12
 
-# Widest message a design may have: no decoder in the package runs wider
-# messages, and the 9-bit channel quantizer's DP alone needs a 128 GiB matrix.
-MAX_MESSAGE_BITS = 8
+# Widest message a design may build.  A b-bit check table runs the mirrored DP
+# over 2**(2b-1) column pairs, whose packed triangle has (p+1)(p+2)/2 entries
+# for p pairs: 33,566,721 (268 MB per float64 array) at 7 bits, 536,920,065
+# (4.3 GB per array, several alive at once) at 8.  A 5-bit check table takes
+# 14 ms and +8 MB peak RSS, a 6-bit one 305 ms and +113 MB.  The LUT decoder
+# still packs loaded designs of up to 8 bits.
+MAX_MESSAGE_BITS = 7
 
 # Per-level probability floor applied to the evolving message distributions.
 # Without it the weak-message table cells of late iterations are placed by
@@ -105,8 +107,9 @@ class LdpcEnsembleDesign:
                     ("variable", self.var_luts[t], self.var_degree),
                     ("decision", rule.cascade, self.var_degree + 1)):
                 if cascade.num_inputs != inputs or any(
-                        s.lut.table.shape != (levels, levels if s.right >= 0 else 1)
-                        or s.lut.out_alphabet_size != levels for s in cascade.stages):
+                        stage.table.shape != (levels, levels if right >= 0 else 1)
+                        or stage.out_alphabet_size != levels
+                        for stage, (_, right) in zip(cascade.stages, cascade.plan)):
                     raise ValueError(f"iteration {t} {name} chain must combine {inputs} "
                                      f"messages of the {levels}-level message alphabet")
             if rule.bit_map.shape != (levels,) or not np.isin(rule.bit_map, (0, 1)).all():
@@ -212,16 +215,6 @@ def design_decoder(dmc: DmcSpec, dv: int, dc: int, message_bits: int = 4,
     )
 
 
-def design_bpsk_decoder(ebn0_db: float, dv: int, dc: int, message_bits: int = 4,
-                        max_iter: int = 50, num_bins: int = 128,
-                        clip_multiplier: float = 3.0,
-                        code_rate: float | None = None) -> LdpcEnsembleDesign:
-    """Convenience wrapper: BPSK/AWGN channel at the ensemble's design rate."""
-    rate = 1.0 - dv / dc if code_rate is None else code_rate
-    dmc = build_bpsk_awgn(ebn0_db, rate, num_bins, clip_multiplier)
-    return design_decoder(dmc, dv, dc, message_bits, max_iter)
-
-
 # ---------------------------------------------------------------------------
 # plain-text serialization
 
@@ -229,7 +222,7 @@ def design_bpsk_decoder(ebn0_db: float, dv: int, dc: int, message_bits: int = 4,
 def _cascade_lines(tag: str, cascade: LutCascade) -> list[str]:
     lines = [f"{tag} {cascade.schedule} {cascade.num_inputs} {len(cascade.stages)}"]
     for stage in cascade.stages:
-        lines.extend(_lut_lines(stage.lut))
+        lines.extend(_lut_lines(stage))
     return lines
 
 
@@ -257,17 +250,12 @@ def save_design(design: LdpcEnsembleDesign, path, comment: str | None = None) ->
 def _read_cascade(lines: list[str], pos: int, tag: str,
                   node: NodeFunction) -> tuple[LutCascade, int]:
     schedule, num_inputs, num_stages = _text.fields(lines[pos], tag)
-    num_inputs, num_stages = int(num_inputs), int(num_stages)
-    plan = _cascade_plan(schedule, num_inputs)
-    if len(plan) != num_stages:
-        raise ValueError(f"a {schedule} chain over {num_inputs} inputs has {len(plan)} "
-                         f"stages, not {num_stages}")
     pos += 1
     stages = []
-    for left, right in plan:
+    for _ in range(int(num_stages)):
         lut, pos = _lut_from_lines(lines, pos)
-        stages.append(CascadeStage(left, right, lut))
-    return LutCascade(node, schedule, num_inputs, tuple(stages)), pos
+        stages.append(lut)
+    return LutCascade(node, schedule, int(num_inputs), tuple(stages)), pos
 
 
 def load_design(path) -> LdpcEnsembleDesign:

@@ -245,9 +245,8 @@ class _Lookups:
                   inputs: list[int]) -> int:
         """Add a cascade over the given values; returns its output value."""
         ids = list(inputs)
-        for stage, table in zip(cascade.stages, tables):
-            right = ids[stage.right] if stage.right >= 0 else -1
-            ids.append(self._lookup(table, ids[stage.left], right))
+        for (left, right), table in zip(cascade.plan, tables):
+            ids.append(self._lookup(table, ids[left], ids[right] if right >= 0 else -1))
         return ids[-1]
 
     def _lookup(self, table: np.ndarray, left: int, right: int) -> int:
@@ -271,7 +270,7 @@ class _Lookups:
 
 def _stage_tables(cascade: LutCascade) -> list[np.ndarray]:
     """The uint8 stage tables of a cascade, (levels, 1) for a constant right operand."""
-    return [stage.lut.table.astype(np.uint8) for stage in cascade.stages]
+    return [stage.table.astype(np.uint8) for stage in cascade.stages]
 
 
 def _compile_iteration(design: LdpcEnsembleDesign, t: int,

@@ -251,14 +251,10 @@ def generator_matrix(code: LdpcCode) -> np.ndarray:
     Rank-deficient parity matrices simply yield a larger codebook.
     """
     reduced, pivots = gf2_row_reduce(code.parity_matrix)
-    n = code.block_length
-    free = [c for c in range(n) if c not in set(pivots)]
-    k = len(free)
-    g = np.zeros((k, n), dtype=np.uint8)
-    for i, col in enumerate(free):
-        g[i, col] = 1
-        for r, p in enumerate(pivots):
-            g[i, p] = reduced[r, col]
+    free = np.setdiff1d(np.arange(code.block_length), pivots)
+    g = np.zeros((free.size, code.block_length), dtype=np.uint8)
+    g[np.arange(free.size), free] = 1
+    g[:, pivots] = reduced[:len(pivots), free].T
     return g
 
 

@@ -162,46 +162,50 @@ def build_max_lut(f: NodeFunction, a: MessageDist, b: MessageDist,
 
 
 @dataclass(frozen=True)
-class CascadeStage:
-    """One two-input stage of a cascade over num_inputs messages.
-
-    Operands are integers: input k is k, the output of stage j is
-    num_inputs + j, and the constant zero is -1.
-    """
-
-    left: int
-    right: int
-    lut: NodeLut
-
-
-@dataclass(frozen=True)
 class LutCascade:
-    """Ordered chain of two-input LUT stages implementing a higher-degree node."""
+    """Ordered chain of two-input LUT stages implementing a higher-degree node.
+
+    The schedule alone fixes each stage's operands: see ``plan``.
+    """
 
     node: NodeFunction
     schedule: str
     num_inputs: int
-    stages: tuple[CascadeStage, ...]
+    stages: tuple[NodeLut, ...]
+
+    def __post_init__(self):
+        plan = self.plan
+        if len(plan) != len(self.stages):
+            raise ValueError(f"a {self.schedule} chain over {self.num_inputs} inputs has "
+                             f"{len(plan)} stages, not {len(self.stages)}")
+
+    @property
+    def plan(self) -> list[tuple[int, int]]:
+        """The (left, right) operands of every stage: input k is k, the output of
+        stage j is num_inputs + j, and the constant zero is -1."""
+        return _cascade_plan(self.schedule, self.num_inputs)
 
     @property
     def final(self) -> MessageDist:
-        return self.stages[-1].lut.out_cond
+        return self.stages[-1].out_cond
 
     def evaluate(self, inputs) -> np.ndarray:
         """Apply the chain to integer message arrays (one per input, same shape)."""
         if len(inputs) != self.num_inputs:
             raise ValueError(f"expected {self.num_inputs} inputs, got {len(inputs)}")
         values = list(inputs)
-        for stage in self.stages:
-            rhs = values[stage.right] if stage.right >= 0 else np.zeros_like(inputs[0])
-            values.append(stage.lut.table[values[stage.left], rhs])
+        for (left, right), stage in zip(self.plan, self.stages):
+            rhs = values[right] if right >= 0 else np.zeros_like(inputs[0])
+            values.append(stage.table[values[left], rhs])
         return values[-1]
 
 
 def _cascade_plan(schedule: str, num_inputs: int) -> list[tuple[int, int]]:
-    """The (left, right) operands of every stage, numbered as in CascadeStage."""
+    """The (left, right) operands of every stage, numbered as in LutCascade.plan."""
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
+    if num_inputs < 1:
+        raise ValueError("cascade needs at least one input message")
     if num_inputs == 1:
         return [(0, -1)]
     if schedule == "left_fold":
@@ -235,8 +239,6 @@ def _build_cascade(f: NodeFunction, inputs, out_size: int, schedule: str,
     """cascade_node that reuses and extends ``tables``, a memo from (node
     function, left rows, right rows, out_size) to the NodeLut built for them:
     byte-equal operands give the same table, so the DP runs once per key."""
-    if not inputs:
-        raise ValueError("cascade needs at least one input message")
     if out_size < 2:
         raise ValueError("out_size must be >= 2")
     dists = list(inputs)  # indexed by operand number
@@ -252,7 +254,7 @@ def _build_cascade(f: NodeFunction, inputs, out_size: int, schedule: str,
         lut = tables.get(key)
         if lut is None:
             lut = tables[key] = build_max_lut(func, a, b, out_size)
-        stages.append(CascadeStage(left, right, lut))
+        stages.append(lut)
         dists.append(lut.out_cond)
     return LutCascade(f, schedule, len(inputs), tuple(stages))
 

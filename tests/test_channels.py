@@ -236,6 +236,18 @@ class TestDiscretization:
                 with pytest.raises(ValueError, match=message):
                     build()
 
+    @pytest.mark.parametrize("noise_std, clip", [(1e308, 3.0), (1.0, 1e308), (6e307, 1.5)])
+    def test_rejects_a_clip_range_that_overflows(self, noise_std, clip):
+        # the range or its width would be inf, and the edges NaN
+        message = re.escape(f"noise_std {noise_std} with clip_multiplier {clip} gives a "
+                            "bin range whose width is not finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: build_ask_awgn(4, noise_std, 8, clip),
+                          lambda: build_bpsk_awgn_sigma(noise_std, 8, clip)):
+                with pytest.raises(ValueError, match=message):
+                    build()
+
     def test_rejects_fewer_than_two_bins(self):
         for build in (lambda: build_ask_awgn(4, 1.0, 1), lambda: build_bpsk_awgn_sigma(0.5, 1),
                       lambda: build_bpsk_awgn(2.0, 0.5, 1)):

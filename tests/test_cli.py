@@ -67,6 +67,16 @@ class TestInfo:
         assert exc.value.code == 2
         assert f"{self.AWGN_CHECKS[option]}, got inf" in capsys.readouterr().err
 
+    def test_overflowing_clip_range_is_usage_error_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                run(["info", "--channel", "ask4", "--sigma", "1e308"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "noise_std 1e+308 with clip_multiplier 3.0" in err
+        assert "Traceback" not in err
+
 
 def test_import_loads_no_scipy():
     src = str(Path(ibquant.__file__).resolve().parents[1])
@@ -228,7 +238,7 @@ class TestMaxlut:
 
     @pytest.mark.parametrize("flag, other", [("--in-bits", "--out-bits"),
                                              ("--out-bits", "--in-bits")])
-    @pytest.mark.parametrize("bits", ["0", "9", "40"])
+    @pytest.mark.parametrize("bits", ["0", "8", "9", "40"])
     def test_bits_outside_a_byte_are_usage_errors(self, tmp_path, flag, other, bits,
                                                   capsys, monkeypatch):
         def no_lut(*args, **kwargs):
@@ -240,7 +250,7 @@ class TestMaxlut:
             run(["maxlut", "--node", "check", flag, bits, other, "4",
                  "--channel", "bpsk:2.0", "--out", str(out)])
         assert exc.value.code == 2
-        assert f"{flag} must be 1 to 8, not {bits}" in capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: {bits}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_identical(self, tmp_path):
@@ -319,29 +329,51 @@ class TestLdpcCommands:
         assert "--iters" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bits", ["0", "9"])
-    def test_lut_bits_outside_a_byte_are_usage_errors(self, tmp_path, bits, capsys):
+    @pytest.mark.parametrize("bits", ["0", "8", "9"])
+    def test_lut_bits_outside_a_byte_are_usage_errors(self, tmp_path, bits, capsys,
+                                                      monkeypatch):
+        def no_lut(*args, **kwargs):
+            raise AssertionError("ldpc simulate reached the table construction")
+
+        monkeypatch.setattr("ibquant.maxlut.build_max_lut", no_lut)
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
             run(["ldpc", "simulate", "--decoder", "lut", "--ebn0", "2.0",
                  "--max-frames", "5", "--n", "48", "--bits", bits, "--out", str(out)])
         assert exc.value.code == 2
-        assert "1 to 8 bits" in capsys.readouterr().err
+        assert f"argument --bits: invalid choice: {bits}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bits", ["0", "9"])
+    @pytest.mark.parametrize("bits", ["0", "8", "9"])
     def test_design_bits_outside_a_byte_are_usage_errors(self, tmp_path, bits, capsys,
                                                          monkeypatch):
         def no_design(*args, **kwargs):
             raise AssertionError("ldpc design reached the decoder design")
 
-        monkeypatch.setattr("ibquant.cli.design_bpsk_decoder", no_design)
+        monkeypatch.setattr("ibquant.cli.design_decoder", no_design)
         out = tmp_path / "x.txt"
         with pytest.raises(SystemExit) as exc:
             run(["ldpc", "design", "--ebn0", "2.0", "--bits", bits, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"--bits must be 1 to 8, not {bits}" in capsys.readouterr().err
+        assert f"argument --bits: invalid choice: {bits}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["maxlut"], ["ldpc", "design"], ["ldpc", "simulate"]])
+    def test_help_lists_the_message_widths(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--help"])
+        assert exc.value.code == 0
+        assert "{1,2,3,4,5,6,7}" in capsys.readouterr().out
+
+    def test_design_runs_on_the_checked_channel(self, tmp_path, monkeypatch):
+        # every BPSK channel is built through build_bpsk_awgn_sigma
+        built = []
+        build = ibquant.channels.build_bpsk_awgn_sigma
+        monkeypatch.setattr("ibquant.channels.build_bpsk_awgn_sigma",
+                            lambda *args: built.append(args) or build(*args))
+        assert run(["ldpc", "design", "--ebn0", "2.0", "--bits", "2", "--iters", "2",
+                    "--bins", "16", "--out", str(tmp_path / "d.txt")]) == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("extra, message", [
         (["--bins", "1"], "need at least 2 bins"),
@@ -356,7 +388,7 @@ class TestLdpcCommands:
         def no_design(*args, **kwargs):
             raise AssertionError("ldpc design reached the decoder design")
 
-        monkeypatch.setattr("ibquant.cli.design_bpsk_decoder", no_design)
+        monkeypatch.setattr("ibquant.cli.design_decoder", no_design)
         out = tmp_path / "x.txt"
         with pytest.raises(SystemExit) as exc:
             run(["ldpc", "design", "--ebn0", "2.0", "--bits", "3", "--out", str(out)]

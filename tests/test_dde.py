@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibquant import dde, maxlut
-from ibquant.channels import DmcSpec, build_bpsk_awgn, build_bsc
+from ibquant.channels import DmcSpec, build_bpsk_awgn, build_bpsk_awgn_sigma, build_bsc
 from ibquant.dde import design_decoder, load_design, save_design
+from ibquant.decoders import decode_lut_batch
 from ibquant.ib import Quantizer, dp_optimal_quantizer
 from ibquant.info import ConditionalDist, JointXY, Pmf, mutual_information
-from ibquant.maxlut import CascadeStage, LutCascade, MessageDist, NodeFunction
+from ibquant.ldpc import construct_regular_ldpc
+from ibquant.maxlut import LutCascade, MessageDist, NodeFunction
 
 from test_maxlut import partner_table, quantized_message
 
@@ -33,7 +35,7 @@ class TestDesign:
             assert chain.num_inputs == 5
             assert chain.final.alphabet_size == 8
             for stage in chain.stages:
-                assert stage.lut.table.max() < 8
+                assert stage.table.max() < 8
         for chain in design.var_luts:
             assert chain.num_inputs == 3
 
@@ -59,7 +61,7 @@ class TestDesign:
     @pytest.mark.parametrize("ebn0", [np.nan, -4000.0, 4000.0])
     def test_rejects_eb_n0_without_a_positive_finite_noise_std(self, ebn0):
         with pytest.raises(ValueError, match="Eb/N0 of"):
-            dde.design_bpsk_decoder(ebn0, 3, 6)
+            build_bpsk_awgn(ebn0, 0.5, 128)
 
     def test_message_information_grows_with_iterations(self):
         design = small_design(ebn0=1.5, iters=5)
@@ -74,15 +76,16 @@ class TestDesign:
         with pytest.raises(ValueError):
             design_decoder(dmc, 3, 6, 4, 5)
 
-    @pytest.mark.parametrize("bits", [0, 9, 17])
+    @pytest.mark.parametrize("bits", [0, 8, 9, 17])
     def test_rejects_message_bits_outside_a_byte(self, bits, monkeypatch):
-        # the check must come before the channel quantizer: a 9-bit DP needs 128 GiB
+        # the check must come before the channel quantizer: an 8-bit check table's
+        # DP alone needs 4.3 GB per array
         def no_dp(*args, **kwargs):
             raise AssertionError("design_decoder reached the channel quantizer")
 
         monkeypatch.setattr(maxlut, "build_max_lut", no_dp)
         dmc = build_bpsk_awgn(2.0, 0.5, 16)
-        with pytest.raises(ValueError, match="message_bits must be 1 to 8"):
+        with pytest.raises(ValueError, match="message_bits must be 1 to 7"):
             design_decoder(dmc, 3, 6, bits, 5)
 
     def test_decision_bits_split_alphabet(self):
@@ -105,8 +108,8 @@ class TestSerialization:
         for a, b in zip(loaded.check_luts, design.check_luts):
             assert a.schedule == b.schedule
             for sa, sb in zip(a.stages, b.stages):
-                assert np.array_equal(sa.lut.table, sb.lut.table)
-                assert sa.left == sb.left and sa.right == sb.right
+                assert np.array_equal(sa.table, sb.table)
+            assert a.plan == b.plan
         for a, b in zip(loaded.decision_luts, design.decision_luts):
             assert np.array_equal(a.bit_map, b.bit_map)
         assert np.allclose(loaded.dmc.transition.rows, design.dmc.transition.rows,
@@ -139,10 +142,10 @@ class TestSerialization:
                              design.check_luts + design.var_luts):
             assert (got.node, got.schedule, got.num_inputs) == (
                 want.node, want.schedule, want.num_inputs)
+            assert got.plan == want.plan
             for a, b in zip(got.stages, want.stages, strict=True):
-                assert (a.left, a.right) == (b.left, b.right)
-                assert np.array_equal(a.lut.table, b.lut.table)
-                assert a.lut.out_cond.rows.tobytes() == b.lut.out_cond.rows.tobytes()
+                assert np.array_equal(a.table, b.table)
+                assert a.out_cond.rows.tobytes() == b.out_cond.rows.tobytes()
         for got, want in zip(loaded.decision_luts, design.decision_luts, strict=True):
             assert np.array_equal(got.bit_map, want.bit_map)
             assert len(got.cascade.stages) == len(want.cascade.stages)
@@ -168,8 +171,6 @@ class TestSerialization:
 
     def test_loaded_design_decodes_identically(self, tmp_path):
         from ibquant.channels import ebn0_db_to_noise_std
-        from ibquant.decoders import decode_lut_batch
-        from ibquant.ldpc import construct_regular_ldpc
 
         design = small_design(ebn0=1.5, bins=64, bits=4, iters=8)
         path = tmp_path / "design.txt"
@@ -199,7 +200,7 @@ def reference_cascade(f, inputs, out_size, schedule):
         func = NodeFunction.VARIABLE_EQUAL if constant else f
         rhs = maxlut.MessageDist.constant() if constant else dists[right]
         lut = maxlut.build_max_lut(func, dists[left], rhs, out_size)
-        stages.append(CascadeStage(left, right, lut))
+        stages.append(lut)
         dists.append(lut.out_cond)
     return LutCascade(f, schedule, len(inputs), tuple(stages))
 
@@ -267,7 +268,7 @@ class TestSharedTables:
         for var, rule in zip(design.var_luts, design.decision_luts):
             shared = rule.cascade.stages[:dv - 1]
             assert len(var.stages) == dv - 1 == len(shared)
-            assert all(a.lut is b.lut for a, b in zip(var.stages, shared))
+            assert all(a is b for a, b in zip(var.stages, shared))
 
     @pytest.mark.parametrize("dv,dc", [(1, 2), (2, 4), (3, 6), (4, 8)])
     @pytest.mark.parametrize("bits", [2, 4])
@@ -330,6 +331,34 @@ class TestChannelStage:
         assert design.channel_message.rows.tobytes() == dde._floored(msg).rows.tobytes()
 
 
+class TestDesignRoundTrip:
+    """A design on any binary channel saves, loads and decodes as it was: each
+    chain's schedule alone fixes the operands of its stages."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dmc=binary_channels(), bits=st.integers(1, 4),
+           degrees=st.sampled_from([(3, 6), (4, 8)]), iters=st.integers(1, 6),
+           seed=st.integers(0, 2**16))
+    def test_save_load_save_and_decode(self, dmc, bits, degrees, iters, seed):
+        design = design_decoder(dmc, *degrees, bits, iters)
+        if design.dmc.discretization is None:  # the file names an AWGN channel
+            design = dataclasses.replace(
+                design, dmc=build_bpsk_awgn_sigma(1.0, dmc.num_outputs))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.txt"), Path(tmp, "b.txt")
+            save_design(design, first)
+            loaded = load_design(first)
+            save_design(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+        code = construct_regular_ldpc(48, *degrees, seed=1)
+        bins = np.random.default_rng(seed).choice(dmc.num_outputs, size=(50, 48),
+                                                  p=dmc.transition.rows[0])
+        want = decode_lut_batch(code, design, bins, 2 * design.max_iter)
+        got = decode_lut_batch(code, loaded, bins, 2 * design.max_iter)
+        for a, b in zip(got, want, strict=True):  # bits, iterations, converged
+            assert np.array_equal(a, b)
+
+
 class TestMirrorSymmetry:
     @pytest.mark.parametrize("ebn0", [0.2, 1.0])
     def test_every_stage_is_mirrored(self, ebn0):
@@ -343,8 +372,8 @@ class TestMirrorSymmetry:
                       design.decision_luts[t].cascade)
             for cascade in chains:
                 for stage in cascade.stages:
-                    table = stage.lut.table
-                    assert stage.lut.out_cond.mirrored
+                    table = stage.table
+                    assert stage.out_cond.mirrored
                     assert np.array_equal(partner_table(cascade.node, table),
                                           levels - 1 - table)
 
@@ -400,6 +429,19 @@ class TestDesignFileLines:
         path.write_text("\n".join(renamed_tag_lines(lines, tag)) + "\n")
         with pytest.raises(ValueError, match=f"design file .*renamed.txt: .*"
                                              f"expected a {tag} line"):
+            load_design(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("check_chain balanced_tree 5 4", "check_chain ring 5 4",
+         "iteration 0 check chain: unknown schedule 'ring'"),
+        ("var_chain left_fold 3 2", "var_chain left_fold 3 1",
+         "iteration 0 variable chain: a left_fold chain over 3 inputs has 2 stages, not 1")])
+    def test_a_chain_off_its_schedule_names_the_file(self, tmp_path, lines, old, new,
+                                                     message):
+        at = lines.index(old)
+        path = tmp_path / "chain.txt"
+        path.write_text("\n".join(lines[:at] + [new] + lines[at + 1:]) + "\n")
+        with pytest.raises(ValueError, match=f"design file .*chain.txt: malformed {message}"):
             load_design(path)
 
     @pytest.mark.parametrize("value", ["nan", "-0.5", "7", "inf"])

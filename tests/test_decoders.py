@@ -87,7 +87,7 @@ class TestLutDecoder:
         assert np.issubdtype(design.channel_lut.labels.dtype, np.integer)
         for chain in design.check_luts + design.var_luts:
             for stage in chain.stages:
-                assert np.issubdtype(stage.lut.table.dtype, np.integer)
+                assert np.issubdtype(stage.table.dtype, np.integer)
         for rule in design.decision_luts:
             assert np.issubdtype(rule.bit_map.dtype, np.integer)
         bins = noisy_frames(code, 2.0, 2, seed=1, disc=dmc.discretization)

@@ -431,8 +431,8 @@ class TestCascade:
         cascade = cascade_node(NodeFunction.VARIABLE_EQUAL, inputs, 4, "left_fold")
         vals = [rng.integers(0, 4, size=100) for _ in range(3)]
         out = cascade.evaluate(vals)
-        step = cascade.stages[0].lut.table[vals[0], vals[1]]
-        expected = cascade.stages[1].lut.table[step, vals[2]]
+        step = cascade.stages[0].table[vals[0], vals[1]]
+        expected = cascade.stages[1].table[step, vals[2]]
         assert np.array_equal(out, expected)
 
     def test_empty_inputs_rejected(self):
@@ -442,6 +442,29 @@ class TestCascade:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError):
             cascade_node(NodeFunction.CHECK_XOR, [bsc_message(0.1)] * 2, 4, "ring")
+
+    @pytest.mark.parametrize("schedule, num_inputs, num_stages, message", [
+        ("left_fold", 3, 1, "a left_fold chain over 3 inputs has 2 stages, not 1"),
+        ("balanced_tree", 5, 5, "a balanced_tree chain over 5 inputs has 4 stages, not 5"),
+        ("balanced_tree", 1, 0, "over 1 inputs has 1 stages, not 0"),
+        ("ring", 2, 1, "unknown schedule 'ring'"),
+        ("left_fold", 0, 1, "at least one input")])
+    def test_stages_must_follow_the_schedule(self, schedule, num_inputs, num_stages,
+                                             message):
+        # the schedule alone fixes the operands, so only the stage count can disagree
+        lut = cascade_node(NodeFunction.CHECK_XOR, [bsc_message(0.1)] * 2, 4).stages[0]
+        with pytest.raises(ValueError, match=message):
+            LutCascade(NodeFunction.CHECK_XOR, schedule, num_inputs, (lut,) * num_stages)
+
+    @pytest.mark.parametrize("schedule", ["left_fold", "balanced_tree"])
+    @pytest.mark.parametrize("num_inputs", [1, 2, 3, 5, 8])
+    def test_plan_reads_every_earlier_value_once(self, schedule, num_inputs):
+        cascade = cascade_node(NodeFunction.VARIABLE_EQUAL, [bsc_message(0.1)] * num_inputs,
+                               2, schedule)
+        operands = [k for pair in cascade.plan for k in pair if k >= 0]
+        assert len(cascade.plan) == len(cascade.stages)
+        assert sorted(operands) == list(range(num_inputs + len(cascade.plan) - 1))
+        assert all(max(pair) < num_inputs + j for j, pair in enumerate(cascade.plan))
 
 
 class TestSerialization:
