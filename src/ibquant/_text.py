@@ -1,13 +1,20 @@
-"""The plain-text conventions every ibquant file shares.
+"""The plain-text conventions every ibquant file shares, and the one reader of them.
 
 A file is LF-terminated lines: an optional ``# comment`` header, then data.
 Floats are written with 17 significant digits, so they read back exactly.
-Readers skip blank lines and lines whose first non-blank character is ``#``.
+Loaders read through a ``Reading``: a cursor over the data lines (blank and
+``#`` lines skipped) that checks each line's tag and count of values, that
+integers fit in int64, and that no line is left when the loader returns.
 """
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from numbers import Integral
+
+import numpy as np
+
+from .info import NORM_SKIP
 
 
 def row(values, sep: str = " ") -> str:
@@ -21,36 +28,59 @@ def write_lines(path, lines, comment: str | None = None) -> None:
         fh.write("\n".join(head + list(lines)) + "\n")
 
 
-def read_lines(path) -> tuple[list[str], list[str]]:
-    """The stripped comment lines and data lines of a file, blank lines dropped."""
-    comments, data = [], []
-    with open(path) as fh:
-        for line in map(str.strip, fh):
-            if line:
-                (comments if line.startswith("#") else data).append(line)
-    return comments, data
+def int64(token: str) -> int:
+    """An integer that numpy holds as int64: every integer field and CLI flag."""
+    if not -2**63 <= (value := int(token)) < 2**63:
+        raise ValueError(f"{token} is outside int64")
+    return value
 
 
-def fields(line: str, tag: str) -> list[str]:
-    """The fields after the first of a data line; ValueError unless that one is ``tag``."""
-    head, *rest = line.split()
-    if head != tag:
-        raise ValueError(f"expected a {tag} line, got {line!r}")
-    return rest
-
-
-class Reading:
-    """A loader's context: a ValueError, or an IndexError for a line the file
-    lacks, becomes a ValueError naming the file and the ``section`` read."""
+class Reading(AbstractContextManager):
+    """A loader's cursor over the data lines of ``path`` and its context: a ValueError,
+    an IndexError for a line the file lacks, or a line left unread names the file."""
 
     def __init__(self, kind: str, path, section: str):
-        self.kind, self.path, self.section = kind, path, section
+        self.kind, self.path, self.section, self.pos = kind, path, section, 0
+        with open(path) as fh:
+            lines = [line for line in map(str.strip, fh) if line]
+        self.comments = [line for line in lines if line.startswith("#")]
+        self.lines = [line for line in lines if not line.startswith("#")]
 
-    def __enter__(self) -> "Reading":
-        return self
+    def fields(self, tag: str | None = None, count: int | None = None) -> list[str]:
+        """The next line's fields after ``tag`` (if given), ``count`` of them (if given)."""
+        line, self.pos = self.lines[self.pos], self.pos + 1
+        tokens = line.split()
+        if tag is not None and tokens.pop(0) != tag:
+            raise ValueError(f"expected a {tag} line, got {line!r}")
+        if count is not None and len(tokens) != count:
+            raise ValueError(f"expected {count} values, got {len(tokens)}")
+        return tokens
+
+    def ints(self, tag: str, count: int) -> list[int]:
+        """A header line's ``count`` counts after ``tag``, each at least 1."""
+        values = self.numbers((int64,) * count, tag)
+        if min(values) < 1:
+            raise ValueError(f"header '{row([tag, *values])}' has a count below 1")
+        return values
+
+    def numbers(self, kind=float, tag: str | None = None, count: int | None = None):
+        """The next line parsed by ``kind`` into an array, or by a tuple of kinds into a list."""
+        if isinstance(kind, tuple):
+            return [k(t) for t, k in zip(self.fields(tag, len(kind)), kind)]
+        return np.array([kind(t) for t in self.fields(tag, count)])
+
+    def probabilities(self, count: int, rows: int = 1) -> np.ndarray:
+        """``rows`` lines of ``count`` probabilities, each line summing to 1 within
+        NORM_SKIP as saved rows do, so that no constructor renormalizes them."""
+        values = np.array([self.numbers(count=count) for _ in range(rows)])
+        if not (off := np.abs(values.sum(axis=1) - 1.0).max()) <= NORM_SKIP:  # NaN too
+            raise ValueError(f"a row of probabilities is off 1 by {off!r}")
+        return values
 
     def __exit__(self, exc_type, exc, tb) -> None:
         where = f"{self.kind} file {self.path}"
+        if exc is None and self.pos < len(self.lines):
+            raise ValueError(f"{where}: data after the {self.section}: {self.lines[self.pos]!r}")
         if isinstance(exc, IndexError):
             raise ValueError(f"{where} is cut short: "
                              f"the {self.section} is missing or incomplete") from None

@@ -288,21 +288,17 @@ def save_dmc(dmc: DmcSpec, path, comment: str | None = None) -> None:
 
 
 def load_dmc(path) -> DmcSpec:
-    """Read a save_dmc file; a missing or malformed part raises ValueError."""
-    comments, lines = _text.read_lines(path)
-    # the last "# alphabet" line: a header comment may start so too
-    alphabet = next((c.split()[2:] for c in reversed(comments)
-                     if c.startswith("# alphabet ")), None)
+    """Read a save_dmc file; a missing, malformed or extra part raises ValueError."""
     with _text.Reading("dmc", path, "header") as reading:
-        num_in, num_out = (int(tok) for tok in _text.fields(lines[0], "dmc"))
+        num_in, num_out = reading.ints("dmc", 2)
         reading.section = "prior"
-        prior = Pmf(np.array([float(t) for t in lines[1].split()]))
+        prior = Pmf(reading.probabilities(num_in)[0])
         reading.section = "transition matrix"
-        rows = np.array([[float(t) for t in lines[2 + i].split()] for i in range(num_in)])
-        if rows.shape != (num_in, num_out):
-            raise ValueError("transition matrix shape does not match header")
-        transition = ConditionalDist(rows)
+        transition = ConditionalDist(reading.probabilities(num_out, num_in))
         reading.section = "channel"
+        # the last "# alphabet" line: a header comment may start so too
+        alphabet = next((c.split()[2:] for c in reversed(reading.comments)
+                         if c.startswith("# alphabet ")), None)
         if alphabet is None or len(alphabet) != num_in:
             alphabet = range(num_in)
-        return DmcSpec(np.array([float(t) for t in alphabet]), transition, prior)
+        return DmcSpec(np.array(alphabet, dtype=float), transition, prior)

@@ -68,7 +68,7 @@ def _add_channel_args(sub: argparse.ArgumentParser) -> None:
                      help="noise standard deviation for ask channels")
     sub.add_argument("--rate", type=float, default=0.5,
                      help="code rate in the Eb/N0 conversion for bpsk channels")
-    sub.add_argument("--bins", type=int, default=128, help="output bins for AWGN channels")
+    sub.add_argument("--bins", type=_text.int64, default=128, help="output bins for AWGN channels")
     sub.add_argument("--clip", type=float, default=3.0,
                      help="clip range in noise standard deviations above the largest signal")
 
@@ -89,7 +89,7 @@ def _cmd_info(parser, args) -> int:
 
 def _cmd_quantize(parser, args) -> int:
     dmc = _parse_channel(parser, args)
-    n_values = _parse_list(parser, "--n", args.n, int)
+    n_values = _parse_list(parser, "--n", args.n, _text.int64)
     if any(n < 1 for n in n_values):
         parser.error("cluster counts must be >= 1")
     if args.alg == "it-ib" and not math.isfinite(args.beta):
@@ -209,30 +209,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.add_argument("--beta", type=float, default=400.0)
     p_quant.add_argument("--lambda", dest="lam", type=float, default=0.0,
                          help="code-length weight for kl-means")
-    p_quant.add_argument("--restarts", type=int, default=100)
-    p_quant.add_argument("--seed", type=int, default=1)
+    p_quant.add_argument("--restarts", type=_text.int64, default=100)
+    p_quant.add_argument("--seed", type=_text.int64, default=1)
     p_quant.add_argument("--out", required=True, help="summary CSV path")
     p_quant.add_argument("--mapping-out", help="optional quantizer mapping file")
 
     p_lut = subs.add_parser("maxlut", help="build a two-input node lookup table")
     _add_channel_args(p_lut)
     p_lut.add_argument("--node", required=True, choices=("check", "variable"))
-    p_lut.add_argument("--in-bits", type=int, required=True, choices=_MESSAGE_BITS)
-    p_lut.add_argument("--out-bits", type=int, required=True, choices=_MESSAGE_BITS)
+    p_lut.add_argument("--in-bits", type=_text.int64, required=True, choices=_MESSAGE_BITS)
+    p_lut.add_argument("--out-bits", type=_text.int64, required=True, choices=_MESSAGE_BITS)
     p_lut.add_argument("--out", required=True, help="LUT file path")
 
     p_ldpc = subs.add_parser("ldpc", help="decoder design and BER simulation")
     ldpc_subs = p_ldpc.add_subparsers(dest="ldpc_command", required=True)
 
     p_design = ldpc_subs.add_parser("design", help="run discrete density evolution")
-    p_design.add_argument("--dv", type=int, default=3)
-    p_design.add_argument("--dc", type=int, default=6)
-    p_design.add_argument("--bits", type=int, default=4, choices=_MESSAGE_BITS)
-    p_design.add_argument("--iters", type=int, default=50)
+    p_design.add_argument("--dv", type=_text.int64, default=3)
+    p_design.add_argument("--dc", type=_text.int64, default=6)
+    p_design.add_argument("--bits", type=_text.int64, default=4, choices=_MESSAGE_BITS)
+    p_design.add_argument("--iters", type=_text.int64, default=50)
     p_design.add_argument("--ebn0", type=float, required=True, help="design Eb/N0 in dB")
     p_design.add_argument("--rate", type=float, default=None,
                           help="rate for the Eb/N0 conversion (default 1 - dv/dc)")
-    p_design.add_argument("--bins", type=int, default=128)
+    p_design.add_argument("--bins", type=_text.int64, default=128)
     p_design.add_argument("--clip", type=float, default=3.0)
     p_design.add_argument("--out", required=True, help="design file path")
     p_design.add_argument("--trace-out", help="optional density-evolution trace CSV")
@@ -241,18 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--design", help="design file from 'ldpc design' (lut decoder)")
     p_sim.add_argument("--decoder", required=True, choices=decoders.DECODERS)
     p_sim.add_argument("--ebn0", required=True, help="comma-separated Eb/N0 list in dB")
-    p_sim.add_argument("--max-frames", type=int, required=True)
-    p_sim.add_argument("--max-errors", type=int, default=0,
+    p_sim.add_argument("--max-frames", type=_text.int64, required=True)
+    p_sim.add_argument("--max-errors", type=_text.int64, default=0,
                        help="stop a point after this many frame errors (0 = never)")
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--n", type=int, default=1000, help="block length")
-    p_sim.add_argument("--dv", type=int, default=3)
-    p_sim.add_argument("--dc", type=int, default=6)
-    p_sim.add_argument("--code-seed", type=int, default=1)
-    p_sim.add_argument("--bits", type=int, default=None, choices=_MESSAGE_BITS,
+    p_sim.add_argument("--seed", type=_text.int64, default=1)
+    p_sim.add_argument("--n", type=_text.int64, default=1000, help="block length")
+    p_sim.add_argument("--dv", type=_text.int64, default=3)
+    p_sim.add_argument("--dc", type=_text.int64, default=6)
+    p_sim.add_argument("--code-seed", type=_text.int64, default=1)
+    p_sim.add_argument("--bits", type=_text.int64, default=None, choices=_MESSAGE_BITS,
                        help="message bits (default 4, or the --design file's)")
-    p_sim.add_argument("--iters", type=int, default=50)
-    p_sim.add_argument("--bins", type=int, default=None,
+    p_sim.add_argument("--iters", type=_text.int64, default=50)
+    p_sim.add_argument("--bins", type=_text.int64, default=None,
                        help="output bins (default 128, or the --design file's)")
     p_sim.add_argument("--clip", type=float, default=None,
                        help="clip multiplier (default 3.0, or the --design file's)")

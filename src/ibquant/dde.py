@@ -21,8 +21,8 @@ from .maxlut import (
     MessageDist,
     NodeFunction,
     _build_cascade,
-    _lut_from_lines,
     _lut_lines,
+    _read_lut,
 )
 
 
@@ -247,64 +247,41 @@ def save_design(design: LdpcEnsembleDesign, path, comment: str | None = None) ->
     _text.write_lines(path, lines, comment)
 
 
-def _read_cascade(lines: list[str], pos: int, tag: str,
-                  node: NodeFunction) -> tuple[LutCascade, int]:
-    schedule, num_inputs, num_stages = _text.fields(lines[pos], tag)
-    pos += 1
-    stages = []
-    for _ in range(int(num_stages)):
-        lut, pos = _lut_from_lines(lines, pos)
-        stages.append(lut)
-    return LutCascade(node, schedule, int(num_inputs), tuple(stages)), pos
+def _read_cascade(reading: _text.Reading, tag: str, node: NodeFunction) -> LutCascade:
+    schedule, num_inputs, num_stages = reading.numbers((str, _text.int64, _text.int64), tag)
+    stages = tuple(_read_lut(reading) for _ in range(num_stages))
+    return LutCascade(node, schedule, num_inputs, stages)
 
 
 def load_design(path) -> LdpcEnsembleDesign:
-    """Read a save_design file; a missing, malformed or ill-fitting part raises ValueError."""
-    lines = _text.read_lines(path)[1]
+    """Read a save_design file; a missing, malformed, extra or unfit part is a ValueError."""
     with _text.Reading("design", path, "design header") as reading:
-        message_bits, max_iter, dv, dc = (int(tok) for tok in _text.fields(lines[0], "design"))
+        message_bits, max_iter, dv, dc = reading.ints("design", 4)
         reading.section = "channel line"
-        noise_std, clip, num_bins = _text.fields(lines[1], "channel")
-        dmc = build_bpsk_awgn_sigma(float(noise_std), int(num_bins), float(clip))
+        noise_std, clip, num_bins = reading.numbers((float, float, _text.int64), "channel")
+        dmc = build_bpsk_awgn_sigma(noise_std, num_bins, clip)
         reading.section = "channel quantizer"
-        num_in, levels = (int(tok) for tok in _text.fields(lines[2], "channel_lut"))
-        labels = np.array([int(t) for t in lines[3].split()])
+        num_in, levels = reading.ints("channel_lut", 2)
+        labels = reading.numbers(_text.int64)
         if labels.size != num_in:
             raise ValueError(f"{labels.size} labels for a header of {num_in} inputs")
         chan_lut = Quantizer.from_labels(labels, levels)
-        rows = np.array([[float(t) for t in lines[4 + i].split()] for i in range(2)])
-        chan_msg = MessageDist(ConditionalDist(rows))
-        pos = 6
-        check_luts, var_luts, decision_luts, trace = [], [], [], []
+        chan_msg = MessageDist(ConditionalDist(reading.probabilities(levels, 2)))
+        iterations = []
         for t in range(max_iter):
             reading.section = f"iteration {t}"
-            if lines[pos] != f"iteration {t}":
-                raise ValueError(f"expected iteration {t} marker, got {lines[pos]!r}")
-            pos += 1
+            if (number := reading.fields("iteration", 1)) != [str(t)]:
+                raise ValueError(f"expected iteration {t}, got iteration {number[0]}")
             reading.section = f"iteration {t} check chain"
-            chk, pos = _read_cascade(lines, pos, "check_chain", NodeFunction.CHECK_XOR)
+            chk = _read_cascade(reading, "check_chain", NodeFunction.CHECK_XOR)
             reading.section = f"iteration {t} variable chain"
-            var, pos = _read_cascade(lines, pos, "var_chain", NodeFunction.VARIABLE_EQUAL)
+            var = _read_cascade(reading, "var_chain", NodeFunction.VARIABLE_EQUAL)
             reading.section = f"iteration {t} decision chain"
-            dec, pos = _read_cascade(lines, pos, "decision_chain", NodeFunction.VARIABLE_EQUAL)
+            dec = _read_cascade(reading, "decision_chain", NodeFunction.VARIABLE_EQUAL)
             reading.section = f"iteration {t} decision map and trace"
-            bit_map = np.array([int(tok) for tok in _text.fields(lines[pos], "decision_map")])
-            (err,) = _text.fields(lines[pos + 1], "trace")
-            trace.append(float(err))
-            pos += 2
-            check_luts.append(chk)
-            var_luts.append(var)
-            decision_luts.append(DecisionRule(dec, bit_map))
+            rule = DecisionRule(dec, reading.numbers(_text.int64, "decision_map"))
+            iterations.append((chk, var, rule, *reading.numbers(float, "trace", 1)))
+        check_luts, var_luts, decision_luts, trace = zip(*iterations)
         reading.section = "design"
-        return LdpcEnsembleDesign(
-            channel_lut=chan_lut,
-            channel_message=chan_msg,
-            check_luts=tuple(check_luts),
-            var_luts=tuple(var_luts),
-            decision_luts=tuple(decision_luts),
-            message_bits=message_bits,
-            error_prob_trace=np.array(trace),
-            dmc=dmc,
-            var_degree=dv,
-            check_degree=dc,
-        )
+        return LdpcEnsembleDesign(chan_lut, chan_msg, check_luts, var_luts, decision_luts,
+                                  message_bits, np.array(trace), dmc, dv, dc)

@@ -272,16 +272,12 @@ def _lut_lines(lut: NodeLut) -> list[str]:
 
 
 def load_node_lut(path) -> NodeLut:
-    """Read a save_node_lut file; a missing or malformed part raises ValueError."""
-    lines = _text.read_lines(path)[1]
-    with _text.Reading("lut", path, "lookup table"):
-        return _lut_from_lines(lines)[0]
+    """Read a save_node_lut file; a missing, malformed or extra part raises ValueError."""
+    with _text.Reading("lut", path, "lookup table") as reading:
+        return _read_lut(reading)
 
 
-def _lut_from_lines(lines, start: int = 0) -> tuple[NodeLut, int]:
-    nl, nz, nv = (int(tok) for tok in _text.fields(lines[start], "lut"))
-    table = np.array([[int(t) for t in lines[start + 1 + i].split()] for i in range(nl)])
-    rows = np.array([[float(t) for t in lines[start + 1 + nl + i].split()] for i in range(2)])
-    if table.shape != (nl, nz) or rows.shape != (2, nv):
-        raise ValueError(f"lut body does not match its header {lines[start]!r}")
-    return NodeLut(table, MessageDist(ConditionalDist(rows))), start + 1 + nl + 2
+def _read_lut(reading: _text.Reading) -> NodeLut:
+    nl, nz, nv = reading.ints("lut", 3)
+    table = [reading.numbers(_text.int64, count=nz) for _ in range(nl)]
+    return NodeLut(table, MessageDist(ConditionalDist(reading.probabilities(nv, 2))))

@@ -14,6 +14,8 @@ from ibquant.maxlut import load_node_lut
 
 from test_dde import DESIGN_TAGS, renamed_tag_lines
 
+HUGE = "99999999999999999999999"
+
 
 def run(argv):
     return main(argv)
@@ -512,6 +514,9 @@ class TestLdpcCommands:
         (None, "channel_lut 32 8", "31 labels for a header of 32 inputs"),
         (None, "channel_lut 31 8",
          "maps 31 inputs to 8 levels with a message of 8, not the channel's 32"),
+        ("label", HUGE, f"malformed channel quantizer: {HUGE} is outside int64"),
+        ("design 3 2 3 6", "design 3 1 3 6", "data after the design: 'iteration 1'"),
+        ("end", "trace 0.5", "data after the design: 'trace 0.5'"),
     ])
     def test_design_parts_that_do_not_fit_are_usage_errors(self, tmp_path, capsys,
                                                            old, new, message):
@@ -519,11 +524,15 @@ class TestLdpcCommands:
         assert run(["ldpc", "design", "--bits", "3", "--iters", "2", "--ebn0", "2.5",
                     "--bins", "32", "--out", str(design_file)]) == 0
         lines = design_file.read_text().splitlines()
-        if old is None:  # one channel label fewer, under the given header
-            at = lines.index("channel_lut 32 8")
-            lines[at + 1] = lines[at + 1].rsplit(" ", 1)[0]
-            old = "channel_lut 32 8"
-        lines[lines.index(old)] = new
+        labels = lines.index("channel_lut 32 8") + 1
+        if old is None:  # one channel label fewer, under the header ``new``
+            lines[labels - 1:labels + 1] = [new, lines[labels].rsplit(" ", 1)[0]]
+        elif old == "label":  # the last channel label replaced
+            lines[labels] = f"{lines[labels].rsplit(' ', 1)[0]} {new}"
+        elif old == "end":  # a line after the last
+            lines.append(new)
+        else:
+            lines[lines.index(old)] = new
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -549,3 +558,30 @@ class TestLdpcCommands:
         assert "--bits 4" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
         assert run(argv + ["--bits", "3", "--out", str(tmp_path / "y.csv")]) == 0
+
+
+# each command's required arguments, and the integer flags it declares
+INTEGER_FLAGS = {
+    "info --channel bpsk:2.0": ["--bins"],
+    "quantize --channel bsc:0.1 --alg it-ib --n 2 --out q.csv": ["--n", "--restarts", "--seed"],
+    "maxlut --channel bpsk:2.0 --node check --in-bits 3 --out-bits 3 --out l.txt":
+        ["--in-bits", "--out-bits"],
+    "ldpc design --ebn0 2.0 --out d.txt": ["--dv", "--dc", "--bits", "--iters", "--bins"],
+    "ldpc simulate --decoder bp --ebn0 2.0 --max-frames 2 --out s.csv":
+        ["--max-frames", "--max-errors", "--seed", "--n", "--dv", "--dc", "--code-seed",
+         "--bits", "--iters", "--bins"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags
+                                           in INTEGER_FLAGS.items() for flag in flags])
+def test_an_integer_flag_beyond_int64_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                       command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(command.split() + [flag, HUGE])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "int64" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())

@@ -517,6 +517,19 @@ class TestSerialization:
             with pytest.raises(ValueError, match="lut file .*cut.txt is cut short"):
                 load_node_lut(cut)
 
+    @pytest.mark.parametrize("text, message", [
+        ("lut 0 8 8\n0 1\n0.5 0.5\n0.5 0.5", "header 'lut 0 8 8' has a count below 1"),
+        ("lut 1 2 2\n0 99999999999999999999999\n0.5 0.5\n0.5 0.5",
+         "99999999999999999999999 is outside int64"),
+        ("lut 1 2 2\n0 1 1\n0.5 0.5\n0.5 0.5", "expected 2 values, got 3"),
+        ("lut 1 2 2\n0 1\n0.5 0.5\n0.5 0.5\n0.5 0.5",
+         "data after the lookup table: '0.5 0.5'")])
+    def test_a_malformed_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text + "\n")
+        with pytest.raises(ValueError, match=f"^lut file {re.escape(str(path))}: .*{message}"):
+            load_node_lut(path)
+
     def test_header_shape(self, tmp_path):
         msg = quantized_bpsk_message(2.0, 16, num_bins=64)
         lut = build_max_lut(NodeFunction.CHECK_XOR, msg, msg, 16)
